@@ -10,7 +10,7 @@ BENCHOUT ?= BENCH_core.json
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet lint latchlint vulncheck charvet tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke ci clean
+.PHONY: all build test race vet lint latchlint vulncheck charvet tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke fuzzsmoke ci clean
 
 all: build
 
@@ -109,8 +109,11 @@ benchserve:
 # sub-benchmarks of BenchmarkEulerNewton*, BenchmarkSurfaceTSPC and
 # BenchmarkMonteCarloTSPC carry the chord/bypass and block-transient
 # regression numbers. Use BENCHTIME=2s for stable wall-clock comparisons.
+# -cpu 1 keeps the GOMAXPROCS suffix ("-4") off the benchmark names, so a run
+# on a machine of any size matches the committed baseline by name; every
+# benchmark in the set is sequential (p=1) anyway.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) \
+	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -cpu 1 \
 		. ./internal/transient ./internal/sparse | tee bench.out.txt
 	$(GO) run ./cmd/benchjson -o $(BENCHOUT) bench.out.txt
 	@rm -f bench.out.txt
@@ -144,7 +147,15 @@ mcsmoke:
 		-trace /tmp/latchchar-mc-trace.jsonl -o /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/latchchar-mc-trace.jsonl
 
-ci: build lint vulncheck race tracesmoke batchsmoke servesmoke clustersmoke mcsmoke benchsmoke
+# fuzzsmoke runs each native fuzz target for 15 s: FuzzLU (sparse LU
+# factorization, refactorization and solve against the dense reference) and
+# FuzzParse (the netlist parser). A failing input is saved under the
+# package's testdata/fuzz/ and replays as a regular test from then on.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLU$$' -fuzztime 15s ./internal/sparse
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/netlist
+
+ci: build lint vulncheck race tracesmoke batchsmoke servesmoke clustersmoke mcsmoke fuzzsmoke benchsmoke
 
 clean:
 	$(GO) clean ./...

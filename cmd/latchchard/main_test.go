@@ -214,8 +214,11 @@ func TestServeSmokeFlightDump(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
+	// Work no solver speed finishes in 300ms: 100000 contour points, at
+	// least one transient each, at a 0.001 ps Euler step that keeps the
+	// trace from leaving the skew window early.
 	resp, err := http.Post(base+"/v1/characterize", "application/json",
-		strings.NewReader(`{"cell":"tspc","options":{"points":40},"wait":true}`))
+		strings.NewReader(`{"cell":"tspc","options":{"points":100000,"step_ps":0.001},"wait":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,11 @@ func TestJobTimeoutWritesFlightDump(t *testing.T) {
 		Logger:     discardLogger(),
 	})
 
+	// 100000 contour points cost at least one transient each, and the
+	// 0.001 ps Euler step keeps the trace from leaving the skew window
+	// early: no solver speed finishes that inside the timeout.
 	req, err := http.NewRequest("POST", ts.URL+"/v1/characterize",
-		strings.NewReader(`{"cell":"tspc","options":{"points":40},"wait":true}`))
+		strings.NewReader(`{"cell":"tspc","options":{"points":100000,"step_ps":0.001},"wait":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,13 @@
 // simulator: triplet assembly, compressed sparse row (CSR) storage, pattern
 // union for forming C/Δt + G Jacobians, and an LU factorization with
 // Markowitz ordering, threshold partial pivoting and fast numeric
-// refactorization along a recorded pivot sequence — the classic SPICE
-// (sparse1.3) recipe.
+// refactorization over the pivot sequence and L/U structure a one-time
+// analysis records — the classic SPICE (sparse1.3) recipe.
 package sparse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"latchchar/internal/linalg"
@@ -196,11 +197,8 @@ func (m *CSR) ToDense() *linalg.Matrix {
 func (m *CSR) MaxAbs() float64 {
 	best := 0.0
 	for _, v := range m.Val {
-		if v < 0 {
-			v = -v
-		}
-		if v > best {
-			best = v
+		if a := math.Abs(v); a > best {
+			best = a
 		}
 	}
 	return best

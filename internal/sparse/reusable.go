@@ -2,11 +2,10 @@ package sparse
 
 // Reusable wraps LU with the factor-or-refactor policy used by the solvers:
 // the first factorization runs the full Markowitz analysis, subsequent ones
-// reuse the recorded pivot sequence, and a zero pivot during refactorization
+// reuse the recorded pivot sequence and structure, and a refactorization
+// that fails — a zero pivot, or a matrix with a different pattern —
 // transparently triggers a fresh analysis.
 type Reusable struct {
-	Opts LUOptions
-
 	lu *LU
 	// Factorizations counts full analyses; Refactorizations counts fast
 	// numeric refactorizations.
@@ -27,9 +26,10 @@ func (r *Reusable) Factorize(a *CSR) error {
 			r.Age = 0
 			return nil
 		}
-		// Pivot order went stale; fall through to a full analysis.
+		// Pivot order went stale or the pattern changed; fall through to
+		// a full analysis.
 	}
-	lu, err := Factor(a, r.Opts)
+	lu, err := Factor(a)
 	if err != nil {
 		return err
 	}

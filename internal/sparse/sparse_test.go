@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,7 +178,7 @@ func TestLUSolveDiagonal(t *testing.T) {
 	b.Add(1, 1, 4)
 	b.Add(2, 2, 8)
 	m := b.Build()
-	f, err := Factor(m, LUOptions{})
+	f, err := Factor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestLUSolveNeedsColumnPermutation(t *testing.T) {
 	b.Add(0, 1, 1)
 	b.Add(1, 0, 2)
 	m := b.Build()
-	f, err := Factor(m, LUOptions{})
+	f, err := Factor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,17 +215,17 @@ func TestLUSingularDetected(t *testing.T) {
 	b.Add(0, 1, 2)
 	b.Add(1, 0, 2)
 	b.Add(1, 1, 4)
-	if _, err := Factor(b.Build(), LUOptions{}); err == nil {
+	if _, err := Factor(b.Build()); err == nil {
 		t.Error("expected ErrZeroPivot for singular matrix")
 	}
 	z := NewBuilder(2).Build()
-	if _, err := Factor(z, LUOptions{}); err == nil {
+	if _, err := Factor(z); err == nil {
 		t.Error("expected error for empty pattern")
 	}
 }
 
 func TestLUEmptyMatrix(t *testing.T) {
-	f, err := Factor(NewBuilder(0).Build(), LUOptions{})
+	f, err := Factor(NewBuilder(0).Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestLURandomAgainstDense(t *testing.T) {
 		if err != nil {
 			continue // skip the rare singular draw
 		}
-		f, err := Factor(m, LUOptions{})
+		f, err := Factor(m)
 		if err != nil {
 			t.Fatalf("trial %d: sparse Factor failed: %v", trial, err)
 		}
@@ -265,7 +266,7 @@ func TestLUResidualProperty(t *testing.T) {
 		n := 2 + rng.Intn(30)
 		d := randomDense(rng, n, 0.2, float64(n))
 		m := FromDense(d)
-		f, err := Factor(m, LUOptions{})
+		f, err := Factor(m)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -290,7 +291,7 @@ func TestLURefactorSamePattern(t *testing.T) {
 	n := 12
 	d := randomDense(rng, n, 0.3, float64(n))
 	m := FromDense(d)
-	f, err := Factor(m, LUOptions{})
+	f, err := Factor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestLURefactorZeroPivotReported(t *testing.T) {
 	b.Add(0, 0, 1)
 	b.Add(1, 1, 1)
 	m := b.Build()
-	f, err := Factor(m, LUOptions{})
+	f, err := Factor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,11 +343,46 @@ func TestLURefactorZeroPivotReported(t *testing.T) {
 	}
 }
 
+// A refactorization that stops at a zero pivot must leave the LU usable:
+// here step 1's pivot cancels to exactly 0 while its U row still holds a
+// nonzero entry, which must not leak into the next Refactor.
+func TestLURefactorUsableAfterZeroPivot(t *testing.T) {
+	b := NewBuilder(3)
+	for _, e := range [][3]float64{{0, 0, 2}, {0, 1, 1}, {1, 0, 1}, {1, 1, 2}, {1, 2, 1}, {2, 1, 1}, {2, 2, 1}} {
+		b.Add(int(e[0]), int(e[1]), e[2])
+	}
+	m := b.Build()
+	f, err := Factor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.rowOf[1] != 1 || f.colOf[1] != 1 {
+		t.Fatalf("step 1 pivot (%d,%d), want (1,1)", f.rowOf[1], f.colOf[1])
+	}
+	bad := m.Clone()
+	k, _ := bad.Index(1, 1)
+	bad.Val[k] = 0.5 // a11 − a10·a01/a00 = 0
+	if err := f.Refactor(bad); !errors.Is(err, ErrZeroPivot) {
+		t.Fatalf("err = %v, want ErrZeroPivot", err)
+	}
+	if err := f.Refactor(m); err != nil {
+		t.Fatal(err)
+	}
+	rhs := []float64{3, 4, 2}
+	x := make([]float64, 3)
+	f.Solve(rhs, x)
+	for i, v := range x {
+		if math.Abs(v-1) > 1e-14 {
+			t.Fatalf("x[%d] = %v, want 1", i, v)
+		}
+	}
+}
+
 func TestLUSolveAliasedInPlace(t *testing.T) {
 	b := NewBuilder(2)
 	b.Add(0, 0, 2)
 	b.Add(1, 1, 5)
-	f, err := Factor(b.Build(), LUOptions{})
+	f, err := Factor(b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +407,7 @@ func TestLUHighFillMatrix(t *testing.T) {
 		}
 	}
 	m := b.Build()
-	f, err := Factor(m, LUOptions{})
+	f, err := Factor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,27 +426,9 @@ func TestLUHighFillMatrix(t *testing.T) {
 	}
 	// Sparsity check: with Markowitz ordering, the arrow matrix should
 	// factor with O(n) fill, far below the dense n(n-1)/2.
-	fill := 0
-	for k := 0; k < n; k++ {
-		fill += len(f.lower[k]) + len(f.upper[k]) - 1
-	}
+	fill := len(f.lStep) + len(f.uCol) - n
 	if fill > 6*n {
 		t.Errorf("fill %d too high for arrow matrix (n=%d); ordering broken?", fill, n)
-	}
-}
-
-func TestLUOptionsDefaults(t *testing.T) {
-	o := LUOptions{}.withDefaults()
-	if o.Threshold != 0.1 || o.PivRelFloor != 1e-13 {
-		t.Errorf("defaults wrong: %+v", o)
-	}
-	o = LUOptions{Threshold: 0.5, PivRelFloor: 1e-10}.withDefaults()
-	if o.Threshold != 0.5 || o.PivRelFloor != 1e-10 {
-		t.Errorf("explicit options clobbered: %+v", o)
-	}
-	o = LUOptions{Threshold: 2}.withDefaults()
-	if o.Threshold != 0.1 {
-		t.Errorf("out-of-range threshold not defaulted: %+v", o)
 	}
 }
 
@@ -422,7 +440,7 @@ func TestLURefactorEquivalentToFreshFactor(t *testing.T) {
 		n := 3 + rng.Intn(15)
 		d := randomDense(rng, n, 0.3, float64(n))
 		m := FromDense(d)
-		reused, err := Factor(m, LUOptions{})
+		reused, err := Factor(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +457,7 @@ func TestLURefactorEquivalentToFreshFactor(t *testing.T) {
 			if err := reused.Refactor(m2); err != nil {
 				t.Fatalf("trial %d round %d: %v", trial, round, err)
 			}
-			fresh, err := Factor(m2, LUOptions{})
+			fresh, err := Factor(m2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -457,6 +475,107 @@ func TestLURefactorEquivalentToFreshFactor(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The structure must come from the pattern, not from the values Factor
+// sees: the multiplier that eliminates entry (1,0) is exactly 0 at Factor
+// time, so value-driven fill would leave (1,2) out of the structure and a
+// refactorization with a nonzero (1,0) would lose that entry's update.
+func TestLURefactorFillFromPattern(t *testing.T) {
+	b := NewBuilder(3)
+	b.Add(0, 0, 4)
+	b.Add(0, 2, 1)
+	b.Add(1, 0, 0)
+	b.Add(1, 1, 4)
+	b.Add(2, 1, 1)
+	b.Add(2, 2, 4)
+	m := b.Build()
+	f, err := Factor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.rowOf[0] != 0 || f.colOf[0] != 0 {
+		t.Fatalf("first pivot (%d,%d), want (0,0)", f.rowOf[0], f.colOf[0])
+	}
+	m2 := m.Clone()
+	k, _ := m2.Index(1, 0)
+	m2.Val[k] = 2
+	if err := f.Refactor(m2); err != nil {
+		t.Fatal(err)
+	}
+	rhs := []float64{1, 2, 3}
+	want, err := linalg.SolveLinear(m2.ToDense(), rhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, 3)
+	f.Solve(rhs, got)
+	for i := range got {
+		if math.Abs(got[i]-want[i]) > 1e-14 {
+			t.Fatalf("x = %v, want %v", got, want)
+		}
+	}
+}
+
+func TestLURefactorRejectsOtherPattern(t *testing.T) {
+	b := NewBuilder(2)
+	b.Add(0, 0, 2)
+	b.Add(1, 1, 2)
+	f, err := Factor(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Add(0, 1, 1)
+	if err := f.Refactor(b.Build()); !errors.Is(err, ErrPattern) {
+		t.Errorf("other pattern: err = %v, want ErrPattern", err)
+	}
+	if err := f.Refactor(NewBuilder(3).Build()); !errors.Is(err, ErrPattern) {
+		t.Errorf("other dimension: err = %v, want ErrPattern", err)
+	}
+	// Reusable answers a pattern change with a fresh analysis.
+	var r Reusable
+	b.Reset()
+	b.Add(0, 0, 2)
+	b.Add(1, 1, 2)
+	if err := r.Factorize(b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	b.Add(0, 1, 1)
+	if err := r.Factorize(b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	if r.Factorizations != 2 || r.Refactorizations != 0 {
+		t.Errorf("counters after a pattern change: %+v", r)
+	}
+	x := make([]float64, 2)
+	r.Solve([]float64{3, 2}, x)
+	if x[0] != 1 || x[1] != 1 {
+		t.Errorf("x = %v, want [1 1]", x)
+	}
+}
+
+// Refactor and Solve run once per Newton iteration of every transient step,
+// so they must not allocate.
+func TestLURefactorSolveAllocFree(t *testing.T) {
+	m := mnaLike(rand.New(rand.NewSource(2)), 9, 3, 55)
+	f, err := Factor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([]float64, m.N)
+	for i := range rhs {
+		rhs[i] = float64(i + 1)
+	}
+	x := make([]float64, m.N)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := f.Refactor(m); err != nil {
+			t.Fatal(err)
+		}
+		f.Solve(rhs, x)
+	})
+	if allocs != 0 {
+		t.Errorf("Refactor+Solve allocate %v objects per call, want 0", allocs)
 	}
 }
 
@@ -520,4 +639,99 @@ func TestReusableSolveBeforeFactorizePanics(t *testing.T) {
 		}
 	}()
 	r.Solve([]float64{1}, []float64{0})
+}
+
+// FuzzLU builds a matrix from the fuzz input — each 4-byte record is one
+// entry (row, column, value, perturbation) — and drives a Reusable through
+// its factorization, then through the refactorization of the perturbed
+// same-pattern matrix, checking each solve against the dense reference. It
+// must never panic, and any failure must be ErrZeroPivot. Run with
+// `go test -fuzz=FuzzLU ./internal/sparse`; the seeds execute as regular
+// tests.
+func FuzzLU(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 64, 0, 1, 1, 64, 0, 2, 2, 64, 0, 1, 0, 0, 32, 0, 2, 16, 0, 2, 1, 16, 0})
+	f.Add([]byte{1, 0, 1, 16, 0, 1, 0, 32, 0})
+	f.Add([]byte{3, 0, 0, 32, 192, 1, 1, 32, 3, 2, 2, 32, 7, 3, 3, 32, 9, 0, 3, 8, 5, 3, 0, 8, 0, 1, 2, 200, 40})
+	f.Add([]byte{7, 0, 0, 16, 1, 1, 1, 16, 2, 2, 2, 16, 3, 3, 3, 16, 4, 4, 4, 16, 5, 5, 5, 16, 6, 6, 6, 16, 7,
+		7, 7, 16, 8, 7, 0, 100, 9, 0, 7, 100, 10, 3, 5, 240, 11})
+	f.Add([]byte{1, 0, 0, 16, 192, 1, 1, 16, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 || len(data) > 4*64+1 {
+			return
+		}
+		n := 1 + int(data[0])%8
+		b := NewBuilder(n)
+		var deltas []float64
+		for rec := data[1:]; len(rec) >= 4; rec = rec[4:] {
+			b.Add(int(rec[0])%n, int(rec[1])%n, float64(int8(rec[2]))/16)
+			deltas = append(deltas, float64(int8(rec[3]))/64)
+		}
+		m := b.Build()
+		var r Reusable
+		if !factorizeAndCheck(t, &r, m) {
+			return
+		}
+		// Perturb every stored entry; the merged entry k takes the k-th
+		// record's perturbation, which may zero it or fill a stored zero.
+		m2 := m.Clone()
+		for k := range m2.Val {
+			m2.Val[k] += deltas[k]
+		}
+		factorizeAndCheck(t, &r, m2)
+	})
+}
+
+// factorizeAndCheck factorizes m with r and compares r's solve with the
+// dense reference. The bound scales with the condition number and the
+// factorization's growth, so an ill-conditioned draw is skipped rather than
+// failed; a structural error is off by O(1) and still caught. It reports
+// whether m factorized.
+func factorizeAndCheck(t *testing.T, r *Reusable, m *CSR) bool {
+	t.Helper()
+	if err := r.Factorize(m); err != nil {
+		if !errors.Is(err, ErrZeroPivot) {
+			t.Fatalf("Factorize: %v, want ErrZeroPivot", err)
+		}
+		return false
+	}
+	n := m.N
+	d := m.ToDense()
+	ref, err := linalg.Factor(d)
+	if err != nil {
+		return true // singular to the dense reference: nothing to compare
+	}
+	invNorm := 0.0 // ‖A⁻¹‖∞ from the dense inverse's row sums
+	rowSums := make([]float64, n)
+	for j := 0; j < n; j++ {
+		e := make(linalg.Vector, n)
+		e[j] = 1
+		for i, v := range ref.Solve(e) {
+			rowSums[i] += math.Abs(v)
+		}
+	}
+	for _, s := range rowSums {
+		invNorm = math.Max(invNorm, s)
+	}
+	growth, amax := 1.0, m.MaxAbs()
+	for _, v := range r.lu.uVal {
+		growth = math.Max(growth, math.Abs(v)/amax)
+	}
+	amp := d.NormInf() * invNorm * growth
+	if amp > 1e8 {
+		return true
+	}
+	rhs := make(linalg.Vector, n)
+	for i := range rhs {
+		rhs[i] = float64(i + 1)
+	}
+	want := ref.Solve(rhs)
+	got := make([]float64, n)
+	r.Solve(rhs, got)
+	scale := linalg.Vector(want).NormInf()
+	for i := range got {
+		if !(math.Abs(got[i]-want[i]) <= 1e-12*amp*scale) {
+			t.Fatalf("x[%d] = %v, dense reference %v (condition × growth %.3g)", i, got[i], want[i], amp)
+		}
+	}
+	return true
 }
