@@ -10,7 +10,7 @@ BENCHOUT ?= BENCH_core.json
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet lint latchlint vulncheck charvet tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke fuzzsmoke ci clean
+.PHONY: all build test race vet lint latchlint vulncheck charvet perfbenchcheck tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke fuzzsmoke ci clean
 
 all: build
 
@@ -62,6 +62,12 @@ charvet:
 	$(GO) run ./cmd/charvet -cell c2mos
 	$(GO) run ./cmd/charvet -cell tgate
 	$(GO) run ./cmd/charvet examples/netlists/*.cir
+
+# perfbenchcheck vets and tests the nested perfbench module, which the
+# root's `go build ./...` and `go test ./...` skip: a public-API change
+# (EvalConfig, transient.Stats) that breaks the benchmark fails here.
+perfbenchcheck:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # tracesmoke runs a reduced-grid characterization with event tracing on and
 # validates the resulting JSONL stream with tracecheck (what CI does).
@@ -155,7 +161,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLU$$' -fuzztime 15s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/netlist
 
-ci: build lint vulncheck race tracesmoke batchsmoke servesmoke clustersmoke mcsmoke fuzzsmoke benchsmoke
+ci: build lint perfbenchcheck vulncheck race tracesmoke batchsmoke servesmoke clustersmoke mcsmoke fuzzsmoke benchsmoke
 
 clean:
 	$(GO) clean ./...

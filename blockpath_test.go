@@ -12,12 +12,15 @@ import (
 // for every example netlist deck, EvalBlock at block sizes 1, 2, 4 and 8
 // must reproduce the scalar fast path's state-transition values within the
 // same 3 µV gate the fast path itself is held to against the exact
-// evaluator. The probe points are the deck's own characterized contour —
-// the operating region the trace loop actually feeds the kernel (far off
-// the contour the output saturates and the fast path's bypass staleness
-// alone exceeds the gate, on the scalar path just as much as on the block
-// path). One evaluator serves both paths, so calibration and grid are
-// identical and the comparison isolates the lockstep kernel.
+// evaluator, and an 8-lane EvalGradBlock must reproduce EvalGrad on every
+// lane, at the deck's points and around the knee of each built-in cell,
+// where the followers replay donor stamps. The probe points are the
+// characterized contour — the operating region the trace loop actually
+// feeds the kernel (far off the contour the output saturates and the fast
+// path's bypass staleness alone exceeds the gate, on the scalar path just as
+// much as on the block path). One evaluator serves both paths, so
+// calibration and grid are identical and the comparison isolates the
+// lockstep kernel.
 func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 	const gate = 3e-6
 	decks, err := filepath.Glob(filepath.Join("examples", "netlists", "*.cir"))
@@ -99,35 +102,88 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 				})
 			}
 
-			// The gradient block path must agree with scalar EvalGrad too:
-			// h within the same gate, sensitivities to ~0.1% relative (they
-			// feed the Newton corrector, not the accepted contour).
-			h0, ds0, dh0, err := ev.EvalGrad(pts[0].TauS, pts[0].TauH)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hb, dsb, dhb, errs, err := ev.EvalGradBlock(
-				[]float64{pts[0].TauS, pts[1].TauS}, []float64{pts[0].TauH, pts[1].TauH})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, e := range errs {
-				if e != nil {
-					t.Fatalf("grad block lane %d: %v", i, e)
-				}
-			}
-			if d := math.Abs(hb[0] - h0); d > gate {
-				t.Errorf("grad block h deviates %.3g V from scalar", d)
-			}
-			relOK := func(got, want float64) bool {
-				return math.Abs(got-want) <= 1e-3*math.Max(math.Abs(want), 1e-12)
-			}
-			if !relOK(dsb[0], ds0) || !relOK(dhb[0], dh0) {
-				t.Errorf("grad block sensitivities (%g, %g) deviate from scalar (%g, %g)",
-					dsb[0], dhb[0], ds0, dh0)
-			}
+			checkGradBlock(t, ev, pts, gate)
 		})
 	}
+
+	// Built-in cells: the 8 points around the knee (minimum τs+τh), where
+	// the lanes differ most and the followers replay the most donor stamps.
+	for _, name := range []string{"tspc", "c2mos", "tgate"} {
+		t.Run(name, func(t *testing.T) {
+			cell, err := CellByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Characterize(cell, Options{
+				Points:         20,
+				BothDirections: true,
+				Eval:           DefaultFastPath(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := res.Contour.Points
+			if len(pts) < 8 {
+				t.Fatalf("cell traced only %d contour points", len(pts))
+			}
+			knee := 0
+			for i, p := range pts {
+				if p.TauS+p.TauH < pts[knee].TauS+pts[knee].TauH {
+					knee = i
+				}
+			}
+			lo := min(max(knee-4, 0), len(pts)-8)
+			ev, err := NewEvaluator(cell, DefaultFastPath())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGradBlock(t, ev, pts[lo:lo+8], gate)
+		})
+	}
+}
+
+// checkGradBlock evaluates pts as one gradient block and holds every lane —
+// the reference lane and each follower — to the scalar EvalGrad: h within
+// gate, sensitivities to 0.1% relative (they feed the Newton corrector, not
+// the accepted contour).
+func checkGradBlock(t *testing.T, ev *Evaluator, pts []ContourPoint, gate float64) {
+	t.Helper()
+	tauS := make([]float64, len(pts))
+	tauH := make([]float64, len(pts))
+	for i, p := range pts {
+		tauS[i], tauH[i] = p.TauS, p.TauH
+	}
+	replays0 := ev.Work.BlockDonorReplays
+	hb, dsb, dhb, errs, err := ev.EvalGradBlock(tauS, tauH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replays := ev.Work.BlockDonorReplays - replays0
+	relErr := func(got, want float64) float64 {
+		return math.Abs(got-want) / math.Max(math.Abs(want), 1e-12)
+	}
+	var worstH, worstG float64
+	for i := range pts {
+		if errs[i] != nil {
+			t.Fatalf("grad block lane %d: %v", i, errs[i])
+		}
+		h, ds, dh, err := ev.EvalGrad(tauS[i], tauH[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := math.Abs(hb[i] - h)
+		if d > gate {
+			t.Errorf("grad block lane %d: h deviates %.3g V from scalar (gate %.3g V)", i, d, gate)
+		}
+		e := math.Max(relErr(dsb[i], ds), relErr(dhb[i], dh))
+		if e > 1e-3 {
+			t.Errorf("grad block lane %d: sensitivities (%g, %g) deviate from scalar (%g, %g)",
+				i, dsb[i], dhb[i], ds, dh)
+		}
+		worstH, worstG = math.Max(worstH, d), math.Max(worstG, e)
+	}
+	t.Logf("%d-lane grad block: worst |Δh| %.3g V, worst relative gradient error %.3g, %d donor replays",
+		len(pts), worstH, worstG, replays)
 }
 
 // TestBlockTraceAccuracyGate holds the block-corrected trace loop to the

@@ -79,9 +79,7 @@ func run(args []string) error {
 	evalCfg := stf.Config{
 		Degrade:      *degrade,
 		MaxSetupSkew: *maxSkew * 1e-12,
-	}
-	if *fast {
-		evalCfg = evalCfg.WithFastPath()
+		Fast:         *fast,
 	}
 	if *doVet {
 		// Static pre-flight over the netlist and query parameters before

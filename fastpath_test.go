@@ -38,7 +38,7 @@ func TestChordFallbackOnStiffTSPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := transient.NewEngine(inst.Circuit, transient.Options{Chord: true}).Run(x0, g)
+	fast, err := transient.NewEngine(inst.Circuit, transient.Options{Fast: true}).Run(x0, g)
 	if err != nil {
 		t.Fatalf("chord transient failed on stiff TSPC grid (fallback broken): %v", err)
 	}
@@ -76,7 +76,7 @@ func TestChordFallbackOnStiffTSPC(t *testing.T) {
 // converges to — and (b) a substantial LU-factorization saving.
 func TestFastPathAccuracyGate(t *testing.T) {
 	// MPNR accepts a contour point at |h| ≤ HTol = 1e-6 V. The fast path
-	// perturbs each transient by O(BypassVTol)-scale stamp staleness
+	// perturbs each transient by O(circuit.BypassVTol)-scale stamp staleness
 	// (measured ~1e-7 V on the waveform), so exact-h at fast points must
 	// stay within a small multiple of HTol.
 	const hGate = 3e-6
@@ -100,7 +100,7 @@ func TestFastPathAccuracyGate(t *testing.T) {
 				t.Fatal(err)
 			}
 			fastOpts := opts
-			fastOpts.Eval = EvalConfig{Chord: true, DeviceBypass: true}
+			fastOpts.Eval = DefaultFastPath()
 			fast, err := Characterize(cell, fastOpts)
 			if err != nil {
 				t.Fatal(err)

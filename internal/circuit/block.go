@@ -44,12 +44,12 @@ func (ev *Eval) AtWithDonor(x []float64, t float64, donor *Eval) int {
 			d.Eval(&ev.ctx)
 			continue
 		}
-		if tp.fresh(x, ev.bypassVTol) {
+		if tp.fresh(x) {
 			tp.replay(ev)
 			ev.Bypasses++
 			continue
 		}
-		if dtp := donor.tapes[di]; dtp != nil && dtp.fresh(x, ev.bypassVTol) {
+		if dtp := donor.tapes[di]; dtp != nil && dtp.fresh(x) {
 			dtp.replay(ev)
 			tp.copyFrom(dtp)
 			replays++

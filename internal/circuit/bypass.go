@@ -61,14 +61,14 @@ func termV(x []float64, id UnknownID) float64 {
 	return x[id]
 }
 
-// fresh reports whether every watched terminal is within vtol of the
+// fresh reports whether every watched terminal is within BypassVTol of the
 // recording snapshot.
-func (tp *stampTape) fresh(x []float64, vtol float64) bool {
+func (tp *stampTape) fresh(x []float64) bool {
 	if !tp.valid {
 		return false
 	}
 	for i, id := range tp.terms {
-		if math.Abs(termV(x, id)-tp.vSnap[i]) > vtol {
+		if math.Abs(termV(x, id)-tp.vSnap[i]) > BypassVTol {
 			return false
 		}
 	}
@@ -110,16 +110,11 @@ func (tp *stampTape) replay(ev *Eval) {
 func (ev *Eval) HoldBypass(hold bool) { ev.bypassHold = hold }
 
 // EnableBypass activates the device-latency bypass for every device
-// implementing StateOnlyDevice. vtol is the terminal-voltage tolerance in
-// volts below which a device's cached stamps are replayed instead of
-// re-evaluated; vtol ≤ 0 selects the 1 µV default. Calling EnableBypass
-// again only updates the tolerance; existing tapes stay valid (they are
-// revalidated against the new tolerance on the next assembly).
-func (ev *Eval) EnableBypass(vtol float64) {
-	if vtol <= 0 {
-		vtol = DefaultBypassVTol
-	}
-	ev.bypassVTol = vtol
+// implementing StateOnlyDevice: a device whose watched terminals all sit
+// within BypassVTol of its tape's recording snapshot replays the cached
+// stamps instead of re-evaluating. Calling EnableBypass again is a no-op;
+// existing tapes stay valid.
+func (ev *Eval) EnableBypass() {
 	if ev.tapes != nil {
 		return
 	}
@@ -131,7 +126,7 @@ func (ev *Eval) EnableBypass(vtol float64) {
 	}
 }
 
-// DefaultBypassVTol is the terminal-voltage tolerance EnableBypass uses when
-// none is given: well under the Newton VTol-scale solution accuracy, so the
-// bypass perturbs converged states by less than the solver already tolerates.
-const DefaultBypassVTol = 1e-6
+// BypassVTol is the bypass terminal-voltage tolerance in volts: well under
+// the Newton VTol-scale solution accuracy, so the bypass perturbs converged
+// states by less than the solver already tolerates.
+const BypassVTol = 1e-6

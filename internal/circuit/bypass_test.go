@@ -30,7 +30,7 @@ func buildBypassPair(t *testing.T) (*Circuit, *Eval, *bypassStubG, []float64) {
 		t.Fatal(err)
 	}
 	ev := c.NewEval()
-	ev.EnableBypass(1e-6)
+	ev.EnableBypass()
 	return c, ev, d, make([]float64, c.N())
 }
 

@@ -266,7 +266,6 @@ type Eval struct {
 	// (EnableBypass) over the evaluator's lifetime.
 	Bypasses int
 
-	bypassVTol float64
 	bypassHold bool         // replay suspended (HoldBypass); tapes stay valid
 	tapes      []*stampTape // index-aligned with c.devices; nil entry = not bypassable
 
@@ -316,7 +315,7 @@ func (ev *Eval) At(x []float64, t float64) {
 				d.Eval(&ev.ctx)
 				continue
 			}
-			if tp.fresh(x, ev.bypassVTol) {
+			if tp.fresh(x) {
 				tp.replay(ev)
 				ev.Bypasses++
 				continue

@@ -78,9 +78,7 @@ func ToOptions(o serveclient.OptionsRequest) (latchchar.Options, error) {
 	eval := latchchar.EvalConfig{
 		Degrade:      o.Degrade,
 		MaxSetupSkew: o.MaxSetupSkewPS * 1e-12,
-	}
-	if o.FastPath {
-		eval = eval.WithFastPath()
+		Fast:         o.FastPath,
 	}
 	opts := latchchar.Options{
 		Points:         o.Points,

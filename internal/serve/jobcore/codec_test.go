@@ -43,15 +43,14 @@ func TestFastPathOptionMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.Eval.Chord || !opts.Eval.DeviceBypass {
-		t.Errorf("fast_path must enable both chord and device bypass, got Chord=%v DeviceBypass=%v",
-			opts.Eval.Chord, opts.Eval.DeviceBypass)
+	if !opts.Eval.Fast {
+		t.Error("fast_path must set Eval.Fast")
 	}
 	opts, err = ToOptions(serveclient.OptionsRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Eval.Chord || opts.Eval.DeviceBypass {
+	if opts.Eval.Fast {
 		t.Error("fast path must stay off by default")
 	}
 	cell, err := latchchar.CellByName("tspc")

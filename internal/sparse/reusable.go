@@ -39,11 +39,6 @@ func (r *Reusable) Factorize(a *CSR) error {
 	return nil
 }
 
-// Factorized reports whether a factorization is available, i.e. whether
-// Solve may be called. Chord iterations use this to guard against solving
-// before the first full Newton iteration has built a Jacobian.
-func (r *Reusable) Factorized() bool { return r.lu != nil }
-
 // Solve solves with the last successful factorization. It panics if
 // Factorize has never succeeded.
 func (r *Reusable) Solve(b, x []float64) {

@@ -8,18 +8,6 @@ import (
 	"latchchar/internal/transient"
 )
 
-// WithFastPath returns the config with the chord/bypass fast path of DESIGN
-// §10 enabled — chord (modified-Newton) iterations against the standing LU
-// factorization plus the device-eval latency bypass, each with its default
-// gates. This is the single home for the fast-path preset: the -fast CLI
-// flag, the HTTP fast_path field and the block kernel's lane options all go
-// through here, so they can never drift apart.
-func (c Config) WithFastPath() Config {
-	c.Chord = true
-	c.DeviceBypass = true
-	return c
-}
-
 // blockSplit returns the earliest time the lanes' stimuli can differ — the
 // shared-prefix horizon handed to the block engine. The data pulse (and its
 // skew derivatives) depends on τs only within the leading ramp starting at

@@ -45,25 +45,16 @@ type Config struct {
 	// runs while hunting for the crossing (default 3 ns).
 	PostWindow float64
 	// MaxNewtonIter bounds the per-step Newton iterations of every transient
-	// the evaluator launches (default 50, transient.Options). Chord mode
+	// the evaluator launches (default 50, transient.Options). The fast path
 	// needs headroom here: stalled chord iterations spend budget before the
 	// full-Newton fallback finishes the step.
 	MaxNewtonIter int
-	// Chord enables chord (modified-Newton) iterations in the transient
-	// inner loop: reuse the standing LU factorization while the iteration
-	// contracts, fall back to full Newton on stall or divergence
-	// (transient.Options.Chord).
-	Chord bool
-	// ChordContraction is the chord stall threshold θ ∈ (0, 1)
-	// (default 0.5); ChordMaxAge bounds back-substitutions per factorization
-	// (default 20). Both only apply with Chord.
-	ChordContraction float64
-	ChordMaxAge      int
-	// DeviceBypass enables the device-eval latency bypass: MOSFETs whose
-	// terminal voltages moved less than BypassVTol volts replay cached
-	// stamps instead of re-evaluating (default tolerance 1 µV).
-	DeviceBypass bool
-	BypassVTol   float64
+	// Fast enables the chord/bypass fast path of DESIGN §10 in every
+	// transient the evaluator launches (transient.Options.Fast): chord
+	// iterations against the standing LU factorization with full-Newton
+	// fallback, sensitivity solves reusing it, and the device-eval latency
+	// bypass. The zero value is the paper's exact path.
+	Fast bool
 	// Obs attaches observability: every transient the evaluator launches is
 	// tagged and counted under the currently attached span (solvers re-parent
 	// it via SetObs while they own the evaluator). nil disables collection.
@@ -100,12 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxNewtonIter <= 0 {
 		c.MaxNewtonIter = 50
 	}
-	if c.ChordContraction <= 0 {
-		c.ChordContraction = 0.5
-	}
-	if c.ChordMaxAge <= 0 {
-		c.ChordMaxAge = 20
-	}
 	return c
 }
 
@@ -113,15 +98,11 @@ func (c Config) withDefaults() Config {
 // evaluator launches shares; skews and probes vary per call site.
 func (c Config) transientOptions(skews bool, probes ...circuit.UnknownID) transient.Options {
 	return transient.Options{
-		Method:           c.Method,
-		Skews:            skews,
-		MaxNewtonIter:    c.MaxNewtonIter,
-		Chord:            c.Chord,
-		ChordContraction: c.ChordContraction,
-		ChordMaxAge:      c.ChordMaxAge,
-		DeviceBypass:     c.DeviceBypass,
-		BypassVTol:       c.BypassVTol,
-		Probes:           probes,
+		Method:        c.Method,
+		Skews:         skews,
+		MaxNewtonIter: c.MaxNewtonIter,
+		Fast:          c.Fast,
+		Probes:        probes,
 	}
 }
 

@@ -3,14 +3,11 @@ package transient
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime/pprof"
 	"time"
 
 	"latchchar/internal/circuit"
-	"latchchar/internal/num"
 	"latchchar/internal/obs"
-	"latchchar/internal/sparse"
 )
 
 // BlockEngine advances K transients of one circuit in lockstep — the
@@ -23,18 +20,21 @@ import (
 //     only the reference lane integrates and the followers inherit its state
 //     at the fork — K−1 lane-steps saved per prefix step, counted in
 //     Stats.BlockSharedSteps.
-//   - Shared Jacobian: after the fork, follower Newton iterations first try a
-//     chord back-substitution against the reference lane's standing
-//     factorization (gated exactly like the scalar chord: α match, age,
-//     contraction). Residuals stay exact per lane, so accepted solutions
-//     satisfy the same tolerances as full Newton.
-//   - Batched device evaluation: a follower's first Newton iteration offers
-//     every bypassable device the reference lane's stamp tape
-//     (circuit.Eval.AtWithDonor), amortizing MOSFET model math across lanes
-//     whose terminal voltages agree within the bypass tolerance.
+//   - Shared Jacobian (Options.Fast): after the fork, follower Newton
+//     iterations first try a chord back-substitution against the reference
+//     lane's standing factorization (gated exactly like the scalar chord: α
+//     match, age, contraction). Residuals stay exact per lane, so accepted
+//     solutions satisfy the same tolerances as full Newton.
+//   - Batched device evaluation (Options.Fast): a follower's first Newton
+//     iteration offers every bypassable device the reference lane's stamp
+//     tape (circuit.Eval.AtWithDonor), amortizing MOSFET model math across
+//     lanes whose terminal voltages agree within the bypass tolerance.
 //   - Peel-off: a lane whose Newton iteration fails records its error and
 //     drops out; the remaining lanes continue unharmed. Callers retry peeled
 //     lanes on the scalar path.
+//
+// Every lane steps through the one Engine.step; a follower passes the
+// reference lane as its donor.
 //
 // A BlockEngine is not safe for concurrent use.
 type BlockEngine struct {
@@ -46,9 +46,6 @@ type BlockEngine struct {
 	// one Circuit whose data source is mutable state, so every burst of
 	// lane-k work is preceded by setLane(k).
 	setLane func(lane int)
-
-	timed bool
-	prof  profLabels
 }
 
 // NewBlockEngine prepares a k-lane block engine. setLane is invoked with a
@@ -72,12 +69,6 @@ func NewBlockEngine(c *circuit.Circuit, opts Options, k int, setLane func(lane i
 	}
 	return b
 }
-
-// Lanes returns the number of lanes.
-func (b *BlockEngine) Lanes() int { return len(b.lanes) }
-
-// Options returns the effective options shared by every lane.
-func (b *BlockEngine) Options() Options { return b.opts }
 
 // BlockResult holds the per-lane outcomes of a block run plus the aggregate
 // work accounting. Lane k failed iff Errs[k] != nil, in which case X[k],
@@ -126,62 +117,23 @@ func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, gr
 	if err := b.opts.Validate(); err != nil {
 		return nil, err
 	}
-	b.timed = b.opts.Timing || run.Enabled()
-	hist := run.Enabled()
-	for _, e := range b.lanes {
-		e.timed = b.timed
-		e.hist = hist
-		if hist {
-			e.newtonHist.Reset()
-			e.chordHist.Reset()
-		}
-	}
-	b.prof.active = run.ProfileLabelsEnabled()
-	if b.prof.active {
-		b.prof.init()
-		for _, e := range b.lanes {
-			e.prof = b.prof
-		}
-		pprof.SetGoroutineLabels(b.prof.transient)
+	if attach(run, b.lanes...) {
 		defer pprof.SetGoroutineLabels(context.Background())
 	}
-	var luF0, luR0 int
-	for _, e := range b.lanes {
-		luF0 += e.lu.Factorizations
-		luR0 += e.lu.Refactorizations
-	}
+	luF0, luR0 := luCounts(b.lanes...)
 	sp := run.StartSpan(obs.SpanTransient)
 	res, err := b.run(ctx, x0, grid, tSplit)
-	if run.Enabled() {
-		sp.Count(obs.CtrBlockRuns, 1)
-		sp.Observe(obs.HistBlockSize, len(b.lanes))
-		// Fresh symbolic factorizations and pattern-reusing refactorizations
-		// are split across two counters, matching the scalar RunCtx (the
-		// aggregate Stats.Factorizations remains their sum).
-		var luF1, luR1 int
-		for _, e := range b.lanes {
-			luF1 += e.lu.Factorizations
-			luR1 += e.lu.Refactorizations
-		}
-		sp.Count(obs.CtrLUFactor, int64(luF1-luF0))
-		sp.Count(obs.CtrLURefactor, int64(luR1-luR0))
-		if res != nil {
-			st := res.Stats
-			sp.Count(obs.CtrSteps, int64(st.Steps))
-			sp.Count(obs.CtrNewtonIters, int64(st.NewtonIters))
-			sp.Count(obs.CtrSensSolves, int64(st.SensSolves))
-			sp.Count(obs.CtrSensFactReused, int64(st.SensFactorizationsReused))
-			sp.Count(obs.CtrChordIters, int64(st.ChordIters))
-			sp.Count(obs.CtrJacobianReuses, int64(st.JacobianReuses))
-			sp.Count(obs.CtrDeviceBypasses, int64(st.DeviceBypasses))
-			sp.Count(obs.CtrBlockPeelOffs, int64(st.BlockPeelOffs))
-			sp.Count(obs.CtrBlockSharedSteps, int64(st.BlockSharedSteps))
-			sp.Count(obs.CtrBlockDonorReplays, int64(st.BlockDonorReplays))
-		}
-		for _, e := range b.lanes {
-			sp.Merge(obs.HistNewtonIters, &e.newtonHist)
-			sp.Merge(obs.HistChordIters, &e.chordHist)
-		}
+	var st *Stats
+	if res != nil {
+		st = &res.Stats
+	}
+	publish(sp, luF0, luR0, st, b.lanes...)
+	sp.Count(obs.CtrBlockRuns, 1)
+	sp.Observe(obs.HistBlockSize, len(b.lanes))
+	if st != nil {
+		sp.Count(obs.CtrBlockPeelOffs, int64(st.BlockPeelOffs))
+		sp.Count(obs.CtrBlockSharedSteps, int64(st.BlockSharedSteps))
+		sp.Count(obs.CtrBlockDonorReplays, int64(st.BlockDonorReplays))
 	}
 	sp.End()
 	return res, err
@@ -231,30 +183,13 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 	// support begins) is exact. With no prefix at all the lanes may already
 	// differ at t0, so each initializes independently from x0 instead.
 	fork := func(k int) {
-		ref := b.lanes[0]
 		for j := 1; j < K; j++ {
-			e := b.lanes[j]
 			if k == 1 {
 				b.lane(j)
-				e.initAt(x0, pts[0])
-				continue
+				b.lanes[j].initAt(x0, pts[0])
+			} else {
+				b.lanes[j].forkFrom(b.lanes[0])
 			}
-			copy(e.x, ref.x)
-			copy(e.qPrev, ref.qPrev)
-			if e.opts.Skews {
-				copy(e.cPrev.Val, ref.cPrev.Val)
-			}
-			if e.opts.Method == TRAP {
-				copy(e.qdotPrev, ref.qdotPrev)
-			}
-			copy(e.ms, ref.ms)
-			copy(e.mh, ref.mh)
-			if e.opts.Skews && e.opts.Method == TRAP {
-				copy(e.msdotPrev, ref.msdotPrev)
-				copy(e.mhdot, ref.mhdot)
-			}
-			e.chordReady = false
-			e.drift = 0
 		}
 		forked = true
 	}
@@ -276,7 +211,7 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 			// stimulus cannot differ before tSplit; the strict comparison
 			// protects the step that lands exactly on the divergence time.
 			b.lane(refIdx)
-			if err := b.lanes[refIdx].step(t0, t1); err != nil {
+			if err := b.lanes[refIdx].step(t0, t1, nil); err != nil {
 				werr := fmt.Errorf("%w at t=%.6g s (step %d, shared prefix)", err, t1, k)
 				for j := range dead {
 					dead[j] = true
@@ -293,20 +228,21 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 			fork(k)
 		}
 		// Lockstep: the reference lane steps first (scalar path — it owns the
-		// shared factorization), then each follower steps with the reference
-		// as donor.
-		for _, j := range laneOrder(refIdx, K) {
+		// shared factorization), then each follower in index order with the
+		// reference as donor.
+		for i := -1; i < K; i++ {
+			// i = −1 visits the reference lane; then every other lane by index.
+			j, ref := i, b.lanes[refIdx]
+			if i < 0 {
+				j, ref = refIdx, nil
+			} else if i == refIdx {
+				continue
+			}
 			if dead[j] {
 				continue
 			}
-			e := b.lanes[j]
 			b.lane(j)
-			var err error
-			if j == refIdx {
-				err = e.step(t0, t1)
-			} else {
-				err = b.stepFollower(e, b.lanes[refIdx], t0, t1)
-			}
+			err := b.lanes[j].step(t0, t1, ref)
 			stepsRun++
 			if err != nil {
 				// Peel-off: this lane is done, the block continues.
@@ -359,260 +295,4 @@ func (b *BlockEngine) lane(j int) {
 	if b.setLane != nil {
 		b.setLane(j)
 	}
-}
-
-// laneOrder yields lane indices with ref first; the followers keep their
-// natural order.
-func laneOrder(ref, k int) []int {
-	order := make([]int, 0, k)
-	order = append(order, ref)
-	for j := 0; j < k; j++ {
-		if j != ref {
-			order = append(order, j)
-		}
-	}
-	return order
-}
-
-// laneClose reports ‖a−b‖∞ ≤ tol.
-func laneClose(a, b []float64, tol float64) bool {
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// stepFollower advances follower lane e from t0 to t1 with ref as the donor
-// lane. It is Engine.step with two extra fast paths layered in front of the
-// scalar ones:
-//
-//   - the first Newton iteration assembles via AtWithDonor, so devices whose
-//     terminal voltages match the reference lane's tape snapshot replay the
-//     reference's stamps instead of re-running model math;
-//   - chord iterations try the reference lane's standing factorization
-//     before the follower's own, under the same α/age/contraction gates.
-//
-// Residuals stay exact, so a converged follower satisfies the identical
-// tolerances as the scalar path; on any non-contracting update the follower
-// falls back to its own chord and then to full Newton, exactly like the
-// scalar engine.
-func (b *BlockEngine) stepFollower(e, ref *Engine, t0, t1 float64) error {
-	n := e.c.N()
-	dt := t1 - t0
-	var alpha float64 // J = alpha·C + G
-	if e.opts.Method == TRAP {
-		alpha = 2 / dt
-	} else {
-		alpha = 1 / dt
-	}
-	numNodes := e.c.NumNodes()
-	chord := e.opts.Chord
-	converged := false
-	iters := 0
-	chordIters := 0
-	prevNorm := math.Inf(1)
-	// sharedOK gates chord solves against the reference lane's standing
-	// factorization; usedShared remembers whether the follower's most recent
-	// linear solve went through it (the sensitivity-reuse decision needs to
-	// know which factorization the drift is measured against).
-	sharedOK := chord && ref != e && ref.chordReady && sameAlpha(alpha, ref.chordAlpha)
-	usedShared := false
-	for iter := 0; iter < e.opts.MaxNewtonIter; iter++ {
-		if e.opts.DeviceBypass {
-			e.ev.HoldBypass(iter > 0)
-		}
-		if iter == 0 && e.opts.DeviceBypass && ref != e {
-			if e.timed {
-				tEval := time.Now()
-				e.stats.BlockDonorReplays += e.ev.AtWithDonor(e.x, t1, ref.ev)
-				e.stats.DeviceEval += time.Since(tEval)
-			} else {
-				e.stats.BlockDonorReplays += e.ev.AtWithDonor(e.x, t1, ref.ev)
-			}
-		} else {
-			e.evalAt(t1)
-		}
-		// Residual — always exact, also under shared-Jacobian chord
-		// iterations, so every lane converges to its own true solution.
-		switch e.opts.Method {
-		case TRAP:
-			for i := 0; i < n; i++ {
-				e.r[i] = alpha*(e.ev.Q[i]-e.qPrev[i]) - e.qdotPrev[i] + e.ev.F[i] + e.ev.Src[i]
-			}
-		default: // BE
-			for i := 0; i < n; i++ {
-				e.r[i] = alpha*(e.ev.Q[i]-e.qPrev[i]) + e.ev.F[i] + e.ev.Src[i]
-			}
-		}
-		full := true
-		if sharedOK && ref.lu.Age < e.opts.ChordMaxAge {
-			b.sharedSolve(e, ref)
-			nrm, finite := updateNorm(e.dx, n)
-			if finite && nrm <= prevNorm {
-				full = false
-				usedShared = true
-				e.stats.ChordIters++
-				chordIters++
-				if nrm > e.opts.ChordContraction*prevNorm {
-					// Stalling against the shared Jacobian: this lane has
-					// drifted too far from the reference; stop offering it.
-					sharedOK = false
-				}
-			} else {
-				sharedOK = false
-			}
-		}
-		if full && chord && e.chordReady && e.lu.Age < e.opts.ChordMaxAge && sameAlpha(alpha, e.chordAlpha) {
-			e.solveOnly()
-			nrm, finite := updateNorm(e.dx, n)
-			if finite && nrm <= prevNorm {
-				full = false
-				usedShared = false
-				e.stats.ChordIters++
-				chordIters++
-				if nrm > e.opts.ChordContraction*prevNorm {
-					e.chordReady = false
-				}
-			}
-		}
-		if full {
-			sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-			if err := e.factorSolve(); err != nil {
-				return fmt.Errorf("transient: Jacobian factorization failed: %w", err)
-			}
-			e.chordReady = chord
-			e.chordAlpha = alpha
-			e.drift = 0
-			usedShared = false
-		}
-		e.stats.NewtonIters++
-		iters++
-		conv := true
-		nrm := 0.0
-		for i := 0; i < n; i++ {
-			if !num.IsFinite(e.dx[i]) {
-				return ErrNewtonFailure
-			}
-			e.x[i] -= e.dx[i]
-			ad := math.Abs(e.dx[i])
-			if ad > nrm {
-				nrm = ad
-			}
-			atol := e.opts.VTol
-			if i >= numNodes {
-				atol = e.opts.ITol
-			}
-			if ad > atol+e.opts.RelTol*math.Abs(e.x[i]) {
-				conv = false
-			}
-		}
-		prevNorm = nrm
-		e.drift += nrm
-		if conv {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		return ErrNewtonFailure
-	}
-	if e.hist {
-		e.newtonHist.Observe(iters, 1)
-		if chordIters > 0 {
-			e.chordHist.Observe(chordIters, 1)
-		}
-	}
-
-	if e.opts.Skews {
-		// Pick the factorization the sensitivity solves back-substitute
-		// against. The reference lane's serves when the follower rode the
-		// shared Jacobian to convergence and its state stayed within the
-		// reuse tolerance of the reference's; the follower's own serves under
-		// the scalar drift gate; otherwise build a fresh converged-state one.
-		lu := &e.lu
-		reuse := false
-		if chord {
-			if usedShared && ref.chordReady && sameAlpha(alpha, ref.chordAlpha) &&
-				ref.drift <= e.opts.SensReuseTol && laneClose(e.x, ref.x, e.opts.SensReuseTol) {
-				lu = &ref.lu
-				reuse = true
-			} else if !usedShared && e.drift <= e.opts.SensReuseTol && sameAlpha(alpha, e.chordAlpha) {
-				reuse = true
-			}
-		}
-		if reuse {
-			e.stats.JacobianReuses++
-		} else {
-			e.evalAt(t1)
-			sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-			if err := e.factorize(); err != nil {
-				return fmt.Errorf("transient: converged-state factorization failed: %w", err)
-			}
-			e.chordReady = chord
-			e.chordAlpha = alpha
-			e.drift = 0
-			lu = &e.lu
-		}
-
-		e.zeroZ()
-		e.ev.AddSkewSens(t1, e.zsVec, e.zhVec)
-		var tSens time.Time
-		if e.timed {
-			tSens = time.Now()
-		}
-		switch e.opts.Method {
-		case TRAP:
-			e.sensTrap(alpha, lu)
-		default:
-			e.sensBE(alpha, lu)
-		}
-		if e.timed {
-			e.stats.Sens += time.Since(tSens)
-		}
-		e.stats.SensFactorizationsReused++
-	}
-
-	if e.opts.Method == TRAP {
-		for i := 0; i < n; i++ {
-			e.qdotPrev[i] = alpha*(e.ev.Q[i]-e.qPrev[i]) - e.qdotPrev[i]
-		}
-	}
-	copy(e.qPrev, e.ev.Q)
-	if e.opts.Skews {
-		copy(e.cPrev.Val, e.ev.C.Val)
-	}
-	return nil
-}
-
-// sharedSolve back-substitutes follower e's residual against the reference
-// lane's standing factorization, attributing the wall-clock to e.
-func (b *BlockEngine) sharedSolve(e, ref *Engine) {
-	if b.prof.active {
-		pprof.SetGoroutineLabels(b.prof.lu)
-		defer pprof.SetGoroutineLabels(b.prof.transient)
-	}
-	if !e.timed {
-		ref.lu.Solve(e.r, e.dx)
-		return
-	}
-	t0 := time.Now()
-	ref.lu.Solve(e.r, e.dx)
-	e.stats.LU += time.Since(t0)
-}
-
-// updateNorm returns ‖dx‖∞ and whether every component is finite.
-func updateNorm(dx []float64, n int) (float64, bool) {
-	nrm := 0.0
-	for i := 0; i < n; i++ {
-		v := math.Abs(dx[i])
-		if !num.IsFinite(v) {
-			return nrm, false
-		}
-		if v > nrm {
-			nrm = v
-		}
-	}
-	return nrm, true
 }

@@ -82,7 +82,7 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 		rise = 0.5e-9
 	)
 	amps := []float64{1.0, 1.5, 2.0, 2.5}
-	opts := Options{Chord: true, DeviceBypass: true}
+	opts := Options{Fast: true}
 
 	ckt, _, amp := buildLaneRC(t, t0, rise)
 	x0, _, err := solver.DCOperatingPoint(ckt, 0, nil, solver.DCOptions{})
@@ -132,7 +132,7 @@ func TestBlockPeelOff(t *testing.T) {
 	for _, poisoned := range []int{2, 0} {
 		amps := []float64{1.0, 1.5, 2.0, 2.5}
 		amps[poisoned] = math.NaN()
-		opts := Options{Chord: true, DeviceBypass: true}
+		opts := Options{Fast: true}
 
 		ckt, _, amp := buildLaneRC(t, t0, rise)
 		x0, _, err := solver.DCOperatingPoint(ckt, 0, nil, solver.DCOptions{})
@@ -188,7 +188,7 @@ func TestBlockDegenerateFullyShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBlockEngine(ckt, Options{Chord: true}, 3, func(int) { *amp = 1.0 })
+	b := NewBlockEngine(ckt, Options{Fast: true}, 3, func(int) { *amp = 1.0 })
 	res, err := b.Run(x0, g, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
@@ -208,5 +208,43 @@ func TestBlockDegenerateFullyShared(t *testing.T) {
 	if res.Stats.BlockSharedSteps != 2*res.Stats.Steps {
 		t.Errorf("shared steps %d with %d executed lane-steps; the whole grid should have been shared",
 			res.Stats.BlockSharedSteps, res.Stats.Steps)
+	}
+}
+
+// TestBlockRunAllocsIndependentOfGrid pins the steady-state lockstep loop at
+// zero allocations per step: a warm block run allocates only its per-run
+// result, so doubling the grid must leave the allocation count unchanged.
+func TestBlockRunAllocsIndependentOfGrid(t *testing.T) {
+	const (
+		lanes = 8
+		t0    = 1e-9
+	)
+	amps := make([]float64, lanes)
+	for i := range amps {
+		amps[i] = 1 + 0.25*float64(i)
+	}
+	ckt, _, amp := buildLaneRC(t, t0, 0.5e-9)
+	x0, _, err := solver.DCOperatingPoint(ckt, 0, nil, solver.DCOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBlockEngine(ckt, Options{Skews: true, Fast: true}, lanes, func(lane int) { *amp = amps[lane] })
+	allocs := func(steps int) float64 {
+		g, err := UniformGrid(0, 3e-9, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			res, err := b.Run(x0, g, t0)
+			if err != nil || !res.Ok() {
+				t.Fatalf("block run on %d steps: %v %v", steps, err, res.Errs)
+			}
+		}
+		run() // warm: first factorizations and tape storage
+		return testing.AllocsPerRun(5, run)
+	}
+	if n, n2 := allocs(60), allocs(120); n != n2 {
+		t.Errorf("warm %d-lane block run allocates %v times on 60 steps and %v on 120: the lockstep loop allocates per step",
+			lanes, n, n2)
 	}
 }

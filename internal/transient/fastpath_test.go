@@ -105,7 +105,7 @@ func TestChordMatchesFullNewton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := NewEngine(ckt, Options{Chord: true, DeviceBypass: true}).Run(x0, g)
+	fast, err := NewEngine(ckt, Options{Fast: true}).Run(x0, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestChordMatchesFullNewton(t *testing.T) {
 }
 
 // TestChordSensitivityReuse checks the Skews-side fast path: sensitivities
-// from a chord run with Jacobian reuse must track the exact-path
+// from a fast run with Jacobian reuse must track the exact-path
 // sensitivities, and at least some quiescent steps must reuse the standing
 // factorization instead of building the converged-state one.
 func TestChordSensitivityReuse(t *testing.T) {
@@ -177,7 +177,7 @@ func TestChordSensitivityReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := NewEngine(ckt, Options{Skews: true, Chord: true}).Run(x0, g)
+	fast, err := NewEngine(ckt, Options{Skews: true, Fast: true}).Run(x0, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestChordStallFallsBackOnStiffStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := NewEngine(ckt, Options{Chord: true}).Run(x0, g)
+	fast, err := NewEngine(ckt, Options{Fast: true}).Run(x0, g)
 	if err != nil {
 		t.Fatalf("chord run failed on stiff grid (fallback broken): %v", err)
 	}
@@ -242,9 +242,10 @@ func TestChordStallFallsBackOnStiffStep(t *testing.T) {
 	}
 }
 
-// TestDeviceBypassAccuracy isolates the bypass: same transient with and
-// without DeviceBypass (no chord), requiring bypasses to happen and the
-// waveform to agree within the bypass tolerance scale.
+// TestDeviceBypassAccuracy checks the bypass half of the fast path over the
+// whole waveform, not just the final state: the same transient exact and
+// with Fast, requiring bypasses to happen and the recorded output to agree
+// within the bypass tolerance scale.
 func TestDeviceBypassAccuracy(t *testing.T) {
 	ckt, out, x0 := buildClockedInverter(t)
 	g, err := UniformGrid(0, 4e-9, 400)
@@ -255,7 +256,7 @@ func TestDeviceBypassAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := NewEngine(ckt, Options{Probes: []circuit.UnknownID{out}, DeviceBypass: true}).Run(x0, g)
+	fast, err := NewEngine(ckt, Options{Probes: []circuit.UnknownID{out}, Fast: true}).Run(x0, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,51 +54,39 @@ type Options struct {
 	// Probes lists unknowns whose waveforms are recorded at every grid
 	// point.
 	Probes []circuit.UnknownID
-	// Timing enables wall-clock attribution in Stats (LU, DeviceEval,
-	// Sens). Attribution is also collected whenever an obs run is passed to
-	// RunObs; with neither, only Stats.Wall is measured and the step loop
-	// carries no timing overhead.
-	Timing bool
-
-	// Chord enables chord (modified-Newton) iterations: the Newton update is
-	// back-substituted against the standing LU factorization — skipping the
-	// Combine assembly and refactorization — for as long as the iteration
-	// keeps contracting. The residual is always exact, so a converged chord
-	// iteration satisfies the same tolerances as full Newton; a stalled or
-	// diverging one transparently falls back to a full iteration on the same
-	// residual. Chord also unlocks the sensitivity-factorization reuse below.
-	Chord bool
-	// ChordContraction is the contraction-rate threshold θ: a chord update
-	// with ‖dx_k‖ > θ·‖dx_{k−1}‖ counts as a stall and forces the next
-	// iteration to rebuild the Jacobian (default 0.5). Values ≥ 1 accept
-	// non-contracting chord steps and are rejected by the options layer.
-	ChordContraction float64
-	// ChordMaxAge bounds how many back-substitutions one factorization may
-	// serve before a rebuild is forced regardless of contraction (default 20).
-	ChordMaxAge int
-	// SensReuseTol is the total-iterate-drift tolerance (volts) under which a
-	// Skews run reuses the standing factorization for the sensitivity solves
-	// instead of building the converged-state one (default 1e-6). Only active
-	// with Chord; reuses are counted in Stats.JacobianReuses.
-	SensReuseTol float64
-	// DeviceBypass enables the device-eval latency bypass: devices whose
-	// terminal voltages moved less than BypassVTol since their last true
-	// evaluation replay cached stamps (circuit.Eval.EnableBypass). The bypass
-	// serves only the first Newton iteration of each step — quiescent steps,
-	// where it pays — and is held for the rest of the step so a frozen
-	// residual can never pin the iteration above the convergence tolerance.
-	DeviceBypass bool
-	// BypassVTol is the bypass terminal-voltage tolerance in volts
-	// (default circuit.DefaultBypassVTol, 1 µV).
-	BypassVTol float64
+	// Fast enables the chord/bypass fast path of DESIGN §10. Chord
+	// (modified-Newton) iterations back-substitute the exact residual against
+	// the standing LU factorization, skipping assembly and refactorization,
+	// while the update keeps contracting; a stalled or diverging one falls
+	// back to a full iteration on the same residual. A Skews step whose
+	// iterate barely drifted reuses that factorization for its sensitivity
+	// solves. Devices whose terminals moved less than circuit.BypassVTol
+	// replay cached stamps on a step's first Newton iteration. The gates are
+	// the package constants below. The zero value is the paper's exact path.
+	Fast bool
 }
 
+// Fast-path gates (DESIGN §10, Options.Fast).
+const (
+	// chordContraction is the contraction-rate threshold θ: a chord update
+	// with ‖dx_k‖ > θ·‖dx_{k−1}‖ counts as a stall and forces the next
+	// iteration to rebuild the Jacobian.
+	chordContraction = 0.5
+	// chordMaxAge bounds how many back-substitutions one factorization may
+	// serve before a rebuild is forced regardless of contraction.
+	chordMaxAge = 20
+	// sensReuseTol is the total-iterate drift (volts) under which a Skews
+	// step reuses the standing factorization for its sensitivity solves
+	// instead of building the converged-state one; reuses are counted in
+	// Stats.JacobianReuses.
+	sensReuseTol = 1e-6
+)
+
 // Validate rejects option values the defaulting pass cannot repair:
-// non-finite tolerances, a non-contracting chord threshold and negative
-// iteration bounds. The zero value is valid — withDefaults fills every
-// unset knob — and Options built from a validated stf.Config never trip it;
-// RunCtx re-checks so hand-built engines fail fast instead of iterating on
-// NaN.
+// non-finite tolerances and a negative iteration bound. The zero value is
+// valid — withDefaults fills every unset knob — and Options built from a
+// validated stf.Config never trip it; RunCtx re-checks so hand-built engines
+// fail fast instead of iterating on NaN.
 func (o Options) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -107,19 +95,13 @@ func (o Options) Validate() error {
 		{"VTol", o.VTol},
 		{"ITol", o.ITol},
 		{"RelTol", o.RelTol},
-		{"ChordContraction", o.ChordContraction},
-		{"SensReuseTol", o.SensReuseTol},
-		{"BypassVTol", o.BypassVTol},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("transient: %s must be finite, got %g", f.name, f.v)
 		}
 	}
-	if o.ChordContraction >= 1 {
-		return fmt.Errorf("transient: ChordContraction must contract (θ < 1), got %g", o.ChordContraction)
-	}
-	if o.MaxNewtonIter < 0 || o.ChordMaxAge < 0 {
-		return fmt.Errorf("transient: MaxNewtonIter and ChordMaxAge must be non-negative")
+	if o.MaxNewtonIter < 0 {
+		return fmt.Errorf("transient: MaxNewtonIter must be non-negative")
 	}
 	return nil
 }
@@ -136,15 +118,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RelTol <= 0 {
 		o.RelTol = 1e-5
-	}
-	if o.ChordContraction <= 0 {
-		o.ChordContraction = 0.5
-	}
-	if o.ChordMaxAge <= 0 {
-		o.ChordMaxAge = 20
-	}
-	if o.SensReuseTol <= 0 {
-		o.SensReuseTol = 1e-6
 	}
 	return o
 }
@@ -166,10 +139,10 @@ type Stats struct {
 	ChordIters int
 	// JacobianReuses counts Skews steps whose sensitivity solves reused the
 	// standing Newton factorization in place of a fresh converged-state one
-	// (Options.SensReuseTol).
+	// (Options.Fast).
 	JacobianReuses int
 	// DeviceBypasses counts device evaluations replayed from cached stamps
-	// by the latency bypass (Options.DeviceBypass).
+	// by the latency bypass (Options.Fast).
 	DeviceBypasses int
 
 	// Block-transient accounting (BlockEngine; zero for scalar runs).
@@ -186,8 +159,8 @@ type Stats struct {
 
 	// Wall-clock attribution. Wall is always measured; LU (factorize +
 	// solve), DeviceEval (model evaluation/assembly) and Sens (sensitivity
-	// back-substitutions) are collected only when Options.Timing is set or
-	// an obs run is attached, so the default step loop stays clean.
+	// back-substitutions) are collected only when an obs run is attached, so
+	// the default step loop stays clean.
 	Wall       time.Duration
 	LU         time.Duration
 	DeviceEval time.Duration
@@ -315,8 +288,8 @@ func newEngine(c *circuit.Circuit, opts Options, proto *Engine) *Engine {
 		e.j, e.mapC, e.mapG = sparse.UnionPattern(ev.C, ev.G)
 	}
 	e.cPrev = ev.C.Clone()
-	if o.DeviceBypass {
-		ev.EnableBypass(o.BypassVTol)
+	if o.Fast {
+		ev.EnableBypass()
 	}
 	e.qdotPrev = make([]float64, n)
 	e.msdotPrev = make([]float64, n)
@@ -328,9 +301,6 @@ func newEngine(c *circuit.Circuit, opts Options, proto *Engine) *Engine {
 	e.scrB = make([]float64, n)
 	return e
 }
-
-// Options returns the engine's effective options.
-func (e *Engine) Options() Options { return e.opts }
 
 // Run integrates from x0 at grid.Start() to grid.End(). x0 is copied.
 func (e *Engine) Run(x0 []float64, grid Grid) (*Result, error) {
@@ -358,39 +328,78 @@ func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Gr
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
 	}
-	e.timed = e.opts.Timing || run.Enabled()
-	e.hist = run.Enabled()
-	if e.hist {
-		e.newtonHist.Reset()
-		e.chordHist.Reset()
-	}
-	e.prof.active = run.ProfileLabelsEnabled()
-	if e.prof.active {
-		e.prof.init()
-		pprof.SetGoroutineLabels(e.prof.transient)
+	if attach(run, e) {
 		defer pprof.SetGoroutineLabels(context.Background())
 	}
+	luF0, luR0 := luCounts(e)
 	sp := run.StartSpan(obs.SpanTransient)
-	luF0, luR0 := e.lu.Factorizations, e.lu.Refactorizations
 	res, err := e.run(ctx, x0, grid)
-	if run.Enabled() {
-		sp.Count(obs.CtrLUFactor, int64(e.lu.Factorizations-luF0))
-		sp.Count(obs.CtrLURefactor, int64(e.lu.Refactorizations-luR0))
-		if res != nil {
-			st := res.Stats
-			sp.Count(obs.CtrSteps, int64(st.Steps))
-			sp.Count(obs.CtrNewtonIters, int64(st.NewtonIters))
-			sp.Count(obs.CtrSensSolves, int64(st.SensSolves))
-			sp.Count(obs.CtrSensFactReused, int64(st.SensFactorizationsReused))
-			sp.Count(obs.CtrChordIters, int64(st.ChordIters))
-			sp.Count(obs.CtrJacobianReuses, int64(st.JacobianReuses))
-			sp.Count(obs.CtrDeviceBypasses, int64(st.DeviceBypasses))
+	var st *Stats
+	if res != nil {
+		st = &res.Stats
+	}
+	publish(sp, luF0, luR0, st, e)
+	sp.End()
+	return res, err
+}
+
+// attach prepares lanes for a run under run: wall-clock attribution and the
+// per-step iteration histograms follow run.Enabled(), pprof phase labels
+// follow the run's request. It reports whether the goroutine now carries the
+// transient label, which the caller clears when the run ends.
+func attach(run *obs.Run, lanes ...*Engine) bool {
+	on, labels := run.Enabled(), run.ProfileLabelsEnabled()
+	for _, e := range lanes {
+		e.timed, e.hist = on, on
+		if on {
+			e.newtonHist.Reset()
+			e.chordHist.Reset()
 		}
+		e.prof.active = labels
+		if labels {
+			e.prof.init()
+		}
+	}
+	if labels {
+		pprof.SetGoroutineLabels(lanes[0].prof.transient)
+	}
+	return labels
+}
+
+// luCounts sums the lanes' fresh and pattern-reusing factorization counts.
+func luCounts(lanes ...*Engine) (fresh, refactor int) {
+	for _, e := range lanes {
+		fresh += e.lu.Factorizations
+		refactor += e.lu.Refactorizations
+	}
+	return fresh, refactor
+}
+
+// publish reports a finished run of lanes to its span sp: the fresh and
+// pattern-reusing LU factorizations since luF0/luR0 on two counters (their
+// sum is Stats.Factorizations), st's work counters when the run produced a
+// result, and every lane's per-step iteration histograms. A nil sp
+// publishes nothing.
+func publish(sp *obs.Run, luF0, luR0 int, st *Stats, lanes ...*Engine) {
+	if !sp.Enabled() {
+		return
+	}
+	luF, luR := luCounts(lanes...)
+	sp.Count(obs.CtrLUFactor, int64(luF-luF0))
+	sp.Count(obs.CtrLURefactor, int64(luR-luR0))
+	if st != nil {
+		sp.Count(obs.CtrSteps, int64(st.Steps))
+		sp.Count(obs.CtrNewtonIters, int64(st.NewtonIters))
+		sp.Count(obs.CtrSensSolves, int64(st.SensSolves))
+		sp.Count(obs.CtrSensFactReused, int64(st.SensFactorizationsReused))
+		sp.Count(obs.CtrChordIters, int64(st.ChordIters))
+		sp.Count(obs.CtrJacobianReuses, int64(st.JacobianReuses))
+		sp.Count(obs.CtrDeviceBypasses, int64(st.DeviceBypasses))
+	}
+	for _, e := range lanes {
 		sp.Merge(obs.HistNewtonIters, &e.newtonHist)
 		sp.Merge(obs.HistChordIters, &e.chordHist)
 	}
-	sp.End()
-	return res, err
 }
 
 func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, error) {
@@ -431,7 +440,7 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 			default:
 			}
 		}
-		if err := e.step(pts[k-1], pts[k]); err != nil {
+		if err := e.step(pts[k-1], pts[k], nil); err != nil {
 			return nil, fmt.Errorf("%w at t=%.6g s (step %d)", err, pts[k], k)
 		}
 		record(k)
@@ -460,7 +469,7 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 func (e *Engine) initAt(x0 []float64, t0 float64) {
 	n := e.c.N()
 	copy(e.x, x0)
-	e.evalAt(t0)
+	e.evalAt(t0, nil)
 	copy(e.qPrev, e.ev.Q)
 	if e.opts.Skews {
 		// cPrev only feeds the sensitivity recursions (eqs. (11)–(14)).
@@ -487,58 +496,51 @@ func (e *Engine) initAt(x0 []float64, t0 float64) {
 	e.drift = 0
 }
 
-// evalAt wraps the device evaluation with optional wall-clock attribution.
-func (e *Engine) evalAt(t float64) {
-	if !e.timed {
+// forkFrom copies src's integrator state into e: the state, the charge and
+// capacitance history, the sensitivities and their TRAP derivative memory.
+// Block followers fork from the reference lane where the shared prefix
+// ends, while every lane is still bit-identical, so the copy is exact. Like
+// initAt, it resets the chord gate.
+func (e *Engine) forkFrom(src *Engine) {
+	copy(e.x, src.x)
+	copy(e.qPrev, src.qPrev)
+	if e.opts.Skews {
+		copy(e.cPrev.Val, src.cPrev.Val)
+	}
+	if e.opts.Method == TRAP {
+		copy(e.qdotPrev, src.qdotPrev)
+	}
+	copy(e.ms, src.ms)
+	copy(e.mh, src.mh)
+	if e.opts.Skews && e.opts.Method == TRAP {
+		copy(e.msdotPrev, src.msdotPrev)
+		copy(e.mhdot, src.mhdot)
+	}
+	e.chordReady = false
+	e.drift = 0
+}
+
+// evalAt assembles the devices at e.x and time t, with optional wall-clock
+// attribution. A non-nil donor — a block's reference lane — offers its stamp
+// tapes to e's bypassable devices (circuit.Eval.AtWithDonor); those replays
+// count in Stats.BlockDonorReplays.
+func (e *Engine) evalAt(t float64, donor *Engine) {
+	var t0 time.Time
+	if e.timed {
+		t0 = time.Now()
+	}
+	if donor != nil {
+		e.stats.BlockDonorReplays += e.ev.AtWithDonor(e.x, t, donor.ev)
+	} else {
 		e.ev.At(e.x, t)
-		return
 	}
-	t0 := time.Now()
-	e.ev.At(e.x, t)
-	e.stats.DeviceEval += time.Since(t0)
+	if e.timed {
+		e.stats.DeviceEval += time.Since(t0)
+	}
 }
 
-// factorSolve factorizes the assembled Jacobian and solves for the Newton
-// update, with optional LU wall-clock attribution and pprof phase labels.
-func (e *Engine) factorSolve() error {
-	if e.prof.active {
-		pprof.SetGoroutineLabels(e.prof.lu)
-		defer pprof.SetGoroutineLabels(e.prof.transient)
-	}
-	if !e.timed {
-		if err := e.lu.Factorize(e.j); err != nil {
-			return err
-		}
-		e.lu.Solve(e.r, e.dx)
-		return nil
-	}
-	t0 := time.Now()
-	err := e.lu.Factorize(e.j)
-	if err == nil {
-		e.lu.Solve(e.r, e.dx)
-	}
-	e.stats.LU += time.Since(t0)
-	return err
-}
-
-// solveOnly back-substitutes the residual against the standing factorization
-// (a chord iteration): no assembly, no factorization.
-func (e *Engine) solveOnly() {
-	if e.prof.active {
-		pprof.SetGoroutineLabels(e.prof.lu)
-		defer pprof.SetGoroutineLabels(e.prof.transient)
-	}
-	if !e.timed {
-		e.lu.Solve(e.r, e.dx)
-		return
-	}
-	t0 := time.Now()
-	e.lu.Solve(e.r, e.dx)
-	e.stats.LU += time.Since(t0)
-}
-
-// factorize is factorSolve without the solve (the converged-state
-// factorization the sensitivity solves reuse).
+// factorize factorizes the assembled Jacobian into e.lu, with optional LU
+// wall-clock attribution and pprof phase labels.
 func (e *Engine) factorize() error {
 	if e.prof.active {
 		pprof.SetGoroutineLabels(e.prof.lu)
@@ -551,6 +553,24 @@ func (e *Engine) factorize() error {
 	err := e.lu.Factorize(e.j)
 	e.stats.LU += time.Since(t0)
 	return err
+}
+
+// solveOnly back-substitutes the residual against lu — e's own
+// factorization or a block reference lane's — for the Newton update, with
+// the same attribution as factorize. A chord iteration is a solveOnly with
+// no assembly and no factorize before it.
+func (e *Engine) solveOnly(lu *sparse.Reusable) {
+	if e.prof.active {
+		pprof.SetGoroutineLabels(e.prof.lu)
+		defer pprof.SetGoroutineLabels(e.prof.transient)
+	}
+	if !e.timed {
+		lu.Solve(e.r, e.dx)
+		return
+	}
+	t0 := time.Now()
+	lu.Solve(e.r, e.dx)
+	e.stats.LU += time.Since(t0)
 }
 
 func (e *Engine) zeroZ() {
@@ -567,9 +587,50 @@ func sameAlpha(alpha, ref float64) bool {
 	return math.Abs(alpha-ref) <= 1e-9*math.Abs(alpha)
 }
 
+// updateNorm returns ‖dx‖∞ and whether every component is finite.
+func updateNorm(dx []float64, n int) (float64, bool) {
+	nrm := 0.0
+	for i := 0; i < n; i++ {
+		v := math.Abs(dx[i])
+		if !num.IsFinite(v) {
+			return nrm, false
+		}
+		if v > nrm {
+			nrm = v
+		}
+	}
+	return nrm, true
+}
+
+// laneClose reports ‖a−b‖∞ ≤ tol.
+func laneClose(a, b []float64, tol float64) bool {
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
 // step advances the state from t0 to t1, updating x, qPrev, cPrev and the
-// sensitivities in place.
-func (e *Engine) step(t0, t1 float64) error {
+// sensitivities in place: one Newton solve of the discretized equations,
+// then the sensitivity solves against a factorization at the converged
+// state (DESIGN §5). A nil ref is the scalar engine or a block's reference
+// lane. A non-nil ref makes e a block follower with ref as its donor lane;
+// under Options.Fast that layers three extras in front of the scalar
+// policy:
+//
+//   - the first Newton iteration assembles via AtWithDonor, so devices whose
+//     terminal voltages match ref's tape snapshot replay ref's stamps;
+//   - chord iterations try ref's standing factorization before e's own,
+//     under the same α/age/contraction gates;
+//   - the sensitivity solves reuse ref's factorization when e rode it to
+//     convergence and stayed within sensReuseTol of ref's state.
+//
+// Residuals stay exact, so every lane converges to its own solution within
+// the same tolerances as full Newton; on a non-contracting update a
+// follower falls back to its own chord and then to full Newton.
+func (e *Engine) step(t0, t1 float64, ref *Engine) error {
 	n := e.c.N()
 	dt := t1 - t0
 	var alpha float64 // J = alpha·C + G
@@ -579,18 +640,28 @@ func (e *Engine) step(t0, t1 float64) error {
 		alpha = 1 / dt
 	}
 	numNodes := e.c.NumNodes()
-	chord := e.opts.Chord
+	fast := e.opts.Fast
 	converged := false
 	iters := 0
 	chordIters := 0
 	prevNorm := math.Inf(1) // ‖dx‖∞ of the previous iteration of this step
+	// sharedOK gates chord solves against ref's standing factorization;
+	// usedShared remembers whether the most recent linear solve went through
+	// it (the sensitivity reuse must know which factorization the drift is
+	// measured against).
+	sharedOK := fast && ref != nil && ref.chordReady && sameAlpha(alpha, ref.chordAlpha)
+	usedShared := false
 	for iter := 0; iter < e.opts.MaxNewtonIter; iter++ {
-		if e.opts.DeviceBypass {
+		var donor *Engine
+		if fast {
 			// Replay only on the first iteration; later iterations evaluate
 			// exactly so the residual can keep shrinking (bypass livelock).
 			e.ev.HoldBypass(iter > 0)
+			if iter == 0 {
+				donor = ref
+			}
 		}
-		e.evalAt(t1)
+		e.evalAt(t1, donor)
 		// Residual — always exact, also under chord iterations, so the fast
 		// path converges to the same solution as full Newton.
 		switch e.opts.Method {
@@ -603,29 +674,34 @@ func (e *Engine) step(t0, t1 float64) error {
 				e.r[i] = alpha*(e.ev.Q[i]-e.qPrev[i]) + e.ev.F[i] + e.ev.Src[i]
 			}
 		}
-		// Chord path: back-substitute against the standing factorization and
+		// Chord path: back-substitute against a standing factorization and
 		// keep the update only while it still contracts. A non-finite or
-		// growing update is discarded and the same residual is redone as a
-		// full Newton iteration — the transparent fallback.
+		// growing update is discarded and the same residual is redone against
+		// the next candidate, finally as a full Newton iteration — the
+		// transparent fallback.
 		full := true
-		if chord && e.chordReady && e.lu.Age < e.opts.ChordMaxAge && sameAlpha(alpha, e.chordAlpha) {
-			e.solveOnly()
-			nrm, finite := 0.0, true
-			for i := 0; i < n; i++ {
-				v := math.Abs(e.dx[i])
-				if !num.IsFinite(v) {
-					finite = false
-					break
-				}
-				if v > nrm {
-					nrm = v
-				}
-			}
+		if sharedOK && ref.lu.Age < chordMaxAge {
+			e.solveOnly(&ref.lu)
+			nrm, finite := updateNorm(e.dx, n)
 			if finite && nrm <= prevNorm {
 				full = false
-				e.stats.ChordIters++
-				chordIters++
-				if nrm > e.opts.ChordContraction*prevNorm {
+				usedShared = true
+				if nrm > chordContraction*prevNorm {
+					// Stalling against ref's Jacobian: this lane has drifted
+					// too far from ref; stop offering it.
+					sharedOK = false
+				}
+			} else {
+				sharedOK = false
+			}
+		}
+		if full && fast && e.chordReady && e.lu.Age < chordMaxAge && sameAlpha(alpha, e.chordAlpha) {
+			e.solveOnly(&e.lu)
+			nrm, finite := updateNorm(e.dx, n)
+			if finite && nrm <= prevNorm {
+				full = false
+				usedShared = false
+				if nrm > chordContraction*prevNorm {
 					// Stalling: keep this update but rebuild next iteration.
 					e.chordReady = false
 				}
@@ -633,12 +709,17 @@ func (e *Engine) step(t0, t1 float64) error {
 		}
 		if full {
 			sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-			if err := e.factorSolve(); err != nil {
+			if err := e.factorize(); err != nil {
 				return fmt.Errorf("transient: Jacobian factorization failed: %w", err)
 			}
-			e.chordReady = chord
+			e.solveOnly(&e.lu)
+			e.chordReady = fast
 			e.chordAlpha = alpha
 			e.drift = 0
+			usedShared = false
+		} else {
+			e.stats.ChordIters++
+			chordIters++
 		}
 		e.stats.NewtonIters++
 		iters++
@@ -679,38 +760,52 @@ func (e *Engine) step(t0, t1 float64) error {
 	}
 
 	if e.opts.Skews {
-		// The sensitivity solves back-substitute against a factorization of
-		// α·C + G at the converged state. Build it — unless the fast path is
-		// on and the iterate barely drifted since the standing factorization
-		// was assembled, in which case reusing it perturbs the sensitivities
-		// by O(drift) only.
-		if chord && e.drift <= e.opts.SensReuseTol && sameAlpha(alpha, e.chordAlpha) {
+		// Pick the factorization the sensitivity solves back-substitute
+		// against. Under the fast path, ref's serves when this lane rode it
+		// to convergence and stayed within sensReuseTol of ref's state, and
+		// the lane's own serves when the iterate drifted less than
+		// sensReuseTol since it was built — either reuse perturbs the
+		// sensitivities by O(drift) only. Otherwise build the factorization
+		// of α·C + G at the converged state.
+		lu := &e.lu
+		reuse := false
+		if fast {
+			if usedShared {
+				reuse = ref.chordReady && sameAlpha(alpha, ref.chordAlpha) &&
+					ref.drift <= sensReuseTol && laneClose(e.x, ref.x, sensReuseTol)
+				lu = &ref.lu
+			} else {
+				reuse = e.drift <= sensReuseTol && sameAlpha(alpha, e.chordAlpha)
+			}
+		}
+		if reuse {
 			e.stats.JacobianReuses++
 		} else {
-			e.evalAt(t1)
+			e.evalAt(t1, nil)
 			sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
 			if err := e.factorize(); err != nil {
 				return fmt.Errorf("transient: converged-state factorization failed: %w", err)
 			}
-			e.chordReady = chord
+			e.chordReady = fast
 			e.chordAlpha = alpha
 			e.drift = 0
+			lu = &e.lu
 		}
 
 		e.zeroZ()
 		e.ev.AddSkewSens(t1, e.zsVec, e.zhVec)
-		var t0 time.Time
+		var tSens time.Time
 		if e.timed {
-			t0 = time.Now()
+			tSens = time.Now()
 		}
 		switch e.opts.Method {
 		case TRAP:
-			e.sensTrap(alpha, &e.lu)
+			e.sensTrap(alpha, lu)
 		default:
-			e.sensBE(alpha, &e.lu)
+			e.sensBE(alpha, lu)
 		}
 		if e.timed {
-			e.stats.Sens += time.Since(t0)
+			e.stats.Sens += time.Since(tSens)
 		}
 		// The sensitivity solves back-substitute against the factorization
 		// above — no factorization of their own.

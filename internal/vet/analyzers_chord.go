@@ -4,45 +4,24 @@ import "fmt"
 
 // analyzerChordConfig validates the chord/bypass fast-path setup (DESIGN
 // §10). Chord iterations deliberately waste Newton iterations on stalls
-// before falling back to a full factorization, so they need iteration
-// headroom; and the contraction threshold θ must be a genuine contraction
-// rate — θ ≥ 1 would keep reusing a factorization through a non-converging
-// iteration until MaxNewtonIter runs out.
+// before falling back to a full factorization, so under Fast the Newton
+// budget needs headroom. The fast path's gates are fixed constants, so the
+// iteration bound is the only setting left to check.
 var analyzerChordConfig = &Analyzer{
 	Name:    "chord-config",
-	Doc:     "chord fast-path config sane: iteration headroom, contraction threshold a real contraction",
+	Doc:     "chord fast-path config sane: Newton iteration headroom under Fast",
 	HelpURI: "DESIGN.md#vet-chord-config",
 	Run: func(t *Target) []Diagnostic {
 		cfg := t.Spec.Eval
-		if !cfg.Chord {
+		if !cfg.Fast || cfg.MaxNewtonIter >= 8 {
 			return nil
 		}
-		var out []Diagnostic
-		if cfg.MaxNewtonIter < 8 {
-			out = append(out, Diagnostic{
-				Severity: Warning,
-				Param:    "maxnewtoniter",
-				Message: fmt.Sprintf("chord mode with MaxNewtonIter = %d leaves no iteration headroom: stalled chord iterations spend budget before the full-Newton fallback converges (want ≥ 8)",
-					cfg.MaxNewtonIter),
-				Details: map[string]string{"max_newton_iter": fmt.Sprint(cfg.MaxNewtonIter)},
-			})
-		}
-		switch {
-		case cfg.ChordContraction >= 1:
-			out = append(out, Diagnostic{
-				Severity: Error,
-				Param:    "chordcontraction",
-				Message: fmt.Sprintf("chord contraction threshold %.4g is not a contraction: θ ≥ 1 accepts non-converging chord iterations until the Newton budget runs out",
-					cfg.ChordContraction),
-			})
-		case cfg.ChordContraction > 0.9:
-			out = append(out, Diagnostic{
-				Severity: Warning,
-				Param:    "chordcontraction",
-				Message: fmt.Sprintf("chord contraction threshold %.4g barely rejects stalls; rates this close to 1 ride a stale Jacobian through many wasted iterations (typical: 0.5)",
-					cfg.ChordContraction),
-			})
-		}
-		return out
+		return []Diagnostic{{
+			Severity: Warning,
+			Param:    "maxnewtoniter",
+			Message: fmt.Sprintf("chord mode with MaxNewtonIter = %d leaves no iteration headroom: stalled chord iterations spend budget before the full-Newton fallback converges (want ≥ 8)",
+				cfg.MaxNewtonIter),
+			Details: map[string]string{"max_newton_iter": fmt.Sprint(cfg.MaxNewtonIter)},
+		}}
 	},
 }

@@ -250,28 +250,16 @@ func TestSimWindow(t *testing.T) {
 
 func TestChordConfig(t *testing.T) {
 	inst := buildInstance(t, baseDeck)
-	// Chord with no Newton iteration headroom for the fallback.
+	// Fast path with no Newton iteration headroom for the fallback.
 	rep := runCheck(t, inst, "chord-config", vet.Spec{
-		Eval: stf.Config{Chord: true, MaxNewtonIter: 4},
+		Eval: stf.Config{Fast: true, MaxNewtonIter: 4},
 	})
 	wantDiag(t, rep, vet.Warning, "maxnewtoniter")
 
-	// Contraction threshold that is no contraction at all.
-	rep = runCheck(t, inst, "chord-config", vet.Spec{
-		Eval: stf.Config{Chord: true, ChordContraction: 1.5},
-	})
-	wantDiag(t, rep, vet.Error, "chordcontraction")
-
-	// Threshold so close to 1 the stall detector barely fires.
-	rep = runCheck(t, inst, "chord-config", vet.Spec{
-		Eval: stf.Config{Chord: true, ChordContraction: 0.95},
-	})
-	wantDiag(t, rep, vet.Warning, "chordcontraction")
-
-	// Chord with defaults is clean; so is everything with chord off, even a
-	// nonsensical threshold (the knob is inert then).
-	wantClean(t, runCheck(t, inst, "chord-config", vet.Spec{Eval: stf.Config{Chord: true}}))
-	wantClean(t, runCheck(t, inst, "chord-config", vet.Spec{Eval: stf.Config{ChordContraction: 1.5}}))
+	// The fast path with defaults is clean; so is a tight budget on the
+	// exact path, which takes no chord iterations.
+	wantClean(t, runCheck(t, inst, "chord-config", vet.Spec{Eval: stf.Config{Fast: true}}))
+	wantClean(t, runCheck(t, inst, "chord-config", vet.Spec{Eval: stf.Config{MaxNewtonIter: 4}}))
 }
 
 func TestSupplyRail(t *testing.T) {

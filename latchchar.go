@@ -509,13 +509,12 @@ func CompareContours(en *Contour, ref []Polyline) (max, mean float64, err error)
 	return surface.Deviation(en.SetupHoldPairs(), ref)
 }
 
-// DefaultFastPath returns the canonical fast-path evaluator configuration:
-// chord-Newton iteration with Jacobian reuse plus latency-aware device
-// bypass, the PR 5 accuracy-gated speedups. It is the single home for what
-// "fast" means — the -fast CLI flags and the HTTP "fast_path" field both
-// resolve to exactly this. Callers tune other fields on the returned config
-// as usual.
-func DefaultFastPath() EvalConfig { return EvalConfig{}.WithFastPath() }
+// DefaultFastPath returns the fast-path evaluator configuration,
+// EvalConfig{Fast: true}: chord-Newton iteration with Jacobian reuse plus
+// latency-aware device bypass (DESIGN §10). The -fast CLI flags and the HTTP
+// "fast_path" field set the same switch. Callers tune other fields on the
+// returned config as usual.
+func DefaultFastPath() EvalConfig { return EvalConfig{Fast: true} }
 
 // NewEvaluator builds a state-transition evaluator for a fresh instance of
 // the cell.

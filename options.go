@@ -85,17 +85,7 @@ func validateEval(prefix string, c EvalConfig) error {
 	if c.MaxNewtonIter < 0 {
 		return optErr(prefix+".MaxNewtonIter", c.MaxNewtonIter, "must be ≥ 0 (0 selects the default)")
 	}
-	if err := checkNonNeg(prefix+".ChordContraction", c.ChordContraction); err != nil {
-		return err
-	}
-	if c.ChordContraction >= 1 {
-		return optErr(prefix+".ChordContraction", c.ChordContraction,
-			"must be a contraction rate below 1 (e.g. 0.5); ≥ 1 would accept non-contracting chord iterations")
-	}
-	if c.ChordMaxAge < 0 {
-		return optErr(prefix+".ChordMaxAge", c.ChordMaxAge, "must be ≥ 0 (0 selects the default)")
-	}
-	return checkNonNeg(prefix+".BypassVTol", c.BypassVTol)
+	return nil
 }
 
 // validateRect checks a bounds rectangle; the zero Rect is the documented

@@ -77,11 +77,7 @@ func TestOptionsValidateTable(t *testing.T) {
 		{"infinite mpnr maxstep", Options{MPNR: MPNROptions{MaxStep: math.Inf(1)}}, "MPNR.MaxStep"},
 		{"negative mpnr maxstep ok", Options{MPNR: MPNROptions{MaxStep: -1}}, ""}, // disables clamping
 		{"negative newton iters", Options{Eval: EvalConfig{MaxNewtonIter: -1}}, "Eval.MaxNewtonIter"},
-		{"chord contraction at one", Options{Eval: EvalConfig{ChordContraction: 1}}, "Eval.ChordContraction"},
-		{"nan chord contraction", Options{Eval: EvalConfig{ChordContraction: nan}}, "Eval.ChordContraction"},
-		{"negative chord age", Options{Eval: EvalConfig{ChordMaxAge: -1}}, "Eval.ChordMaxAge"},
-		{"negative bypass vtol", Options{Eval: EvalConfig{BypassVTol: -1e-6}}, "Eval.BypassVTol"},
-		{"fast path ok", Options{Eval: EvalConfig{Chord: true, ChordContraction: 0.5, DeviceBypass: true}}, ""},
+		{"fast path ok", Options{Eval: EvalConfig{Fast: true}}, ""},
 	}
 	for _, c := range cases {
 		err := c.opts.Validate()
