@@ -10,7 +10,7 @@ BENCHOUT ?= BENCH_core.json
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race vet lint latchlint vulncheck charvet perfbenchcheck tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke fuzzsmoke ci clean
+.PHONY: all build test race fmtcheck vet lint latchlint vulncheck charvet perfbenchcheck tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke fuzzsmoke ci clean
 
 all: build
 
@@ -26,16 +26,22 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
+# fmtcheck fails when any tracked Go file is not gofmt-formatted; gofmt -l
+# lists the offenders.
+fmtcheck:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt: files need formatting:"; echo "$$out"; exit 1; fi
+
 # vet runs Go's own static analysis plus charvet over every shipped
 # characterization setup: the built-in cells and each example netlist.
 vet: charvet
 	$(GO) vet ./...
 
-# lint is the full source-level gate: go vet, charvet over the shipped
-# setups, the latchlint pass suite over the whole tree, and staticcheck when
-# installed at the pinned version (environments without it skip with a
-# notice instead of failing the build).
-lint: vet latchlint
+# lint is the full source-level gate: gofmt, go vet, charvet over the
+# shipped setups, the latchlint pass suite over the whole tree, and
+# staticcheck when installed at the pinned version (environments without it
+# skip with a notice instead of failing the build).
+lint: fmtcheck vet latchlint
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -110,11 +116,11 @@ benchserve:
 # the transient inner loop and the sparse LU kernels — and converts the
 # combined benchfmt stream into $(BENCHOUT) (benchjson JSON: ns/op plus the
 # custom sims / sims/point / factorizations metrics). Benchmark names carry
-# mode= (exact / fast / blockK) and p= (concurrency) components so the
-# comparison only diffs like-for-like; the mode=fast vs mode=block8
-# sub-benchmarks of BenchmarkEulerNewton*, BenchmarkSurfaceTSPC and
-# BenchmarkMonteCarloTSPC carry the chord/bypass and block-transient
-# regression numbers. Use BENCHTIME=2s for stable wall-clock comparisons.
+# mode= (exact / blockK) and p= (concurrency) components so the comparison
+# only diffs like-for-like; the mode=exact vs mode=block8 sub-benchmarks of
+# BenchmarkEulerNewton*, BenchmarkSurfaceTSPC and BenchmarkMonteCarloTSPC
+# carry the scalar and block-transient regression numbers. Use BENCHTIME=2s
+# for stable wall-clock comparisons.
 # -cpu 1 keeps the GOMAXPROCS suffix ("-4") off the benchmark names, so a run
 # on a machine of any size matches the committed baseline by name; every
 # benchmark in the set is sequential (p=1) anyway.
@@ -125,8 +131,9 @@ bench:
 	@rm -f bench.out.txt
 
 # benchsmoke is the CI gate: a 1x pass over the same set, requiring the
-# harness to run end to end and the fast-path sub-benchmarks to be present in
-# the JSON, then diffed against the committed BENCH_core.json baseline.
+# harness to run end to end and the scalar and block sub-benchmarks to be
+# present in the JSON, then diffed against the committed BENCH_core.json
+# baseline.
 # The diff gates at a wide 50% tolerance — a single-iteration smoke run is
 # noisy, but a 2x wall-clock blowup on a macro benchmark is a real
 # regression, not noise. Two escape hatches keep the gate honest: -min-ns
@@ -137,8 +144,8 @@ bench:
 SMOKE_BENCHOUT ?= /tmp/bench-smoke.json
 benchsmoke:
 	$(MAKE) bench BENCHTIME=1x BENCHOUT=$(SMOKE_BENCHOUT)
-	@grep -q 'BenchmarkEulerNewtonTSPC/mode=fast' $(SMOKE_BENCHOUT) || \
-		{ echo "benchsmoke: fast-path benchmark missing from $(SMOKE_BENCHOUT)"; exit 1; }
+	@grep -q 'BenchmarkEulerNewtonTSPC/mode=exact' $(SMOKE_BENCHOUT) || \
+		{ echo "benchsmoke: scalar contour benchmark missing from $(SMOKE_BENCHOUT)"; exit 1; }
 	@grep -q 'mode=block8' $(SMOKE_BENCHOUT) || \
 		{ echo "benchsmoke: block-transient benchmark missing from $(SMOKE_BENCHOUT)"; exit 1; }
 	$(GO) run ./cmd/benchjson -compare -warn-match 'MonteCarlo' -min-ns 5e7 \
@@ -148,7 +155,7 @@ benchsmoke:
 # the CLI — quasi-MC sampling, nominal-contour warm starts, sigma-band CSV —
 # with event tracing on, and validates the trace stream with tracecheck.
 mcsmoke:
-	$(GO) run ./cmd/latchchar -cell tspc -points 8 -fast -mc 3 \
+	$(GO) run ./cmd/latchchar -cell tspc -points 8 -mc 3 \
 		-sampler lhs -seed 5 -probes 4 \
 		-trace /tmp/latchchar-mc-trace.jsonl -o /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/latchchar-mc-trace.jsonl

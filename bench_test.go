@@ -22,14 +22,12 @@ func mustCell(b *testing.B, name string) *Cell {
 	return cell
 }
 
-// Benchmark names carry the evaluation mode (mode=exact, mode=fast,
-// mode=blockK) and the concurrency bound (p=N) as sub-benchmark components,
-// so BENCH_core.json comparisons (benchjson -compare) only ever diff
+// Benchmark names carry the evaluation mode (mode=exact, mode=blockK) and
+// the concurrency bound (p=N) as sub-benchmark components, so
+// BENCH_core.json comparisons (benchjson -compare) only ever diff
 // like-for-like configurations.
 
-// benchCharacterize traces a full contour and reports cost metrics. The
-// factorizations metric is the fast path's acceptance measure: the chord/
-// bypass configuration must cut it by ≥ 25% on the TSPC contour.
+// benchCharacterize traces a full contour and reports cost metrics.
 func benchCharacterize(b *testing.B, cellName string, points int, eval EvalConfig, block int) {
 	cell := mustCell(b, cellName)
 	b.ResetTimer()
@@ -53,17 +51,15 @@ func benchCharacterize(b *testing.B, cellName string, points int, eval EvalConfi
 	b.ReportMetric(float64(facts), "factorizations")
 }
 
-// benchContourModes runs the exact / fast / block-transient contour modes of
-// one cell. Block mode is the ≥2× wall-clock gate over the scalar fast path
-// on the trace loop (DESIGN §13).
+// benchContourModes runs the scalar and block-transient contour modes of one
+// cell (DESIGN §13).
 func benchContourModes(b *testing.B, cellName string, points int) {
 	b.Run("mode=exact/p=1", func(b *testing.B) { benchCharacterize(b, cellName, points, EvalConfig{}, 0) })
-	b.Run("mode=fast/p=1", func(b *testing.B) { benchCharacterize(b, cellName, points, DefaultFastPath(), 0) })
-	b.Run("mode=block8/p=1", func(b *testing.B) { benchCharacterize(b, cellName, points, DefaultFastPath(), 8) })
+	b.Run("mode=block8/p=1", func(b *testing.B) { benchCharacterize(b, cellName, points, EvalConfig{}, 8) })
 }
 
 // E2 / Fig. 8: TSPC constant clock-to-Q contour by Euler-Newton tracing,
-// exact Newton vs the chord/bypass fast path vs block-transient bundles.
+// scalar vs block-transient bundles.
 func BenchmarkEulerNewtonTSPC(b *testing.B) { benchContourModes(b, "tspc", 40) }
 
 // E9 / Fig. 12(a): C²MOS contour by Euler-Newton tracing.
@@ -90,15 +86,13 @@ func benchSurface(b *testing.B, cellName string, n int, eval EvalConfig, block i
 }
 
 // E1 / Figs. 1(a), 9: brute-force output-surface generation (TSPC).
-// The n=40 case is the paper's 40×40 configuration; at that size the fast
-// path and the row-blocked kernel are benchmarked too (the latter is the
-// ≥2× surface-path gate of DESIGN §13).
+// The n=40 case is the paper's 40×40 configuration; at that size the
+// row-blocked kernel is benchmarked too (DESIGN §13).
 func BenchmarkSurfaceTSPC(b *testing.B) {
 	for _, n := range []int{10, 20, 40} {
 		b.Run(fmt.Sprintf("n=%d/mode=exact/p=1", n), func(b *testing.B) { benchSurface(b, "tspc", n, EvalConfig{}, 0) })
 	}
-	b.Run("n=40/mode=fast/p=1", func(b *testing.B) { benchSurface(b, "tspc", 40, DefaultFastPath(), 0) })
-	b.Run("n=40/mode=block8/p=1", func(b *testing.B) { benchSurface(b, "tspc", 40, DefaultFastPath(), 8) })
+	b.Run("n=40/mode=block8/p=1", func(b *testing.B) { benchSurface(b, "tspc", 40, EvalConfig{}, 8) })
 }
 
 // E9 / Fig. 12(b): brute-force surface for the C²MOS register.
@@ -107,8 +101,7 @@ func BenchmarkSurfaceC2MOS(b *testing.B) {
 }
 
 // E12: the Monte-Carlo batch path — per-sample contour characterization
-// under drawn process variations, scalar fast path vs block-transient
-// bundles (the MC arm of the ≥2× gate).
+// under drawn process variations, scalar vs block-transient bundles.
 func BenchmarkMonteCarloTSPC(b *testing.B) {
 	tm := DefaultTiming()
 	mk := func(p Process) *Cell { return TSPCCell(p, tm) }
@@ -123,7 +116,6 @@ func BenchmarkMonteCarloTSPC(b *testing.B) {
 					Points:         20,
 					BothDirections: true,
 					Block:          block,
-					Eval:           DefaultFastPath(),
 				},
 			})
 			chars = 0
@@ -136,7 +128,7 @@ func BenchmarkMonteCarloTSPC(b *testing.B) {
 		}
 		b.ReportMetric(float64(chars), "samples")
 	}
-	b.Run("mode=fast/p=1", func(b *testing.B) { run(b, 0) })
+	b.Run("mode=exact/p=1", func(b *testing.B) { run(b, 0) })
 	b.Run("mode=block8/p=1", func(b *testing.B) { run(b, 8) })
 
 	// The naive-vs-variance-aware pair at the paper's contour resolution
@@ -152,7 +144,6 @@ func BenchmarkMonteCarloTSPC(b *testing.B) {
 		Characterize: Options{
 			Points:         40,
 			BothDirections: true,
-			Eval:           DefaultFastPath(),
 		},
 	}
 	b.Run("mode=naive/n=40/p=1", func(b *testing.B) {

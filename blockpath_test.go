@@ -10,15 +10,11 @@ import (
 
 // TestBlockEvalMatchesScalarOnDecks is the block-transient exactness table:
 // for every example netlist deck, EvalBlock at block sizes 1, 2, 4 and 8
-// must reproduce the scalar fast path's state-transition values within the
-// same 3 µV gate the fast path itself is held to against the exact
-// evaluator, and an 8-lane EvalGradBlock must reproduce EvalGrad on every
-// lane, at the deck's points and around the knee of each built-in cell,
-// where the followers replay donor stamps. The probe points are the
-// characterized contour — the operating region the trace loop actually
-// feeds the kernel (far off the contour the output saturates and the fast
-// path's bypass staleness alone exceeds the gate, on the scalar path just as
-// much as on the block path). One evaluator serves both paths, so
+// must reproduce the scalar path's state-transition values within 3 µV, and
+// an 8-lane EvalGradBlock must reproduce EvalGrad on every lane, at the
+// deck's points and around the knee of each built-in cell. The probe points
+// are the characterized contour — the operating region the trace loop
+// actually feeds the kernel. One evaluator serves both paths, so
 // calibration and grid are identical and the comparison isolates the
 // lockstep kernel.
 func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
@@ -46,7 +42,6 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 			res, err := Characterize(cell, Options{
 				Points:         8,
 				BothDirections: true,
-				Eval:           DefaultFastPath(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -58,7 +53,7 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 			if len(pts) < 4 {
 				t.Fatalf("deck traced only %d contour points", len(pts))
 			}
-			ev, err := NewEvaluator(cell, DefaultFastPath())
+			ev, err := NewEvaluator(cell, EvalConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +90,7 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 						}
 					}
 					if worst > gate {
-						t.Errorf("block size %d deviates %.3g V from the scalar fast path (gate %.3g V)",
+						t.Errorf("block size %d deviates %.3g V from the scalar path (gate %.3g V)",
 							k, worst, gate)
 					}
 					t.Logf("block size %d: worst |Δh| %.3g V over %d points", k, worst, len(pts))
@@ -107,7 +102,7 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 	}
 
 	// Built-in cells: the 8 points around the knee (minimum τs+τh), where
-	// the lanes differ most and the followers replay the most donor stamps.
+	// the lanes differ most.
 	for _, name := range []string{"tspc", "c2mos", "tgate"} {
 		t.Run(name, func(t *testing.T) {
 			cell, err := CellByName(name)
@@ -117,7 +112,6 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 			res, err := Characterize(cell, Options{
 				Points:         20,
 				BothDirections: true,
-				Eval:           DefaultFastPath(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -133,7 +127,7 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 				}
 			}
 			lo := min(max(knee-4, 0), len(pts)-8)
-			ev, err := NewEvaluator(cell, DefaultFastPath())
+			ev, err := NewEvaluator(cell, EvalConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,10 +136,9 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 	}
 }
 
-// checkGradBlock evaluates pts as one gradient block and holds every lane —
-// the reference lane and each follower — to the scalar EvalGrad: h within
-// gate, sensitivities to 0.1% relative (they feed the Newton corrector, not
-// the accepted contour).
+// checkGradBlock evaluates pts as one gradient block and holds every lane to
+// the scalar EvalGrad: h within gate, sensitivities to 0.1% relative (they
+// feed the Newton corrector, not the accepted contour).
 func checkGradBlock(t *testing.T, ev *Evaluator, pts []ContourPoint, gate float64) {
 	t.Helper()
 	tauS := make([]float64, len(pts))
@@ -153,12 +146,10 @@ func checkGradBlock(t *testing.T, ev *Evaluator, pts []ContourPoint, gate float6
 	for i, p := range pts {
 		tauS[i], tauH[i] = p.TauS, p.TauH
 	}
-	replays0 := ev.Work.BlockDonorReplays
 	hb, dsb, dhb, errs, err := ev.EvalGradBlock(tauS, tauH)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replays := ev.Work.BlockDonorReplays - replays0
 	relErr := func(got, want float64) float64 {
 		return math.Abs(got-want) / math.Max(math.Abs(want), 1e-12)
 	}
@@ -182,13 +173,13 @@ func checkGradBlock(t *testing.T, ev *Evaluator, pts []ContourPoint, gate float6
 		}
 		worstH, worstG = math.Max(worstH, d), math.Max(worstG, e)
 	}
-	t.Logf("%d-lane grad block: worst |Δh| %.3g V, worst relative gradient error %.3g, %d donor replays",
-		len(pts), worstH, worstG, replays)
+	t.Logf("%d-lane grad block: worst |Δh| %.3g V, worst relative gradient error %.3g",
+		len(pts), worstH, worstG)
 }
 
 // TestBlockTraceAccuracyGate holds the block-corrected trace loop to the
-// same acceptance bar as the scalar fast path: every contour point produced
-// with Block-wide lookahead bundles must satisfy the exact state-transition
+// scalar path's acceptance bar: every contour point produced with
+// Block-wide lookahead bundles must satisfy the exact state-transition
 // equation within 3 µV.
 func TestBlockTraceAccuracyGate(t *testing.T) {
 	if testing.Short() {
@@ -203,7 +194,6 @@ func TestBlockTraceAccuracyGate(t *testing.T) {
 		Points:         10,
 		BothDirections: true,
 		Block:          4,
-		Eval:           DefaultFastPath(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +220,6 @@ func TestBlockTraceAccuracyGate(t *testing.T) {
 		t.Errorf("block-traced contour violates the exact state-transition equation by %.3g V (gate %.3g V)",
 			worst, hGate)
 	}
-	t.Logf("%d contour points, worst |h_exact| %.3g V, shared steps %d, donor replays %d, peel-offs %d",
-		len(res.Contour.Points), worst,
-		res.Stats.BlockSharedSteps, res.Stats.BlockDonorReplays, res.Stats.BlockPeelOffs)
+	t.Logf("%d contour points, worst |h_exact| %.3g V, shared steps %d, peel-offs %d",
+		len(res.Contour.Points), worst, res.Stats.BlockSharedSteps, res.Stats.BlockPeelOffs)
 }

@@ -32,8 +32,9 @@ func run(args []string) error {
 		deckPath = fs.String("netlist", "", "netlist deck path (overrides -cell)")
 		pinnedPS = fs.Float64("pinned", 500, "pinned opposite skew (ps)")
 		tolPS    = fs.Float64("tol", 0.05, "skew accuracy target (ps)")
-		fast     = fs.Bool("fast", false, "enable the chord/bypass Newton fast path (chord iterations + device-eval latency)")
 	)
+	// -fast is accepted so existing scripts keep working (DESIGN §10).
+	fs.Bool("fast", false, "ignored (every run takes the exact Newton step); kept for compatibility")
 	var obsFlags cli.ObsFlags
 	obsFlags.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -57,11 +58,7 @@ func run(args []string) error {
 		Tol:    *tolPS * 1e-12,
 		Obs:    obsRun,
 	}
-	evalCfg := latchchar.EvalConfig{}
-	if *fast {
-		evalCfg = latchchar.DefaultFastPath()
-	}
-	evalCfg.Obs = obsRun
+	evalCfg := latchchar.EvalConfig{Obs: obsRun}
 	// ^C cancels whichever search is in flight mid-transient.
 	ctx, stop := cli.SignalContext()
 	defer stop()

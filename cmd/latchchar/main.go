@@ -43,7 +43,6 @@ func run(args []string) error {
 		resample = fs.Int("resample", 0, "resample the contour to exactly N arc-length-uniform points (0 = off)")
 		energy   = fs.Bool("energy", false, "add a per-point supply-energy column (csv format only)")
 		method   = fs.String("method", "be", "integration method: be or trap")
-		fast     = fs.Bool("fast", false, "enable the chord/bypass Newton fast path (chord iterations + device-eval latency)")
 		block    = fs.Int("block", 0, "predictor lookahead width: correct N predicted points per cycle as one lockstep block-transient (0 or 1 = scalar)")
 		degrade  = fs.Float64("degrade", 0.10, "clock-to-Q degradation defining setup/hold")
 		maxSkew  = fs.Float64("maxskew", 1000, "skew domain bound in picoseconds")
@@ -57,6 +56,8 @@ func run(args []string) error {
 		sigma    = fs.Float64("sigma", 3, "sigma band half-width in sample standard deviations")
 		probes   = fs.Int("probes", 0, "Monte-Carlo probe points per contour (0 = default)")
 	)
+	// -fast is accepted so existing scripts keep working (DESIGN §10).
+	fs.Bool("fast", false, "ignored (every run takes the exact Newton step); kept for compatibility")
 	var obsFlags cli.ObsFlags
 	obsFlags.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -79,7 +80,6 @@ func run(args []string) error {
 	evalCfg := stf.Config{
 		Degrade:      *degrade,
 		MaxSetupSkew: *maxSkew * 1e-12,
-		Fast:         *fast,
 	}
 	if *doVet {
 		// Static pre-flight over the netlist and query parameters before

@@ -39,7 +39,6 @@ func run(args []string) error {
 		hMin      = fs.Float64("hmin", 10, "minimum hold skew (ps)")
 		hMax      = fs.Float64("hmax", 800, "maximum hold skew (ps)")
 		workers   = fs.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
-		fast      = fs.Bool("fast", false, "enable the chord/bypass Newton fast path (chord iterations + device-eval latency)")
 		block     = fs.Int("block", 0, "block-transient lane count: evaluate each grid row in N-lane lockstep chunks (0 or 1 = scalar; output-level surface only)")
 		delayMode = fs.Bool("delay", false, "generate the clock-to-Q delay surface (the paper's primary formulation) instead of the output-level surface")
 		surfOut   = fs.String("surface", "-", "surface CSV path (- for stdout)")
@@ -47,6 +46,8 @@ func run(args []string) error {
 		doVet     = fs.Bool("vet", true, "run charvet pre-flight checks and abort on error findings")
 		disable   = fs.String("disable", "", "comma-separated vet check IDs to skip")
 	)
+	// -fast is accepted so existing scripts keep working (DESIGN §10).
+	fs.Bool("fast", false, "ignored (every run takes the exact Newton step); kept for compatibility")
 	var obsFlags cli.ObsFlags
 	obsFlags.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -66,9 +67,6 @@ func run(args []string) error {
 		return err
 	}
 	evalCfg := latchchar.EvalConfig{}
-	if *fast {
-		evalCfg = latchchar.DefaultFastPath()
-	}
 	if *doVet {
 		// The n² grid makes a broken setup especially expensive: vet the
 		// netlist and the sweep box before dispatching workers.

@@ -262,13 +262,6 @@ type Eval struct {
 	// C and G are the assembled Jacobians ∂q/∂x and ∂f/∂x.
 	C, G *sparse.CSR
 
-	// Bypasses counts device evaluations skipped by the latency bypass
-	// (EnableBypass) over the evaluator's lifetime.
-	Bypasses int
-
-	bypassHold bool         // replay suspended (HoldBypass); tapes stay valid
-	tapes      []*stampTape // index-aligned with c.devices; nil entry = not bypassable
-
 	ctx EvalCtx
 }
 
@@ -304,29 +297,8 @@ func (ev *Eval) At(x []float64, t float64) {
 	ev.G.ZeroVals()
 	ev.ctx.X = x
 	ev.ctx.T = t
-	if ev.tapes == nil || ev.bypassHold {
-		for _, d := range ev.c.devices {
-			d.Eval(&ev.ctx)
-		}
-	} else {
-		for di, d := range ev.c.devices {
-			tp := ev.tapes[di]
-			if tp == nil {
-				d.Eval(&ev.ctx)
-				continue
-			}
-			if tp.fresh(x) {
-				tp.replay(ev)
-				ev.Bypasses++
-				continue
-			}
-			tp.snapshot(x)
-			tp.recs = tp.recs[:0]
-			ev.ctx.tape = tp
-			d.Eval(&ev.ctx)
-			ev.ctx.tape = nil
-			tp.valid = true
-		}
+	for _, d := range ev.c.devices {
+		d.Eval(&ev.ctx)
 	}
 	// Gmin stamps: conductance to ground on every node.
 	gmin := ev.c.Gmin
@@ -355,10 +327,6 @@ type EvalCtx struct {
 	// X is the state vector being evaluated; T the time.
 	X []float64
 	T float64
-
-	// tape, when non-nil, records the current device's stamps for later
-	// bypass replay (see bypass.go).
-	tape *stampTape
 }
 
 // V returns the value of unknown id in the current state (0 for ground).
@@ -373,9 +341,6 @@ func (e *EvalCtx) V(id UnknownID) float64 {
 func (e *EvalCtx) AddF(id UnknownID, v float64) {
 	if id != Ground {
 		e.ev.F[id] += v
-		if e.tape != nil {
-			e.tape.recs = append(e.tape.recs, stampRec{tapeF, int32(id), v})
-		}
 	}
 }
 
@@ -383,9 +348,6 @@ func (e *EvalCtx) AddF(id UnknownID, v float64) {
 func (e *EvalCtx) AddQ(id UnknownID, v float64) {
 	if id != Ground {
 		e.ev.Q[id] += v
-		if e.tape != nil {
-			e.tape.recs = append(e.tape.recs, stampRec{tapeQ, int32(id), v})
-		}
 	}
 }
 
@@ -393,9 +355,6 @@ func (e *EvalCtx) AddQ(id UnknownID, v float64) {
 func (e *EvalCtx) AddSrc(id UnknownID, v float64) {
 	if id != Ground {
 		e.ev.Src[id] += v
-		if e.tape != nil {
-			e.tape.recs = append(e.tape.recs, stampRec{tapeSrc, int32(id), v})
-		}
 	}
 }
 
@@ -406,9 +365,6 @@ func (e *EvalCtx) AddG(s Slot, v float64) {
 	}
 	if idx := e.ev.c.gSlotMap[s]; idx >= 0 {
 		e.ev.G.Val[idx] += v
-		if e.tape != nil {
-			e.tape.recs = append(e.tape.recs, stampRec{tapeG, int32(idx), v})
-		}
 	}
 }
 
@@ -419,8 +375,5 @@ func (e *EvalCtx) AddC(s Slot, v float64) {
 	}
 	if idx := e.ev.c.cSlotMap[s]; idx >= 0 {
 		e.ev.C.Val[idx] += v
-		if e.tape != nil {
-			e.tape.recs = append(e.tape.recs, stampRec{tapeC, int32(idx), v})
-		}
 	}
 }

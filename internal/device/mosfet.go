@@ -262,11 +262,3 @@ func (m *MOSFET) ConductivePairs() [][2]circuit.UnknownID {
 func (m *MOSFET) Terminals() []circuit.UnknownID {
 	return []circuit.UnknownID{m.D, m.G, m.S, m.B}
 }
-
-// BypassTerminals implements circuit.StateOnlyDevice: every stamp above
-// (channel current, gate and junction charges and their Jacobians) is a pure
-// function of the four terminal voltages — never of time — so the evaluator
-// may replay cached stamps while D, G, S and B sit still.
-func (m *MOSFET) BypassTerminals() []circuit.UnknownID {
-	return []circuit.UnknownID{m.D, m.G, m.S, m.B}
-}

@@ -227,7 +227,7 @@ func owenScramble(x uint32, key uint64) uint32 {
 			prefix = uint64(x >> (32 - l))
 		}
 		h := splitmix64(key ^ splitmix64(prefix<<6|uint64(l)))
-		out = out<<1 | bit^uint32(h&1)
+		out = out<<1 | bit ^ uint32(h&1)
 	}
 	return out
 }

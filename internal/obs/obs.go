@@ -66,15 +66,11 @@ const (
 	CtrStepRejects    = "step_rejects"
 	CtrWarmSeeds      = "warm_seeds"
 	CtrCalReused      = "calibrations_reused"
-	CtrChordIters     = "chord_iters"
-	CtrJacobianReuses = "jacobian_reuses"
-	CtrDeviceBypasses = "device_bypasses"
 	CtrRuntimeSamples = "runtime_samples"
 	// Block-transient kernel (internal/transient.BlockEngine).
-	CtrBlockRuns         = "block_runs"
-	CtrBlockPeelOffs     = "block_peel_offs"
-	CtrBlockSharedSteps  = "block_shared_steps"
-	CtrBlockDonorReplays = "block_donor_replays"
+	CtrBlockRuns        = "block_runs"
+	CtrBlockPeelOffs    = "block_peel_offs"
+	CtrBlockSharedSteps = "block_shared_steps"
 	// Variance-aware Monte-Carlo (statistical contours): nominal-seeded
 	// probe solves, transients avoided vs naive re-characterization, and
 	// samples folded into the control-variate delta estimator.
@@ -95,7 +91,6 @@ const (
 const (
 	HistNewtonIters    = "newton_iters_per_step"
 	HistCorrectorIters = "corrector_iters"
-	HistChordIters     = "chord_iters_per_step"
 	// HistBlockSize records the lane count of each block-transient run.
 	HistBlockSize = "block_size"
 )
@@ -230,13 +225,24 @@ func (r *Run) AddSink(s Sink) {
 
 func (c *collector) since() time.Duration { return c.clock().Sub(c.start) }
 
-// emit serializes an event to every sink and subscriber. The caller fills
-// everything but V.
-func (c *collector) emit(e *Event) {
-	e.V = SchemaVersion
-	e.Corr = c.corr
+// emit stamps e with the run clock, serializes it to every sink and
+// subscriber, and returns the stamp. The caller fills everything but V,
+// Corr and TNs. The stamp is read under c.mu, the lock that orders the
+// stream, so concurrent emitters can never deliver a timestamp older than
+// the event before it.
+func (c *collector) emit(e *Event) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := c.since()
+	c.send(now, e)
+	return now
+}
+
+// send stamps e with now and delivers it; the caller holds c.mu.
+func (c *collector) send(now time.Duration, e *Event) {
+	e.V = SchemaVersion
+	e.Corr = c.corr
+	e.TNs = int64(now)
 	if c.closed {
 		return
 	}
@@ -282,7 +288,7 @@ func (r *Run) StartSpan(name string) *Run {
 		return nil
 	}
 	id := r.c.nextID.Add(1)
-	sp := &spanInfo{id: id, name: name, start: r.c.since()}
+	sp := &spanInfo{id: id, name: name}
 	if r.span != nil {
 		sp.parent = r.span.id
 		sp.track = r.span.track
@@ -291,12 +297,11 @@ func (r *Run) StartSpan(name string) *Run {
 		// render as parallel rows in Chrome trace viewers.
 		sp.track = id
 	}
-	child := &Run{c: r.c, span: sp}
-	r.c.emit(&Event{
-		TNs: int64(sp.start), Kind: KindSpanBegin,
+	sp.start = r.c.emit(&Event{
+		Kind: KindSpanBegin,
 		Name: name, Span: id, Parent: sp.parent, Track: sp.track,
 	})
-	return child
+	return &Run{c: r.c, span: sp}
 }
 
 // End closes the span this handle represents. A root handle (from New) or a
@@ -305,20 +310,20 @@ func (r *Run) End() {
 	if r == nil || r.span == nil {
 		return
 	}
-	sp := r.span
-	now := r.c.since()
+	sp, c := r.span, r.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.since()
 	dur := now - sp.start
-	r.c.mu.Lock()
-	agg := r.c.phases[sp.name]
+	agg := c.phases[sp.name]
 	if agg == nil {
 		agg = &phaseAgg{}
-		r.c.phases[sp.name] = agg
+		c.phases[sp.name] = agg
 	}
 	agg.count++
 	agg.total += dur
-	r.c.mu.Unlock()
-	r.c.emit(&Event{
-		TNs: int64(now), Kind: KindSpanEnd,
+	c.send(now, &Event{
+		Kind: KindSpanEnd,
 		Name: sp.name, Span: sp.id, Parent: sp.parent, Track: sp.track,
 		DurNs: int64(dur),
 	})
@@ -403,7 +408,7 @@ func (r *Run) Point(tauS, tauH float64, iters int) {
 		span, parent = r.span.id, r.span.parent
 	}
 	r.c.emit(&Event{
-		TNs: int64(r.c.since()), Kind: KindPoint,
+		Kind: KindPoint,
 		Span: span, Parent: parent,
 		TauS: tauS, TauH: tauH, Iters: iters,
 	})
@@ -420,7 +425,7 @@ func (r *Run) Logf(format string, args ...any) {
 		span = r.span.id
 	}
 	r.c.emit(&Event{
-		TNs: int64(r.c.since()), Kind: KindLog,
+		Kind: KindLog,
 		Span: span, Msg: fmt.Sprintf(format, args...),
 	})
 }
@@ -470,10 +475,7 @@ func (r *Run) Close() error {
 	}
 	c := r.c
 	sum := r.Summary()
-	c.emit(&Event{
-		TNs: int64(c.since()), Kind: KindRunEnd,
-		Counters: sum.Counters,
-	})
+	c.emit(&Event{Kind: KindRunEnd, Counters: sum.Counters})
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

@@ -323,3 +323,41 @@ func TestSubscribeNilRun(t *testing.T) {
 	cancel() // must not panic
 	run.StartSpan(SpanTrace).End()
 }
+
+// TestConcurrentSpansKeepTimestampOrder starts and ends spans from many
+// goroutines on one run: every event must reach the sink in timestamp order,
+// so the stream validates. That holds only if each event's clock reading and
+// its delivery happen under the same lock.
+func TestConcurrentSpansKeepTimestampOrder(t *testing.T) {
+	const (
+		workers = 8
+		pairs   = 2000
+	)
+	var buf bytes.Buffer
+	run := New()
+	run.AddSink(NewJSONLSink(&buf))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < pairs; i++ {
+				run.StartSpan(SpanTransient).End()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := run.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	events, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatalf("ReadJSONL: %v", err)
+	}
+	if want := 2*workers*pairs + 2; len(events) != want {
+		t.Fatalf("%d events, want %d", len(events), want)
+	}
+	if err := Validate(events); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+}

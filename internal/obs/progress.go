@@ -50,7 +50,7 @@ func (r *Run) Progress(p Progress) {
 		span = r.span.id
 	}
 	c.emit(&Event{
-		TNs: int64(now), Kind: KindProgress,
+		Kind: KindProgress,
 		Span: span, Phase: p.Phase,
 		Done: p.Done, Total: p.Total,
 		TauS: p.TauS, TauH: p.TauH, Iters: p.CorrectorIters,

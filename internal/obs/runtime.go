@@ -85,7 +85,7 @@ func (r *Run) Runtime(st RuntimeStats) {
 	}
 	r.Count(CtrRuntimeSamples, 1)
 	r.c.emit(&Event{
-		TNs: int64(r.c.since()), Kind: KindRuntime,
+		Kind:       KindRuntime,
 		Goroutines: st.Goroutines, HeapBytes: st.HeapBytes,
 		GCPauseNs: st.GCPauseNs, SchedP99Ns: st.SchedP99Ns,
 	})

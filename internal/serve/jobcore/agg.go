@@ -48,14 +48,10 @@ func (a *obsAgg) init() {
 		obs.CtrStepRejects:            0,
 		obs.CtrWarmSeeds:              0,
 		obs.CtrCalReused:              0,
-		obs.CtrChordIters:             0,
-		obs.CtrJacobianReuses:         0,
-		obs.CtrDeviceBypasses:         0,
 		obs.CtrRuntimeSamples:         0,
 		obs.CtrBlockRuns:              0,
 		obs.CtrBlockPeelOffs:          0,
 		obs.CtrBlockSharedSteps:       0,
-		obs.CtrBlockDonorReplays:      0,
 		obs.CtrMCWarmSeeds:            0,
 		obs.CtrMCSimsSaved:            0,
 		obs.CtrMCCVApplied:            0,

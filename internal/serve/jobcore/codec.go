@@ -78,7 +78,6 @@ func ToOptions(o serveclient.OptionsRequest) (latchchar.Options, error) {
 	eval := latchchar.EvalConfig{
 		Degrade:      o.Degrade,
 		MaxSetupSkew: o.MaxSetupSkewPS * 1e-12,
-		Fast:         o.FastPath,
 	}
 	opts := latchchar.Options{
 		Points:         o.Points,
@@ -219,8 +218,11 @@ func ResolveBatch(req *serveclient.BatchRequest) ([]latchchar.Job, []string, err
 // resolved cell identity (name, process, timing — or the raw deck text) and
 // the normalized wire options, mirroring the engine's calibration LRU key
 // plus the query parameters. The same key partitions jobs across the
-// cluster ring, which is what makes coalescing work cross-node.
+// cluster ring, which is what makes coalescing work cross-node. The ignored
+// fast_path option is cleared first, so it cannot split identical work.
 func RequestKey(req *serveclient.CharacterizeRequest, cell *latchchar.Cell) string {
+	opts := req.Options
+	opts.FastPath = false
 	canonical := struct {
 		Netlist string
 		Name    string
@@ -232,7 +234,7 @@ func RequestKey(req *serveclient.CharacterizeRequest, cell *latchchar.Cell) stri
 		Name:    cell.Name,
 		Process: cell.Process,
 		Timing:  cell.Timing,
-		Options: req.Options,
+		Options: opts,
 	}
 	b, err := json.Marshal(canonical)
 	if err != nil {
@@ -264,17 +266,13 @@ func RenderResult(cell string, res *latchchar.Result) *serveclient.ResultJSON {
 			Rising:      res.Calibration.Rising,
 		},
 		Stats: serveclient.StatsJSON{
-			Steps:             res.Stats.Steps,
-			NewtonIters:       res.Stats.NewtonIters,
-			Factorizations:    res.Stats.Factorizations,
-			SensSolves:        res.Stats.SensSolves,
-			ChordIters:        res.Stats.ChordIters,
-			JacobianReuses:    res.Stats.JacobianReuses,
-			DeviceBypasses:    res.Stats.DeviceBypasses,
-			BlockSharedSteps:  res.Stats.BlockSharedSteps,
-			BlockPeelOffs:     res.Stats.BlockPeelOffs,
-			BlockDonorReplays: res.Stats.BlockDonorReplays,
-			WallMS:            DurMS(res.Stats.Wall),
+			Steps:            res.Stats.Steps,
+			NewtonIters:      res.Stats.NewtonIters,
+			Factorizations:   res.Stats.Factorizations,
+			SensSolves:       res.Stats.SensSolves,
+			BlockSharedSteps: res.Stats.BlockSharedSteps,
+			BlockPeelOffs:    res.Stats.BlockPeelOffs,
+			WallMS:           DurMS(res.Stats.Wall),
 		},
 	}
 	if res.Contour != nil {

@@ -38,31 +38,33 @@ func TestRequestKeyStability(t *testing.T) {
 	}
 }
 
+// TestFastPathOptionMapping pins fast_path as an ignored wire option: it
+// maps to the same characterization options as a request without it, and it
+// does not split the coalescing key, so identical work still coalesces,
+// shares the result LRU and lands on the same ring owner.
 func TestFastPathOptionMapping(t *testing.T) {
-	opts, err := ToOptions(serveclient.OptionsRequest{FastPath: true})
+	exact := serveclient.OptionsRequest{Points: 3}
+	fast := exact
+	fast.FastPath = true
+	exactOpts, err := ToOptions(exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.Eval.Fast {
-		t.Error("fast_path must set Eval.Fast")
-	}
-	opts, err = ToOptions(serveclient.OptionsRequest{})
+	fastOpts, err := ToOptions(fast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Eval.Fast {
-		t.Error("fast path must stay off by default")
+	if fastOpts != exactOpts {
+		t.Errorf("fast_path changes the options: %+v vs %+v", fastOpts, exactOpts)
 	}
 	cell, err := latchchar.CellByName("tspc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// fast_path selects a different inner loop — it must not coalesce with
-	// exact-path requests.
-	exact := &serveclient.CharacterizeRequest{Cell: "tspc", Options: serveclient.OptionsRequest{Points: 3}}
-	fast := &serveclient.CharacterizeRequest{Cell: "tspc", Options: serveclient.OptionsRequest{Points: 3, FastPath: true}}
-	if RequestKey(exact, cell) == RequestKey(fast, cell) {
-		t.Error("fast_path requests share a coalescing key with exact requests")
+	exactReq := &serveclient.CharacterizeRequest{Cell: "tspc", Options: exact}
+	fastReq := &serveclient.CharacterizeRequest{Cell: "tspc", Options: fast}
+	if RequestKey(exactReq, cell) != RequestKey(fastReq, cell) {
+		t.Error("fast_path splits the coalescing key")
 	}
 }
 

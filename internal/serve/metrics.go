@@ -59,7 +59,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 			p.Total.Seconds())
 	}
 
-	// Iteration-count histograms (Newton/corrector/chord) as native
+	// Iteration-count histograms (Newton/corrector) as native
 	// Prometheus histograms: obs buckets are exact small integers 1..16 plus
 	// overflow, rendered as cumulative le bounds.
 	for _, hs := range sum.Hists {

@@ -11,10 +11,6 @@ type Reusable struct {
 	// numeric refactorizations.
 	Factorizations   int
 	Refactorizations int
-	// Age counts Solve calls against the current factorization since it was
-	// last rebuilt — the staleness measure chord-Newton policies consult to
-	// decide when a factorization is too old to keep reusing.
-	Age int
 }
 
 // Factorize prepares the factorization of a, reusing the previous pivot
@@ -23,7 +19,6 @@ func (r *Reusable) Factorize(a *CSR) error {
 	if r.lu != nil {
 		if err := r.lu.Refactor(a); err == nil {
 			r.Refactorizations++
-			r.Age = 0
 			return nil
 		}
 		// Pivot order went stale or the pattern changed; fall through to
@@ -35,7 +30,6 @@ func (r *Reusable) Factorize(a *CSR) error {
 	}
 	r.lu = lu
 	r.Factorizations++
-	r.Age = 0
 	return nil
 }
 
@@ -46,5 +40,4 @@ func (r *Reusable) Solve(b, x []float64) {
 		panic("sparse: Reusable.Solve before Factorize")
 	}
 	r.lu.Solve(b, x)
-	r.Age++
 }

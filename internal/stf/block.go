@@ -44,7 +44,7 @@ func minMax(v []float64) (lo, hi float64) {
 
 // blockEngine returns (building on first use) the k-lane block engine for
 // plain or gradient-carrying transients. Engines are cached per lane count;
-// every lane aliases the reference lane's symbolic analysis.
+// every lane aliases lane 0's symbolic analysis.
 func (e *Evaluator) blockEngine(k int, skews bool) *transient.BlockEngine {
 	cache := &e.blkPlain
 	if skews {
@@ -65,9 +65,8 @@ func (e *Evaluator) blockEngine(k int, skews bool) *transient.BlockEngine {
 
 // EvalBlock computes h(τs, τh) for a block of skew pairs with one lockstep
 // multi-lane transient (transient.BlockEngine): nearby points share the
-// exact stimulus prefix, the lane Jacobian and bypassed device stamps. Lanes
-// that peel off the block are retried on the scalar path, so the result is
-// defined for every point or the call errors.
+// exact stimulus prefix. Lanes that peel off the block are retried on the
+// scalar path, so the result is defined for every point or the call errors.
 func (e *Evaluator) EvalBlock(tauS, tauH []float64) ([]float64, error) {
 	k := len(tauS)
 	if len(tauH) != k {

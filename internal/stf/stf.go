@@ -45,16 +45,8 @@ type Config struct {
 	// runs while hunting for the crossing (default 3 ns).
 	PostWindow float64
 	// MaxNewtonIter bounds the per-step Newton iterations of every transient
-	// the evaluator launches (default 50, transient.Options). The fast path
-	// needs headroom here: stalled chord iterations spend budget before the
-	// full-Newton fallback finishes the step.
+	// the evaluator launches (default 50, transient.Options).
 	MaxNewtonIter int
-	// Fast enables the chord/bypass fast path of DESIGN §10 in every
-	// transient the evaluator launches (transient.Options.Fast): chord
-	// iterations against the standing LU factorization with full-Newton
-	// fallback, sensitivity solves reusing it, and the device-eval latency
-	// bypass. The zero value is the paper's exact path.
-	Fast bool
 	// Obs attaches observability: every transient the evaluator launches is
 	// tagged and counted under the currently attached span (solvers re-parent
 	// it via SetObs while they own the evaluator). nil disables collection.
@@ -101,7 +93,6 @@ func (c Config) transientOptions(skews bool, probes ...circuit.UnknownID) transi
 		Method:        c.Method,
 		Skews:         skews,
 		MaxNewtonIter: c.MaxNewtonIter,
-		Fast:          c.Fast,
 		Probes:        probes,
 	}
 }

@@ -66,10 +66,3 @@ func benchRun(b *testing.B, opts Options) {
 func BenchmarkTransientBE(b *testing.B)            { benchRun(b, Options{}) }
 func BenchmarkTransientTRAP(b *testing.B)          { benchRun(b, Options{Method: TRAP}) }
 func BenchmarkTransientBESensitivity(b *testing.B) { benchRun(b, Options{Skews: true}) }
-
-// Fast-path counterparts of the exact benchmarks above (the RC ladder has no
-// bypassable devices, so only the chord half of the fast path runs).
-func BenchmarkTransientBEChord(b *testing.B) { benchRun(b, Options{Fast: true}) }
-func BenchmarkTransientBESensitivityChord(b *testing.B) {
-	benchRun(b, Options{Skews: true, Fast: true})
-}

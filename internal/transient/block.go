@@ -13,28 +13,17 @@ import (
 // BlockEngine advances K transients of one circuit in lockstep — the
 // vectorized multi-point kernel of DESIGN §13. Each lane is a full scalar
 // Engine (structure-of-arrays state: lane-major vectors, shared symbolic
-// analysis via newEngine's prototype path), but the lanes cooperate:
+// analysis via newEngine's prototype path), and every lane steps through the
+// one Engine.step. The lanes cooperate in two ways:
 //
 //   - Shared exact prefix: the caller passes tSplit, the earliest time any
 //     lane's stimulus can differ. Until then every lane is bit-identical, so
-//     only the reference lane integrates and the followers inherit its state
-//     at the fork — K−1 lane-steps saved per prefix step, counted in
+//     only lane 0 integrates and the other lanes inherit its state at the
+//     fork — K−1 lane-steps saved per prefix step, counted in
 //     Stats.BlockSharedSteps.
-//   - Shared Jacobian (Options.Fast): after the fork, follower Newton
-//     iterations first try a chord back-substitution against the reference
-//     lane's standing factorization (gated exactly like the scalar chord: α
-//     match, age, contraction). Residuals stay exact per lane, so accepted
-//     solutions satisfy the same tolerances as full Newton.
-//   - Batched device evaluation (Options.Fast): a follower's first Newton
-//     iteration offers every bypassable device the reference lane's stamp
-//     tape (circuit.Eval.AtWithDonor), amortizing MOSFET model math across
-//     lanes whose terminal voltages agree within the bypass tolerance.
 //   - Peel-off: a lane whose Newton iteration fails records its error and
 //     drops out; the remaining lanes continue unharmed. Callers retry peeled
 //     lanes on the scalar path.
-//
-// Every lane steps through the one Engine.step; a follower passes the
-// reference lane as its donor.
 //
 // A BlockEngine is not safe for concurrent use.
 type BlockEngine struct {
@@ -100,7 +89,7 @@ func (r *BlockResult) Ok() bool {
 
 // Run integrates every lane from x0 at grid.Start() to grid.End(). tSplit is
 // the earliest time any lane's stimulus can differ from lane 0's: steps
-// ending strictly before tSplit integrate the reference lane only (pass
+// ending strictly before tSplit integrate lane 0 only (pass
 // math.Inf(1) when all lanes are identical, 0 — or any t ≤ grid.Start() — to
 // disable sharing). Lane Newton failures are reported per-lane in
 // BlockResult.Errs; the returned error is non-nil only for invalid options,
@@ -133,7 +122,6 @@ func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, gr
 	if st != nil {
 		sp.Count(obs.CtrBlockPeelOffs, int64(st.BlockPeelOffs))
 		sp.Count(obs.CtrBlockSharedSteps, int64(st.BlockSharedSteps))
-		sp.Count(obs.CtrBlockDonorReplays, int64(st.BlockDonorReplays))
 	}
 	sp.End()
 	return res, err
@@ -156,18 +144,11 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 	}
 	wall0 := time.Now()
 	luF0 := make([]int, K)
-	byp0 := make([]int, K)
 	for j, e := range b.lanes {
 		e.stats = Stats{}
 		luF0[j] = e.lu.Factorizations + e.lu.Refactorizations
-		byp0[j] = e.ev.Bypasses
 	}
 
-	// refIdx is the reference lane: it integrates the shared prefix alone,
-	// steps first after the fork, and donates its factorization and stamp
-	// tapes to the followers. It starts as lane 0 and is re-elected if lane 0
-	// peels off.
-	refIdx := 0
 	dead := make([]bool, K)
 	alive := K
 	forked := false
@@ -177,11 +158,11 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 	b.lane(0)
 	b.lanes[0].initAt(x0, pts[0])
 
-	// fork brings the followers to the reference lane's state. After a shared
-	// prefix the lanes were bit-identical up to here, so copying the
-	// integrator state (and the sensitivities, exactly zero until the stimulus
-	// support begins) is exact. With no prefix at all the lanes may already
-	// differ at t0, so each initializes independently from x0 instead.
+	// fork brings lanes 1…K−1 to lane 0's state. After a shared prefix the
+	// lanes were bit-identical up to here, so copying the integrator state
+	// (and the sensitivities, exactly zero until the stimulus support begins)
+	// is exact. With no prefix at all the lanes may already differ at t0, so
+	// each initializes independently from x0 instead.
 	fork := func(k int) {
 		for j := 1; j < K; j++ {
 			if k == 1 {
@@ -210,8 +191,8 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 			// step stands in for all of them. The caller guarantees the
 			// stimulus cannot differ before tSplit; the strict comparison
 			// protects the step that lands exactly on the divergence time.
-			b.lane(refIdx)
-			if err := b.lanes[refIdx].step(t0, t1, nil); err != nil {
+			b.lane(0)
+			if err := b.lanes[0].step(t0, t1); err != nil {
 				werr := fmt.Errorf("%w at t=%.6g s (step %d, shared prefix)", err, t1, k)
 				for j := range dead {
 					dead[j] = true
@@ -227,22 +208,13 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 		if !forked {
 			fork(k)
 		}
-		// Lockstep: the reference lane steps first (scalar path — it owns the
-		// shared factorization), then each follower in index order with the
-		// reference as donor.
-		for i := -1; i < K; i++ {
-			// i = −1 visits the reference lane; then every other lane by index.
-			j, ref := i, b.lanes[refIdx]
-			if i < 0 {
-				j, ref = refIdx, nil
-			} else if i == refIdx {
-				continue
-			}
+		// Lockstep: every live lane takes the step, in index order.
+		for j, e := range b.lanes {
 			if dead[j] {
 				continue
 			}
 			b.lane(j)
-			err := b.lanes[j].step(t0, t1, ref)
+			err := e.step(t0, t1)
 			stepsRun++
 			if err != nil {
 				// Peel-off: this lane is done, the block continues.
@@ -253,14 +225,6 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 		}
 		if alive == 0 {
 			break
-		}
-		if dead[refIdx] {
-			for j := range dead {
-				if !dead[j] {
-					refIdx = j
-					break
-				}
-			}
 		}
 	}
 	if !forked && alive > 0 {
@@ -278,7 +242,6 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 		}
 		st.Add(e.stats)
 		st.Factorizations += e.lu.Factorizations + e.lu.Refactorizations - luF0[j]
-		st.DeviceBypasses += e.ev.Bypasses - byp0[j]
 	}
 	st.Steps = stepsRun
 	st.BlockSharedSteps = sharedSteps

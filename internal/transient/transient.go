@@ -54,33 +54,7 @@ type Options struct {
 	// Probes lists unknowns whose waveforms are recorded at every grid
 	// point.
 	Probes []circuit.UnknownID
-	// Fast enables the chord/bypass fast path of DESIGN §10. Chord
-	// (modified-Newton) iterations back-substitute the exact residual against
-	// the standing LU factorization, skipping assembly and refactorization,
-	// while the update keeps contracting; a stalled or diverging one falls
-	// back to a full iteration on the same residual. A Skews step whose
-	// iterate barely drifted reuses that factorization for its sensitivity
-	// solves. Devices whose terminals moved less than circuit.BypassVTol
-	// replay cached stamps on a step's first Newton iteration. The gates are
-	// the package constants below. The zero value is the paper's exact path.
-	Fast bool
 }
-
-// Fast-path gates (DESIGN §10, Options.Fast).
-const (
-	// chordContraction is the contraction-rate threshold θ: a chord update
-	// with ‖dx_k‖ > θ·‖dx_{k−1}‖ counts as a stall and forces the next
-	// iteration to rebuild the Jacobian.
-	chordContraction = 0.5
-	// chordMaxAge bounds how many back-substitutions one factorization may
-	// serve before a rebuild is forced regardless of contraction.
-	chordMaxAge = 20
-	// sensReuseTol is the total-iterate drift (volts) under which a Skews
-	// step reuses the standing factorization for its sensitivity solves
-	// instead of building the converged-state one; reuses are counted in
-	// Stats.JacobianReuses.
-	sensReuseTol = 1e-6
-)
 
 // Validate rejects option values the defaulting pass cannot repair:
 // non-finite tolerances and a negative iteration bound. The zero value is
@@ -134,27 +108,24 @@ type Stats struct {
 	// the mechanism behind the paper's "essentially free gradient" (one
 	// factorization serves both Newton and the mₛ/m_h solves, DESIGN §5).
 	SensFactorizationsReused int
-	// ChordIters counts Newton iterations served by a chord back-substitution
-	// (no Combine, no refactorization); always ≤ NewtonIters.
-	ChordIters int
-	// JacobianReuses counts Skews steps whose sensitivity solves reused the
-	// standing Newton factorization in place of a fresh converged-state one
-	// (Options.Fast).
-	JacobianReuses int
-	// DeviceBypasses counts device evaluations replayed from cached stamps
-	// by the latency bypass (Options.Fast).
-	DeviceBypasses int
 
 	// Block-transient accounting (BlockEngine; zero for scalar runs).
 	// BlockSharedSteps counts lane-steps served by the shared exact prefix —
-	// steps the follower lanes never had to integrate because every lane's
+	// steps lanes 1…K−1 never had to integrate because every lane's
 	// stimulus is bit-identical before the skews diverge. BlockPeelOffs
 	// counts lanes that dropped out of a block on a Newton failure (they are
-	// retried on the scalar path by the caller). BlockDonorReplays counts
-	// device evaluations served by replaying the reference lane's stamp tape
-	// into a follower (circuit.Eval.AtWithDonor).
-	BlockSharedSteps  int
-	BlockPeelOffs     int
+	// retried on the scalar path by the caller).
+	BlockSharedSteps int
+	BlockPeelOffs    int
+
+	// Deprecated: the chord iterations this counted are gone (DESIGN §10);
+	// it is always zero.
+	ChordIters int
+	// Deprecated: the device-eval bypass this counted is gone (DESIGN §10);
+	// it is always zero.
+	DeviceBypasses int
+	// Deprecated: the cross-lane stamp replay this counted is gone (DESIGN
+	// §13); it is always zero.
 	BlockDonorReplays int
 
 	// Wall-clock attribution. Wall is always measured; LU (factorize +
@@ -174,12 +145,8 @@ func (s *Stats) Add(other Stats) {
 	s.Factorizations += other.Factorizations
 	s.SensSolves += other.SensSolves
 	s.SensFactorizationsReused += other.SensFactorizationsReused
-	s.ChordIters += other.ChordIters
-	s.JacobianReuses += other.JacobianReuses
-	s.DeviceBypasses += other.DeviceBypasses
 	s.BlockSharedSteps += other.BlockSharedSteps
 	s.BlockPeelOffs += other.BlockPeelOffs
-	s.BlockDonorReplays += other.BlockDonorReplays
 	s.Wall += other.Wall
 	s.LU += other.LU
 	s.DeviceEval += other.DeviceEval
@@ -224,20 +191,10 @@ type Engine struct {
 
 	stats Stats
 
-	// Chord-policy state. chordReady gates chord solves (set after every
-	// fresh factorization, cleared on stall and at run start), chordAlpha is
-	// the α the standing factorization was assembled with, and drift
-	// accumulates the ‖dx‖∞ applied since the factorization was built — the
-	// staleness measure for the sensitivity-factorization reuse.
-	chordReady bool
-	chordAlpha float64
-	drift      float64
-
 	// Per-run observability state (set by RunObs, cleared by default Run).
 	timed      bool     // collect fine-grained wall-clock attribution
 	hist       bool     // accumulate the per-step Newton histogram
 	newtonHist obs.Hist // local accumulator, merged once per run
-	chordHist  obs.Hist // chord iterations per step (steps that used any)
 	prof       profLabels
 }
 
@@ -288,9 +245,6 @@ func newEngine(c *circuit.Circuit, opts Options, proto *Engine) *Engine {
 		e.j, e.mapC, e.mapG = sparse.UnionPattern(ev.C, ev.G)
 	}
 	e.cPrev = ev.C.Clone()
-	if o.Fast {
-		ev.EnableBypass()
-	}
 	e.qdotPrev = make([]float64, n)
 	e.msdotPrev = make([]float64, n)
 	e.mhdot = make([]float64, n)
@@ -353,7 +307,6 @@ func attach(run *obs.Run, lanes ...*Engine) bool {
 		e.timed, e.hist = on, on
 		if on {
 			e.newtonHist.Reset()
-			e.chordHist.Reset()
 		}
 		e.prof.active = labels
 		if labels {
@@ -392,13 +345,9 @@ func publish(sp *obs.Run, luF0, luR0 int, st *Stats, lanes ...*Engine) {
 		sp.Count(obs.CtrNewtonIters, int64(st.NewtonIters))
 		sp.Count(obs.CtrSensSolves, int64(st.SensSolves))
 		sp.Count(obs.CtrSensFactReused, int64(st.SensFactorizationsReused))
-		sp.Count(obs.CtrChordIters, int64(st.ChordIters))
-		sp.Count(obs.CtrJacobianReuses, int64(st.JacobianReuses))
-		sp.Count(obs.CtrDeviceBypasses, int64(st.DeviceBypasses))
 	}
 	for _, e := range lanes {
 		sp.Merge(obs.HistNewtonIters, &e.newtonHist)
-		sp.Merge(obs.HistChordIters, &e.chordHist)
 	}
 }
 
@@ -429,7 +378,6 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 	e.initAt(x0, pts[0])
 	record(0)
 	luF0, luR0 := e.lu.Factorizations, e.lu.Refactorizations
-	byp0 := e.ev.Bypasses
 	done := ctx.Done()
 	for k := 1; k < len(pts); k++ {
 		if done != nil {
@@ -440,7 +388,7 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 			default:
 			}
 		}
-		if err := e.step(pts[k-1], pts[k], nil); err != nil {
+		if err := e.step(pts[k-1], pts[k]); err != nil {
 			return nil, fmt.Errorf("%w at t=%.6g s (step %d)", err, pts[k], k)
 		}
 		record(k)
@@ -453,7 +401,6 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 	res.Stats = e.stats
 	res.Stats.Steps = len(pts) - 1
 	res.Stats.Factorizations = (e.lu.Factorizations - luF0) + (e.lu.Refactorizations - luR0)
-	res.Stats.DeviceBypasses = e.ev.Bypasses - byp0
 	res.Stats.Wall = time.Since(wall0)
 	return res, nil
 }
@@ -462,14 +409,12 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 // cPrev and (for TRAP) the charge derivative qdot0 = −(f + src); the
 // sensitivities start at zero because x0 is fixed independent of the skews
 // (paper step 1c), with the TRAP derivative memory at −∂src/∂τ(t0), which
-// vanishes while the data line is quiescent. The standing factorization (if
-// any) predates this state, so the chord gate is reset: the first iteration
-// factorizes fresh. Both the scalar run and the block lanes initialize
-// through here.
+// vanishes while the data line is quiescent. Both the scalar run and the
+// block lanes initialize through here.
 func (e *Engine) initAt(x0 []float64, t0 float64) {
 	n := e.c.N()
 	copy(e.x, x0)
-	e.evalAt(t0, nil)
+	e.evalAt(t0)
 	copy(e.qPrev, e.ev.Q)
 	if e.opts.Skews {
 		// cPrev only feeds the sensitivity recursions (eqs. (11)–(14)).
@@ -492,15 +437,12 @@ func (e *Engine) initAt(x0 []float64, t0 float64) {
 			e.mhdot[i] = -e.zhVec[i]
 		}
 	}
-	e.chordReady = false
-	e.drift = 0
 }
 
 // forkFrom copies src's integrator state into e: the state, the charge and
 // capacitance history, the sensitivities and their TRAP derivative memory.
-// Block followers fork from the reference lane where the shared prefix
-// ends, while every lane is still bit-identical, so the copy is exact. Like
-// initAt, it resets the chord gate.
+// Block lanes 1…K−1 fork from lane 0 where the shared prefix ends, while
+// every lane is still bit-identical, so the copy is exact.
 func (e *Engine) forkFrom(src *Engine) {
 	copy(e.x, src.x)
 	copy(e.qPrev, src.qPrev)
@@ -516,24 +458,16 @@ func (e *Engine) forkFrom(src *Engine) {
 		copy(e.msdotPrev, src.msdotPrev)
 		copy(e.mhdot, src.mhdot)
 	}
-	e.chordReady = false
-	e.drift = 0
 }
 
 // evalAt assembles the devices at e.x and time t, with optional wall-clock
-// attribution. A non-nil donor — a block's reference lane — offers its stamp
-// tapes to e's bypassable devices (circuit.Eval.AtWithDonor); those replays
-// count in Stats.BlockDonorReplays.
-func (e *Engine) evalAt(t float64, donor *Engine) {
+// attribution.
+func (e *Engine) evalAt(t float64) {
 	var t0 time.Time
 	if e.timed {
 		t0 = time.Now()
 	}
-	if donor != nil {
-		e.stats.BlockDonorReplays += e.ev.AtWithDonor(e.x, t, donor.ev)
-	} else {
-		e.ev.At(e.x, t)
-	}
+	e.ev.At(e.x, t)
 	if e.timed {
 		e.stats.DeviceEval += time.Since(t0)
 	}
@@ -555,21 +489,19 @@ func (e *Engine) factorize() error {
 	return err
 }
 
-// solveOnly back-substitutes the residual against lu — e's own
-// factorization or a block reference lane's — for the Newton update, with
-// the same attribution as factorize. A chord iteration is a solveOnly with
-// no assembly and no factorize before it.
-func (e *Engine) solveOnly(lu *sparse.Reusable) {
+// solveOnly back-substitutes the residual against e's factorization for
+// the Newton update, with the same attribution as factorize.
+func (e *Engine) solveOnly() {
 	if e.prof.active {
 		pprof.SetGoroutineLabels(e.prof.lu)
 		defer pprof.SetGoroutineLabels(e.prof.transient)
 	}
 	if !e.timed {
-		lu.Solve(e.r, e.dx)
+		e.lu.Solve(e.r, e.dx)
 		return
 	}
 	t0 := time.Now()
-	lu.Solve(e.r, e.dx)
+	e.lu.Solve(e.r, e.dx)
 	e.stats.LU += time.Since(t0)
 }
 
@@ -580,57 +512,12 @@ func (e *Engine) zeroZ() {
 	}
 }
 
-// sameAlpha reports whether the standing factorization's α matches the
-// step's. Grid spacings of one phase can differ in the last ulp, so the
-// comparison is relative rather than exact.
-func sameAlpha(alpha, ref float64) bool {
-	return math.Abs(alpha-ref) <= 1e-9*math.Abs(alpha)
-}
-
-// updateNorm returns ‖dx‖∞ and whether every component is finite.
-func updateNorm(dx []float64, n int) (float64, bool) {
-	nrm := 0.0
-	for i := 0; i < n; i++ {
-		v := math.Abs(dx[i])
-		if !num.IsFinite(v) {
-			return nrm, false
-		}
-		if v > nrm {
-			nrm = v
-		}
-	}
-	return nrm, true
-}
-
-// laneClose reports ‖a−b‖∞ ≤ tol.
-func laneClose(a, b []float64, tol float64) bool {
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // step advances the state from t0 to t1, updating x, qPrev, cPrev and the
-// sensitivities in place: one Newton solve of the discretized equations,
-// then the sensitivity solves against a factorization at the converged
-// state (DESIGN §5). A nil ref is the scalar engine or a block's reference
-// lane. A non-nil ref makes e a block follower with ref as its donor lane;
-// under Options.Fast that layers three extras in front of the scalar
-// policy:
-//
-//   - the first Newton iteration assembles via AtWithDonor, so devices whose
-//     terminal voltages match ref's tape snapshot replay ref's stamps;
-//   - chord iterations try ref's standing factorization before e's own,
-//     under the same α/age/contraction gates;
-//   - the sensitivity solves reuse ref's factorization when e rode it to
-//     convergence and stayed within sensReuseTol of ref's state.
-//
-// Residuals stay exact, so every lane converges to its own solution within
-// the same tolerances as full Newton; on a non-contracting update a
-// follower falls back to its own chord and then to full Newton.
-func (e *Engine) step(t0, t1 float64, ref *Engine) error {
+// sensitivities in place: one full Newton solve of the discretized
+// equations, then the sensitivity solves against a factorization at the
+// converged state (DESIGN §5). The scalar engine and every block lane step
+// through here.
+func (e *Engine) step(t0, t1 float64) error {
 	n := e.c.N()
 	dt := t1 - t0
 	var alpha float64 // J = alpha·C + G
@@ -640,30 +527,10 @@ func (e *Engine) step(t0, t1 float64, ref *Engine) error {
 		alpha = 1 / dt
 	}
 	numNodes := e.c.NumNodes()
-	fast := e.opts.Fast
 	converged := false
 	iters := 0
-	chordIters := 0
-	prevNorm := math.Inf(1) // ‖dx‖∞ of the previous iteration of this step
-	// sharedOK gates chord solves against ref's standing factorization;
-	// usedShared remembers whether the most recent linear solve went through
-	// it (the sensitivity reuse must know which factorization the drift is
-	// measured against).
-	sharedOK := fast && ref != nil && ref.chordReady && sameAlpha(alpha, ref.chordAlpha)
-	usedShared := false
 	for iter := 0; iter < e.opts.MaxNewtonIter; iter++ {
-		var donor *Engine
-		if fast {
-			// Replay only on the first iteration; later iterations evaluate
-			// exactly so the residual can keep shrinking (bypass livelock).
-			e.ev.HoldBypass(iter > 0)
-			if iter == 0 {
-				donor = ref
-			}
-		}
-		e.evalAt(t1, donor)
-		// Residual — always exact, also under chord iterations, so the fast
-		// path converges to the same solution as full Newton.
+		e.evalAt(t1)
 		switch e.opts.Method {
 		case TRAP:
 			for i := 0; i < n; i++ {
@@ -674,66 +541,20 @@ func (e *Engine) step(t0, t1 float64, ref *Engine) error {
 				e.r[i] = alpha*(e.ev.Q[i]-e.qPrev[i]) + e.ev.F[i] + e.ev.Src[i]
 			}
 		}
-		// Chord path: back-substitute against a standing factorization and
-		// keep the update only while it still contracts. A non-finite or
-		// growing update is discarded and the same residual is redone against
-		// the next candidate, finally as a full Newton iteration — the
-		// transparent fallback.
-		full := true
-		if sharedOK && ref.lu.Age < chordMaxAge {
-			e.solveOnly(&ref.lu)
-			nrm, finite := updateNorm(e.dx, n)
-			if finite && nrm <= prevNorm {
-				full = false
-				usedShared = true
-				if nrm > chordContraction*prevNorm {
-					// Stalling against ref's Jacobian: this lane has drifted
-					// too far from ref; stop offering it.
-					sharedOK = false
-				}
-			} else {
-				sharedOK = false
-			}
+		sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
+		if err := e.factorize(); err != nil {
+			return fmt.Errorf("transient: Jacobian factorization failed: %w", err)
 		}
-		if full && fast && e.chordReady && e.lu.Age < chordMaxAge && sameAlpha(alpha, e.chordAlpha) {
-			e.solveOnly(&e.lu)
-			nrm, finite := updateNorm(e.dx, n)
-			if finite && nrm <= prevNorm {
-				full = false
-				usedShared = false
-				if nrm > chordContraction*prevNorm {
-					// Stalling: keep this update but rebuild next iteration.
-					e.chordReady = false
-				}
-			}
-		}
-		if full {
-			sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-			if err := e.factorize(); err != nil {
-				return fmt.Errorf("transient: Jacobian factorization failed: %w", err)
-			}
-			e.solveOnly(&e.lu)
-			e.chordReady = fast
-			e.chordAlpha = alpha
-			e.drift = 0
-			usedShared = false
-		} else {
-			e.stats.ChordIters++
-			chordIters++
-		}
+		e.solveOnly()
 		e.stats.NewtonIters++
 		iters++
 		conv := true
-		nrm := 0.0
 		for i := 0; i < n; i++ {
 			if !num.IsFinite(e.dx[i]) {
 				return ErrNewtonFailure
 			}
 			e.x[i] -= e.dx[i]
 			ad := math.Abs(e.dx[i])
-			if ad > nrm {
-				nrm = ad
-			}
 			atol := e.opts.VTol
 			if i >= numNodes {
 				atol = e.opts.ITol
@@ -742,8 +563,6 @@ func (e *Engine) step(t0, t1 float64, ref *Engine) error {
 				conv = false
 			}
 		}
-		prevNorm = nrm
-		e.drift += nrm
 		if conv {
 			converged = true
 			break
@@ -754,42 +573,15 @@ func (e *Engine) step(t0, t1 float64, ref *Engine) error {
 	}
 	if e.hist {
 		e.newtonHist.Observe(iters, 1)
-		if chordIters > 0 {
-			e.chordHist.Observe(chordIters, 1)
-		}
 	}
 
 	if e.opts.Skews {
-		// Pick the factorization the sensitivity solves back-substitute
-		// against. Under the fast path, ref's serves when this lane rode it
-		// to convergence and stayed within sensReuseTol of ref's state, and
-		// the lane's own serves when the iterate drifted less than
-		// sensReuseTol since it was built — either reuse perturbs the
-		// sensitivities by O(drift) only. Otherwise build the factorization
+		// The sensitivity solves back-substitute against the factorization
 		// of α·C + G at the converged state.
-		lu := &e.lu
-		reuse := false
-		if fast {
-			if usedShared {
-				reuse = ref.chordReady && sameAlpha(alpha, ref.chordAlpha) &&
-					ref.drift <= sensReuseTol && laneClose(e.x, ref.x, sensReuseTol)
-				lu = &ref.lu
-			} else {
-				reuse = e.drift <= sensReuseTol && sameAlpha(alpha, e.chordAlpha)
-			}
-		}
-		if reuse {
-			e.stats.JacobianReuses++
-		} else {
-			e.evalAt(t1, nil)
-			sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-			if err := e.factorize(); err != nil {
-				return fmt.Errorf("transient: converged-state factorization failed: %w", err)
-			}
-			e.chordReady = fast
-			e.chordAlpha = alpha
-			e.drift = 0
-			lu = &e.lu
+		e.evalAt(t1)
+		sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
+		if err := e.factorize(); err != nil {
+			return fmt.Errorf("transient: converged-state factorization failed: %w", err)
 		}
 
 		e.zeroZ()
@@ -800,9 +592,9 @@ func (e *Engine) step(t0, t1 float64, ref *Engine) error {
 		}
 		switch e.opts.Method {
 		case TRAP:
-			e.sensTrap(alpha, lu)
+			e.sensTrap(alpha)
 		default:
-			e.sensBE(alpha, lu)
+			e.sensBE(alpha)
 		}
 		if e.timed {
 			e.stats.Sens += time.Since(tSens)
@@ -830,40 +622,39 @@ func (e *Engine) step(t0, t1 float64, ref *Engine) error {
 
 // sensBE advances the BE-discretized sensitivities (paper eq. (11)/(13)):
 // (C/Δt + G)·m = (C_prev/Δt)·m_prev − ∂src/∂τ. The solves back-substitute
-// against lu — the engine's own converged-state factorization on the scalar
-// path, possibly a shared block factorization on the block path.
-func (e *Engine) sensBE(alpha float64, lu *sparse.Reusable) {
+// against the engine's converged-state factorization.
+func (e *Engine) sensBE(alpha float64) {
 	n := e.c.N()
 	for i := 0; i < n; i++ {
 		e.rhsS[i] = -e.zsVec[i]
 	}
 	e.cPrev.MulVecAdd(alpha, e.ms, e.rhsS)
-	lu.Solve(e.rhsS, e.ms)
+	e.lu.Solve(e.rhsS, e.ms)
 
 	for i := 0; i < n; i++ {
 		e.rhsS[i] = -e.zhVec[i]
 	}
 	e.cPrev.MulVecAdd(alpha, e.mh, e.rhsS)
-	lu.Solve(e.rhsS, e.mh)
+	e.lu.Solve(e.rhsS, e.mh)
 	e.stats.SensSolves += 2
 }
 
 // sensTrap advances the TRAP-discretized sensitivities:
 // (2C/Δt + G)·m = (2C_prev/Δt)·m_prev + mdot_prev − ∂src/∂τ, with the
 // derivative memory mdot = d(q̇)/dτ propagated like q̇ itself.
-func (e *Engine) sensTrap(alpha float64, lu *sparse.Reusable) {
-	e.sensTrapOne(alpha, lu, e.ms, e.msdotPrev, e.zsVec)
-	e.sensTrapOne(alpha, lu, e.mh, e.mhdot, e.zhVec)
+func (e *Engine) sensTrap(alpha float64) {
+	e.sensTrapOne(alpha, e.ms, e.msdotPrev, e.zsVec)
+	e.sensTrapOne(alpha, e.mh, e.mhdot, e.zhVec)
 	e.stats.SensSolves += 2
 }
 
-func (e *Engine) sensTrapOne(alpha float64, lu *sparse.Reusable, m, mdot, z []float64) {
+func (e *Engine) sensTrapOne(alpha float64, m, mdot, z []float64) {
 	n := e.c.N()
 	e.cPrev.MulVec(m, e.scrA) // C_prev·m_prev
 	for i := 0; i < n; i++ {
 		e.rhsS[i] = alpha*e.scrA[i] + mdot[i] - z[i]
 	}
-	lu.Solve(e.rhsS, m)
+	e.lu.Solve(e.rhsS, m)
 	e.ev.C.MulVec(m, e.scrB) // C_new·m_new
 	for i := 0; i < n; i++ {
 		mdot[i] = alpha*(e.scrB[i]-e.scrA[i]) - mdot[i]

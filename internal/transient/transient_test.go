@@ -415,3 +415,79 @@ func TestNewtonFailureReported(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 }
+
+// buildClockedInverter builds a nonlinear CMOS inverter with a clock-driven
+// input, so successive steps alternate between quiescent stretches and
+// sharp transitions.
+func buildClockedInverter(t *testing.T) (*circuit.Circuit, []float64) {
+	t.Helper()
+	ckt := circuit.New()
+	vddN := ckt.Node("vdd")
+	in := ckt.Node("in")
+	out := ckt.Node("out")
+	addV := func(name string, p circuit.UnknownID, w wave.Waveform, role device.SourceRole) {
+		v, err := device.NewVSource(name, p, circuit.Ground, w, role)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckt.AddDevice(v)
+	}
+	clk := wave.Clock{Low: 0, High: 2.5, Period: 4e-9, Delay: 1e-9, Rise: 0.1e-9, Fall: 0.1e-9, Shape: wave.RampSmooth}
+	addV("vdd", vddN, wave.DC(2.5), device.RoleSupply)
+	addV("vin", in, clk, device.RoleClock)
+	nm := device.MOSModel{Type: device.NMOS, VT0: 0.43, KP: 115e-6, Lambda: 0.06, Cox: 6e-3, CJ: 1e-9}
+	pm := device.MOSModel{Type: device.PMOS, VT0: 0.40, KP: 30e-6, Lambda: 0.10, Cox: 6e-3, CJ: 1e-9}
+	mp, err := device.NewMOSFET("mp", out, in, vddN, vddN, pm, 8e-6, 0.25e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckt.AddDevice(mp)
+	mn, err := device.NewMOSFET("mn", out, in, circuit.Ground, circuit.Ground, nm, 4e-6, 0.25e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckt.AddDevice(mn)
+	cl, err := device.NewCapacitor("cl", out, circuit.Ground, 20e-15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckt.AddDevice(cl)
+	if err := ckt.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	x0, _, err := solver.DCOperatingPoint(ckt, 0, nil, solver.DCOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ckt, x0
+}
+
+// TestPlainStepElidesConvergedFactorization pins the satellite bugfix: with
+// Skews off the per-step converged-state eval + factorization is gone, so a
+// plain run factorizes exactly once per Newton iteration — a drop of one
+// factorization per step versus the old unconditional behavior. A Skews run
+// keeps the converged-state factorization.
+func TestPlainStepElidesConvergedFactorization(t *testing.T) {
+	ckt, x0 := buildClockedInverter(t)
+	g, err := UniformGrid(0, 4e-9, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := NewEngine(ckt, Options{}).Run(x0, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Factorizations != res.Stats.NewtonIters {
+		t.Errorf("plain run: %d factorizations, want exactly NewtonIters = %d (converged-state factorization not elided)",
+			res.Stats.Factorizations, res.Stats.NewtonIters)
+	}
+
+	resS, err := NewEngine(ckt, Options{Skews: true}).Run(x0, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := resS.Stats.NewtonIters + resS.Stats.Steps; resS.Stats.Factorizations != want {
+		t.Errorf("skews run: %d factorizations, want NewtonIters+Steps = %d", resS.Stats.Factorizations, want)
+	}
+}

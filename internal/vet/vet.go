@@ -237,7 +237,6 @@ func DefaultRegistry() *Registry {
 	r.Register(analyzerValueSanity)
 	r.Register(analyzerMPNRConfig)
 	r.Register(analyzerSimWindow)
-	r.Register(analyzerChordConfig)
 	r.Register(analyzerSupplyRail)
 	return r
 }

@@ -248,20 +248,6 @@ func TestSimWindow(t *testing.T) {
 	wantClean(t, runCheck(t, inst, "sim-window", vet.Spec{}))
 }
 
-func TestChordConfig(t *testing.T) {
-	inst := buildInstance(t, baseDeck)
-	// Fast path with no Newton iteration headroom for the fallback.
-	rep := runCheck(t, inst, "chord-config", vet.Spec{
-		Eval: stf.Config{Fast: true, MaxNewtonIter: 4},
-	})
-	wantDiag(t, rep, vet.Warning, "maxnewtoniter")
-
-	// The fast path with defaults is clean; so is a tight budget on the
-	// exact path, which takes no chord iterations.
-	wantClean(t, runCheck(t, inst, "chord-config", vet.Spec{Eval: stf.Config{Fast: true}}))
-	wantClean(t, runCheck(t, inst, "chord-config", vet.Spec{Eval: stf.Config{MaxNewtonIter: 4}}))
-}
-
 func TestSupplyRail(t *testing.T) {
 	// Clock swinging above the 2.5 V rail.
 	hot := strings.Replace(baseDeck, "CLOCK(0 2.5", "CLOCK(0 5", 1)
@@ -312,7 +298,6 @@ func TestDefaultRegistrySize(t *testing.T) {
 		"floating-node", "no-ground-path", "single-terminal",
 		"clock-window", "event-order", "output-node",
 		"value-sanity", "mpnr-config", "sim-window", "supply-rail",
-		"chord-config",
 	} {
 		if !names[required] {
 			t.Errorf("missing analyzer %q", required)

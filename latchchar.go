@@ -509,12 +509,11 @@ func CompareContours(en *Contour, ref []Polyline) (max, mean float64, err error)
 	return surface.Deviation(en.SetupHoldPairs(), ref)
 }
 
-// DefaultFastPath returns the fast-path evaluator configuration,
-// EvalConfig{Fast: true}: chord-Newton iteration with Jacobian reuse plus
-// latency-aware device bypass (DESIGN §10). The -fast CLI flags and the HTTP
-// "fast_path" field set the same switch. Callers tune other fields on the
-// returned config as usual.
-func DefaultFastPath() EvalConfig { return EvalConfig{Fast: true} }
+// DefaultFastPath returns EvalConfig{}.
+//
+// Deprecated: the chord/bypass fast path is gone (DESIGN §10); every
+// evaluator takes the paper's exact Newton step. Use EvalConfig{}.
+func DefaultFastPath() EvalConfig { return EvalConfig{} }
 
 // NewEvaluator builds a state-transition evaluator for a fresh instance of
 // the cell.

@@ -77,7 +77,6 @@ func TestOptionsValidateTable(t *testing.T) {
 		{"infinite mpnr maxstep", Options{MPNR: MPNROptions{MaxStep: math.Inf(1)}}, "MPNR.MaxStep"},
 		{"negative mpnr maxstep ok", Options{MPNR: MPNROptions{MaxStep: -1}}, ""}, // disables clamping
 		{"negative newton iters", Options{Eval: EvalConfig{MaxNewtonIter: -1}}, "Eval.MaxNewtonIter"},
-		{"fast path ok", Options{Eval: EvalConfig{Fast: true}}, ""},
 	}
 	for _, c := range cases {
 		err := c.opts.Validate()

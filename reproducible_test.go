@@ -14,7 +14,7 @@ import (
 const reproHelperEnv = "LATCHCHAR_REPRO_HELPER"
 
 // TestContoursBitReproducibleAcrossProcesses characterizes tspc and c2mos on
-// the block fast path in two fresh processes and requires bitwise-equal
+// the block path in two fresh processes and requires bitwise-equal
 // contour points. Within one process two engines could agree by accident —
 // a Go map, for one, iterates in a per-process random order — so only
 // separate processes show that every loop on the path walks a fixed order.
@@ -58,7 +58,7 @@ func TestContoursBitReproducibleAcrossProcesses(t *testing.T) {
 
 // TestHelperReproContours is the child process of
 // TestContoursBitReproducibleAcrossProcesses: it prints the bits of every
-// contour point of tspc and c2mos (block fast path, 40 points both ways).
+// contour point of tspc and c2mos (block path, 40 points both ways).
 func TestHelperReproContours(t *testing.T) {
 	if os.Getenv(reproHelperEnv) == "" {
 		t.Skip("helper process of TestContoursBitReproducibleAcrossProcesses")
@@ -72,7 +72,6 @@ func TestHelperReproContours(t *testing.T) {
 			Points:         40,
 			BothDirections: true,
 			Block:          8,
-			Eval:           DefaultFastPath(),
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

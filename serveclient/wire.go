@@ -71,7 +71,9 @@ type OptionsRequest struct {
 	MaxSetupSkewPS float64 `json:"max_setup_skew_ps,omitempty"`
 	// Method selects the integration scheme: "be" (default) or "trap".
 	Method string `json:"method,omitempty"`
-	// FastPath enables the chord/bypass Newton fast path (DESIGN §10).
+	// FastPath is accepted and ignored: the chord/bypass fast path it
+	// selected is gone (DESIGN §10), so every request takes the exact Newton
+	// step. It does not take part in the coalescing key.
 	FastPath bool `json:"fast_path,omitempty"`
 	// Block is the tracer's predictor lookahead width: a value > 1 corrects
 	// a bundle of Block predicted points as one lockstep block-transient
@@ -214,17 +216,25 @@ type CalibrationJSON struct {
 
 // StatsJSON renders the integrator-level work aggregate.
 type StatsJSON struct {
-	Steps             int     `json:"steps"`
-	NewtonIters       int     `json:"newton_iters"`
-	Factorizations    int     `json:"factorizations"`
-	SensSolves        int     `json:"sens_solves"`
-	ChordIters        int     `json:"chord_iters,omitempty"`
-	JacobianReuses    int     `json:"jacobian_reuses,omitempty"`
-	DeviceBypasses    int     `json:"device_bypasses,omitempty"`
-	BlockSharedSteps  int     `json:"block_shared_steps,omitempty"`
-	BlockPeelOffs     int     `json:"block_peel_offs,omitempty"`
-	BlockDonorReplays int     `json:"block_donor_replays,omitempty"`
-	WallMS            float64 `json:"wall_ms"`
+	Steps            int     `json:"steps"`
+	NewtonIters      int     `json:"newton_iters"`
+	Factorizations   int     `json:"factorizations"`
+	SensSolves       int     `json:"sens_solves"`
+	BlockSharedSteps int     `json:"block_shared_steps,omitempty"`
+	BlockPeelOffs    int     `json:"block_peel_offs,omitempty"`
+	WallMS           float64 `json:"wall_ms"`
+
+	// The v1 schema keeps the fast path's counters, but the chord/bypass
+	// fast path is gone (DESIGN §10) and no server sets them.
+
+	// Deprecated: never set.
+	ChordIters int `json:"chord_iters,omitempty"`
+	// Deprecated: never set.
+	JacobianReuses int `json:"jacobian_reuses,omitempty"`
+	// Deprecated: never set.
+	DeviceBypasses int `json:"device_bypasses,omitempty"`
+	// Deprecated: never set.
+	BlockDonorReplays int `json:"block_donor_replays,omitempty"`
 }
 
 // BatchItemJSON is one batch job's outcome.

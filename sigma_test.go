@@ -175,7 +175,6 @@ func TestMonteCarloContoursMatchesBruteForce(t *testing.T) {
 		Characterize: Options{
 			Points:         40, // the paper's contour resolution
 			BothDirections: true,
-			Eval:           DefaultFastPath(),
 		},
 	}
 	va, err := MonteCarloContours(mk, DefaultProcess(), opts)
