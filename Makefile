@@ -75,12 +75,20 @@ charvet:
 perfbenchcheck:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# tracesmoke runs a reduced-grid characterization with event tracing on and
-# validates the resulting JSONL stream with tracecheck (what CI does).
+# SMOKE_OUTDIR receives the tracesmoke and mcsmoke outputs: event traces,
+# contours and the captured -v summaries (CI points it at artifacts/ and
+# uploads them).
+SMOKE_OUTDIR ?= /tmp/latchchar-smoke
+
+# tracesmoke runs a reduced-grid characterization with event tracing on,
+# prints its -v summary and validates the JSONL stream with tracecheck.
 tracesmoke:
-	$(GO) run ./cmd/latchchar -cell tspc -points 6 -both=false \
-		-trace /tmp/latchchar-trace.jsonl -o /dev/null
-	$(GO) run ./cmd/tracecheck /tmp/latchchar-trace.jsonl
+	mkdir -p $(SMOKE_OUTDIR)
+	$(GO) run ./cmd/latchchar -cell tspc -points 6 -both=false -v \
+		-trace $(SMOKE_OUTDIR)/trace.jsonl -chrometrace $(SMOKE_OUTDIR)/trace.json \
+		-o $(SMOKE_OUTDIR)/contour.csv 2> $(SMOKE_OUTDIR)/summary.txt
+	cat $(SMOKE_OUTDIR)/summary.txt
+	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/trace.jsonl
 
 # batchsmoke exercises the batch engine end to end on a reduced grid: a
 # 4-corner warm-started sweep that must spend fewer seed transients than
@@ -153,12 +161,16 @@ benchsmoke:
 
 # mcsmoke runs a reduced variance-aware Monte-Carlo characterization through
 # the CLI — quasi-MC sampling, nominal-contour warm starts, sigma-band CSV —
-# with event tracing on, and validates the trace stream with tracecheck.
+# with event tracing on, prints its summary and validates the trace stream
+# with tracecheck.
 mcsmoke:
+	mkdir -p $(SMOKE_OUTDIR)
 	$(GO) run ./cmd/latchchar -cell tspc -points 8 -mc 3 \
 		-sampler lhs -seed 5 -probes 4 \
-		-trace /tmp/latchchar-mc-trace.jsonl -o /dev/null
-	$(GO) run ./cmd/tracecheck /tmp/latchchar-mc-trace.jsonl
+		-trace $(SMOKE_OUTDIR)/mc-trace.jsonl -o $(SMOKE_OUTDIR)/sigma.csv \
+		2> $(SMOKE_OUTDIR)/mc-summary.txt
+	cat $(SMOKE_OUTDIR)/mc-summary.txt
+	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/mc-trace.jsonl
 
 # fuzzsmoke runs each native fuzz target for 15 s: FuzzLU (sparse LU
 # factorization, refactorization and solve against the dense reference) and

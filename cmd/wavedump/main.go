@@ -1,7 +1,10 @@
 // Command wavedump simulates a register at one (setup, hold) skew pair and
-// writes every node-voltage waveform as CSV, using the adaptive-timestep
-// engine. It is the debugging companion to the characterization tools:
-// inspect exactly what the latch did around the active clock edge.
+// writes every node-voltage waveform as CSV. It runs the transient behind
+// h(τs, τh) — the characterization's start state, fixed τ-independent grid
+// and integrator — continued to the chosen end time, and prints each value
+// in shortest round-trip form. It is the debugging companion to the
+// characterization tools: inspect exactly what the latch did around the
+// active clock edge.
 //
 // Usage:
 //
@@ -17,8 +20,7 @@ import (
 
 	"latchchar/internal/circuit"
 	"latchchar/internal/cli"
-	"latchchar/internal/solver"
-	"latchchar/internal/transient"
+	"latchchar/internal/stf"
 )
 
 func main() {
@@ -36,7 +38,6 @@ func run(args []string) error {
 		setupPS  = fs.Float64("setup", 400, "setup skew (ps)")
 		holdPS   = fs.Float64("hold", 300, "hold skew (ps)")
 		postNS   = fs.Float64("post", 3, "how far past the active edge to simulate (ns)")
-		rtol     = fs.Float64("rtol", 1e-3, "adaptive LTE relative tolerance")
 		outPath  = fs.String("o", "-", "output path (- for stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -50,10 +51,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	inst.Data.SetSkews(*setupPS*1e-12, *holdPS*1e-12)
-	x0, _, err := solver.DCOperatingPoint(inst.Circuit, 0, nil, solver.DCOptions{})
+	ev, err := stf.NewEvaluator(inst, stf.Config{})
 	if err != nil {
-		return fmt.Errorf("DC operating point: %w", err)
+		return err
 	}
 
 	numNodes := inst.Circuit.NumNodes()
@@ -64,19 +64,17 @@ func run(args []string) error {
 		names[i] = inst.Circuit.NodeName(circuit.UnknownID(i))
 	}
 	tEnd := inst.Edge50 + *postNS*1e-9
-	// ^C stops the integration between step attempts; the partial waveform
-	// is discarded along with the error.
+	// ^C stops the integration between time steps; the partial waveform is
+	// discarded along with the error.
 	ctx, stop := cli.SignalContext()
 	defer stop()
-	res, err := transient.RunAdaptiveCtx(ctx, inst.Circuit, x0, 0, tEnd, transient.AdaptiveOptions{
-		RelTol: *rtol,
-		Probes: probes,
-	})
+	ev.SetContext(ctx)
+	res, err := ev.Waveforms(*setupPS*1e-12, *holdPS*1e-12, tEnd, probes...)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "cell %s at (τs, τh) = (%.0f, %.0f) ps: %d accepted steps, %d rejected, %d Newton iterations\n",
-		cell.Name, *setupPS, *holdPS, res.Stats.Steps, res.Rejected, res.Stats.NewtonIters)
+	fmt.Fprintf(os.Stderr, "cell %s at (τs, τh) = (%.0f, %.0f) ps: %d steps, %d Newton iterations\n",
+		cell.Name, *setupPS, *holdPS, res.Stats.Steps, res.Stats.NewtonIters)
 
 	w, closeFn, err := cli.OpenOutput(*outPath)
 	if err != nil {
@@ -92,7 +90,7 @@ func run(args []string) error {
 	for k, tt := range res.Times {
 		row[0] = strconv.FormatFloat(tt*1e9, 'f', 6, 64)
 		for i := 0; i < numNodes; i++ {
-			row[1+i] = strconv.FormatFloat(res.Probes[i][k], 'f', 6, 64)
+			row[1+i] = strconv.FormatFloat(res.Probes[i][k], 'g', -1, 64)
 		}
 		if err := cw.Write(row); err != nil {
 			return err

@@ -105,7 +105,7 @@ func (e *Engine) BruteForceDelay(ctx context.Context, cell *Cell, opts SurfaceOp
 	if err != nil {
 		return nil, fmt.Errorf("latchchar: delay surface: %w", err)
 	}
-	level := (1 + degradeOf(opts.Eval)) * cal.CharDelay
+	level := (1 + opts.Eval.WithDefaults().Degrade) * cal.CharDelay
 	return &DelaySurfaceResult{
 		Surface:     sf,
 		FailDelay:   failDelay,
@@ -114,13 +114,4 @@ func (e *Engine) BruteForceDelay(ctx context.Context, cell *Cell, opts SurfaceOp
 		Sims:        sf.NumSamples(),
 		Elapsed:     time.Since(start),
 	}, nil
-}
-
-// degradeOf returns the configured degradation fraction with the stf
-// default applied.
-func degradeOf(cfg EvalConfig) float64 {
-	if cfg.Degrade > 0 {
-		return cfg.Degrade
-	}
-	return 0.10
 }

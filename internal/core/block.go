@@ -26,25 +26,43 @@ func SolveMPNRBlock(p BlockProblem, tauS0, tauH0 []float64, opts MPNROptions) ([
 }
 
 // SolveMPNRBlockCtx runs the Moore-Penrose corrector on a bundle of starting
-// guesses as one lockstep block-transient computation — the batch sibling of
-// SolveMPNRCtx. Per-lane outcomes land in the result and error slices
+// guesses as one lockstep block-transient computation; SolveMPNRCtx is its
+// one-lane case. Per-lane outcomes land in the result and error slices
 // (errs[i] is nil iff lane i converged); the final error is reserved for
 // cancellation and invalid input.
 func SolveMPNRBlockCtx(ctx context.Context, p BlockProblem, tauS0, tauH0 []float64, opts MPNROptions) ([]MPNRResult, []error, error) {
 	if len(tauS0) != len(tauH0) {
 		return nil, nil, fmt.Errorf("core: SolveMPNRBlock needs matched seed slices, got %d and %d", len(tauS0), len(tauH0))
 	}
-	return solveMPNRBlockCtx(ctx, p, tauS0, tauH0, opts)
+	return solveMPNRBlockCtx(ctx, p, p.EvalGradBlock, tauS0, tauH0, opts)
+}
+
+// gradBlock evaluates h and its gradient on a block of lanes, with the
+// contract of BlockProblem.EvalGradBlock.
+type gradBlock func(tauS, tauH []float64) (h, dhdS, dhdH []float64, errs []error, err error)
+
+// oneLane evaluates a one-lane block with p.EvalGrad, so the scalar solvers
+// run the lockstep corrector at the price of scalar evaluations. An
+// evaluation error is returned as the whole-block error, which voids the
+// lane without counting the failed evaluation.
+func oneLane(p Problem) gradBlock {
+	var h, gs, gh [1]float64
+	return func(tauS, tauH []float64) ([]float64, []float64, []float64, []error, error) {
+		var err error
+		h[0], gs[0], gh[0], err = p.EvalGrad(tauS[0], tauH[0])
+		return h[:], gs[:], gh[:], nil, err
+	}
 }
 
 // solveMPNRBlockCtx runs the Moore-Penrose corrector on a bundle of starting
 // guesses in lockstep: each sweep evaluates all still-active lanes as one
-// block, applies the scalar MPNR update per lane, and drops lanes as they
-// converge or fail. Per-lane outcomes land in results/errsOut (errsOut[i] is
-// nil iff lane i converged); the returned error is reserved for
-// cancellation. The whole bundle runs inside one "corrector" span, observing
-// one iteration count per lane.
-func solveMPNRBlockCtx(ctx context.Context, p BlockProblem, tauS0, tauH0 []float64, opts MPNROptions) (results []MPNRResult, errsOut []error, err error) {
+// block through eval, applies the MPNR update per lane, and drops lanes as
+// they converge or fail. Per-lane outcomes land in results/errsOut
+// (errsOut[i] is nil iff lane i converged); the returned error is reserved
+// for cancellation. The whole bundle runs inside one "corrector" span,
+// observing one iteration count per lane, with p re-parented onto it and
+// attached to ctx.
+func solveMPNRBlockCtx(ctx context.Context, p Problem, eval gradBlock, tauS0, tauH0 []float64, opts MPNROptions) (results []MPNRResult, errsOut []error, err error) {
 	o := opts.withDefaults()
 	B := len(tauS0)
 	results = make([]MPNRResult, B)
@@ -78,7 +96,7 @@ func solveMPNRBlockCtx(ctx context.Context, p BlockProblem, tauS0, tauH0 []float
 			bs = append(bs, tauS[i])
 			bh = append(bh, tauH[i])
 		}
-		h, gs, gh, evalErrs, berr := p.EvalGradBlock(bs, bh)
+		h, gs, gh, evalErrs, berr := eval(bs, bh)
 		if berr != nil {
 			if canceled(berr) {
 				return results, errsOut, &CanceledError{Op: "mpnr", At: results[active[0]].Point, Err: berr}
@@ -111,6 +129,7 @@ func solveMPNRBlockCtx(ctx context.Context, p BlockProblem, tauS0, tauH0 []float
 				errsOut[i] = &ConvergenceError{Op: "mpnr", At: results[i].Point, Iterates: rings[i].slice(), Err: ErrDegenerateGradient}
 				continue
 			}
+			// Moore-Penrose step (paper eqs. (23)–(24)).
 			dS := hi * gsi / norm2
 			dH := hi * ghi / norm2
 			stepLen := math.Hypot(dS, dH)
@@ -123,6 +142,8 @@ func solveMPNRBlockCtx(ctx context.Context, p BlockProblem, tauS0, tauH0 []float
 			tauS[i] -= dS
 			tauH[i] -= dH
 			if stepLen <= o.TauTol {
+				// The iterate stopped moving; declare convergence at the new
+				// τ with the latest available residual information.
 				results[i].Point.TauS, results[i].Point.TauH = tauS[i], tauH[i]
 				results[i].Converged = true
 				continue
@@ -162,7 +183,7 @@ func bundleAdvance(ctx context.Context, p BlockProblem, seed, cur Point, ts, th,
 		predS[i] = cur.TauS + float64(i+1)*alpha*ts
 		predH[i] = cur.TauH + float64(i+1)*alpha*th
 	}
-	results, errs, err := solveMPNRBlockCtx(ctx, p, predS, predH, stepOpts)
+	results, errs, err := solveMPNRBlockCtx(ctx, p, p.EvalGradBlock, predS, predH, stepOpts)
 	for i := range results {
 		ct.GradEvals += results[i].GradEvals
 	}

@@ -584,54 +584,6 @@ func TestFindSeedExpandExhausted(t *testing.T) {
 	}
 }
 
-func TestTraceSecantPredictorStaysOnCircle(t *testing.T) {
-	c := &circle{r: 1}
-	ct, err := TraceContour(c, 1.1, 0.1, TraceOptions{
-		Step:      0.05,
-		MaxPoints: 40,
-		UseSecant: true,
-		MPNR:      MPNROptions{MaxStep: 10, HTol: 1e-9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ct.Points) < 20 {
-		t.Fatalf("too few points: %d", len(ct.Points))
-	}
-	for i, p := range ct.Points {
-		if r := math.Hypot(p.TauS, p.TauH); math.Abs(r-1) > 1e-6 {
-			t.Errorf("point %d radius %v", i, r)
-		}
-	}
-}
-
-func TestTraceSecantComparableEffort(t *testing.T) {
-	// On a smooth curve the secant predictor should cost about the same
-	// corrector effort as the tangent predictor.
-	run := func(secant bool) int {
-		c := &circle{r: 1}
-		ct, err := TraceContour(c, 1.05, 0.05, TraceOptions{
-			Step:      0.05,
-			MaxStep:   0.05,
-			MaxPoints: 30,
-			UseSecant: secant,
-			MPNR:      MPNROptions{MaxStep: 10, HTol: 1e-10},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ct.GradEvals
-	}
-	tangent, secant := run(false), run(true)
-	if float64(secant) > 1.5*float64(tangent) {
-		t.Errorf("secant predictor much worse: %d vs %d gradient evals", secant, tangent)
-	}
-}
-
-// TestMPNRQuadraticRate measures the convergence order on the circle:
-// for Newton, err_{k+1} ≈ C·err_k², so log-errors should (at least) double
-// their decay per iteration once in the basin. This is the structural
-// reason behind the paper's "2–3 iterations" observation.
 func TestMPNRQuadraticRate(t *testing.T) {
 	c := &circle{r: 1}
 	res, err := SolveMPNR(c, 1.05, 0.02, MPNROptions{Record: true, MaxStep: 10, HTol: 1e-14})

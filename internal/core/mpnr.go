@@ -75,67 +75,14 @@ func SolveMPNR(p Problem, tauS0, tauH0 float64, opts MPNROptions) (MPNRResult, e
 // SolveMPNRCtx is SolveMPNR with a cancellation context: ctx is checked
 // before every gradient evaluation and threaded into the problem's
 // transients (CtxAttachable), so a canceled deadline stops the solve within
-// one transient step. Interrupted solves return a *CanceledError.
+// one transient step. Interrupted solves return a *CanceledError. It is the
+// one-lane case of SolveMPNRBlockCtx, evaluated with p.EvalGrad.
 func SolveMPNRCtx(ctx context.Context, p Problem, tauS0, tauH0 float64, opts MPNROptions) (MPNRResult, error) {
-	o := opts.withDefaults()
-	res := MPNRResult{}
-	sp := o.Obs.StartSpan(obs.SpanCorrector)
-	detachObs := attachObs(p, sp, o.Obs)
-	detachCtx := attachCtx(ctx, p)
-	defer func() {
-		detachCtx()
-		detachObs()
-		sp.Observe(obs.HistCorrectorIters, res.Point.CorrectorIters)
-		sp.End()
-	}()
-	var ring iterRing
-	tauS, tauH := tauS0, tauH0
-	for iter := 1; iter <= o.MaxIter; iter++ {
-		if err := ctxErr(ctx, "mpnr", res.Point); err != nil {
-			return res, err
-		}
-		h, gs, gh, err := p.EvalGrad(tauS, tauH)
-		if err != nil {
-			if canceled(err) {
-				return res, &CanceledError{Op: "mpnr", At: res.Point, Err: err}
-			}
-			return res, &ConvergenceError{Op: "mpnr", At: res.Point, Iterates: ring.slice(), Err: err}
-		}
-		res.GradEvals++
-		if o.Record {
-			res.Trajectory = append(res.Trajectory, Point{TauS: tauS, TauH: tauH, H: h, DhdS: gs, DhdH: gh, CorrectorIters: iter - 1})
-		}
-		norm2 := gs*gs + gh*gh
-		res.Point = Point{TauS: tauS, TauH: tauH, H: h, DhdS: gs, DhdH: gh, CorrectorIters: iter}
-		ring.push(res.Point)
-		if math.Abs(h) <= o.HTol {
-			res.Converged = true
-			return res, nil
-		}
-		if norm2 == 0 || !num.IsFinite(norm2) {
-			return res, &ConvergenceError{Op: "mpnr", At: res.Point, Iterates: ring.slice(), Err: ErrDegenerateGradient}
-		}
-		// Moore-Penrose step (paper eqs. (23)–(24)).
-		dS := h * gs / norm2
-		dH := h * gh / norm2
-		stepLen := math.Hypot(dS, dH)
-		if o.MaxStep > 0 && stepLen > o.MaxStep {
-			scale := o.MaxStep / stepLen
-			dS *= scale
-			dH *= scale
-			stepLen = o.MaxStep
-		}
-		tauS -= dS
-		tauH -= dH
-		if stepLen <= o.TauTol {
-			// The iterate stopped moving; declare convergence at the new τ
-			// with the latest available residual information.
-			res.Point.TauS, res.Point.TauH = tauS, tauH
-			res.Converged = true
-			return res, nil
-		}
+	results, errs, err := solveMPNRBlockCtx(ctx, p, oneLane(p), []float64{tauS0}, []float64{tauH0}, opts)
+	if err == nil {
+		err = errs[0]
 	}
-	return res, &ConvergenceError{Op: "mpnr", At: res.Point, Iterates: ring.slice(), Err: ErrNoConvergence}
+	return results[0], err
 }
 
 // Tangent returns the unit tangent vector induced by the Jacobian

@@ -21,7 +21,7 @@ func ResampleContour(p Problem, c *Contour, n int, opts MPNROptions) (*Contour, 
 }
 
 // resampleSeeds interpolates a traced contour onto n arc-length-uniform
-// start points — the shared front half of the scalar and block resamplers.
+// start points.
 func resampleSeeds(c *Contour, n int) (seedS, seedH []float64, err error) {
 	if n < 2 {
 		return nil, nil, fmt.Errorf("core: ResampleContour needs n ≥ 2, got %d", n)
@@ -60,28 +60,10 @@ func resampleSeeds(c *Contour, n int) (seedS, seedH []float64, err error) {
 
 // ResampleContourCtx is ResampleContour with a cancellation context; an
 // interrupted resample returns the points polished so far together with a
-// *CanceledError.
+// *CanceledError. It is ResampleContourBlockCtx with chunks of one,
+// evaluated with p.EvalGrad.
 func ResampleContourCtx(ctx context.Context, p Problem, c *Contour, n int, opts MPNROptions) (*Contour, error) {
-	seedS, seedH, err := resampleSeeds(c, n)
-	if err != nil {
-		return nil, err
-	}
-	sp := opts.Obs.StartSpan(obs.SpanResample)
-	defer sp.End()
-	opts.Obs = sp // correctors nest under the resample span
-	out := &Contour{Closed: c.Closed}
-	for k := 0; k < n; k++ {
-		res, err := SolveMPNRCtx(ctx, p, seedS[k], seedH[k], opts)
-		out.GradEvals += res.GradEvals
-		if err != nil {
-			if canceled(err) {
-				return out, &CanceledError{Op: "resample", At: res.Point, Points: len(out.Points), Err: err}
-			}
-			return out, fmt.Errorf("core: resample point %d at (%.4g, %.4g): %w", k, seedS[k], seedH[k], err)
-		}
-		out.Points = append(out.Points, res.Point)
-	}
-	return out, nil
+	return resample(ctx, p, oneLane(p), c, n, 1, opts)
 }
 
 // ResampleContourBlock is ResampleContourBlockCtx with context.Background().
@@ -101,20 +83,26 @@ func ResampleContourBlockCtx(ctx context.Context, p BlockProblem, c *Contour, n,
 	if block < 2 {
 		return ResampleContourCtx(ctx, p, c, n, opts)
 	}
+	return resample(ctx, p, p.EvalGradBlock, c, n, block, opts)
+}
+
+// resample polishes the n interpolated seeds of c through the lockstep
+// corrector in chunks of up to block lanes evaluated by eval.
+func resample(ctx context.Context, p Problem, eval gradBlock, c *Contour, n, block int, opts MPNROptions) (*Contour, error) {
 	seedS, seedH, err := resampleSeeds(c, n)
 	if err != nil {
 		return nil, err
 	}
 	sp := opts.Obs.StartSpan(obs.SpanResample)
 	defer sp.End()
-	opts.Obs = sp
+	opts.Obs = sp // correctors nest under the resample span
 	out := &Contour{Closed: c.Closed}
 	for lo := 0; lo < n; lo += block {
 		hi := lo + block
 		if hi > n {
 			hi = n
 		}
-		results, errs, berr := solveMPNRBlockCtx(ctx, p, seedS[lo:hi], seedH[lo:hi], opts)
+		results, errs, berr := solveMPNRBlockCtx(ctx, p, eval, seedS[lo:hi], seedH[lo:hi], opts)
 		for i := range results {
 			out.GradEvals += results[i].GradEvals
 		}

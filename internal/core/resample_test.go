@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -88,5 +90,63 @@ func TestResampleValidation(t *testing.T) {
 	ct3 := &Contour{Points: []Point{{TauS: 1}, {TauS: 0.9, TauH: 0.1}}}
 	if _, err := ResampleContour(c, ct3, 1, MPNROptions{}); err == nil {
 		t.Error("n=1 accepted")
+	}
+}
+
+// TestResampleContourErrorChain pins how ResampleContour reports a failed
+// and a canceled polish: the wrapped error chain, the points kept and the
+// gradient evaluations spent.
+func TestResampleContourErrorChain(t *testing.T) {
+	ct := &Contour{Points: []Point{{TauS: 0, TauH: 1}, {TauS: 1, TauH: 0}}}
+	boom := errors.New("boom")
+	cases := []struct {
+		name      string
+		setup     func(cancel context.CancelCauseFunc) *scripted
+		points    int
+		gradEvals int
+		is        []error
+		msg       string
+	}{
+		{
+			name:      "evaluation fails",
+			setup:     func(context.CancelCauseFunc) *scripted { return &scripted{failAt: 2, err: boom} },
+			points:    1,
+			gradEvals: 1,
+			is:        []error{boom},
+			msg:       "core: resample point 1 at (0.5, 0.5): core: mpnr failed near (τs=0 s, τh=0 s): boom",
+		},
+		{
+			name: "canceled",
+			setup: func(cancel context.CancelCauseFunc) *scripted {
+				return &scripted{hook: func(call int) {
+					if call == 2 {
+						cancel(nil)
+					}
+				}}
+			},
+			points:    2,
+			gradEvals: 2,
+			is:        []error{ErrCanceled, context.Canceled},
+			msg:       "core: resample canceled near (τs=0 s, τh=0 s) after 2 contour points: core: mpnr canceled near (τs=0 s, τh=0 s): context canceled",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancelCause(context.Background())
+			defer cancel(nil)
+			out, err := ResampleContourCtx(ctx, tc.setup(cancel), ct, 3, MPNROptions{})
+			if err == nil || err.Error() != tc.msg {
+				t.Errorf("err = %v\nwant  %s", err, tc.msg)
+			}
+			for _, target := range tc.is {
+				if !errors.Is(err, target) {
+					t.Errorf("errors.Is(err, %v) = false", target)
+				}
+			}
+			if len(out.Points) != tc.points || out.GradEvals != tc.gradEvals {
+				t.Errorf("kept %d points after %d gradient evaluations, want %d after %d",
+					len(out.Points), out.GradEvals, tc.points, tc.gradEvals)
+			}
+		})
 	}
 }

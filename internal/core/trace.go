@@ -65,13 +65,6 @@ type TraceOptions struct {
 	// in-order prefix. Ignored (scalar predictor) when ≤ 1 or when the
 	// problem does not implement BlockProblem.
 	Block int
-	// UseSecant replaces the Jacobian-induced tangent with the secant
-	// through the last two accepted points once two points exist — the
-	// classical alternative predictor from numerical continuation
-	// (Allgower & Georg, the paper's ref. [10]). The first step still uses
-	// the tangent. Mostly useful for comparison; the tangent needs no
-	// history and reacts to curvature immediately.
-	UseSecant bool
 	// Obs attaches observability: the trace runs inside a "trace" span with
 	// one "step" span per predictor-corrector cycle, emits point events and
 	// live progress (points traced / budget, current (τs, τh), corrector
@@ -195,8 +188,6 @@ func TraceContourCtx(ctx context.Context, p Problem, seedS, seedH float64, opts 
 func traceOneDirection(ctx context.Context, p Problem, seed Point, sign float64, o TraceOptions, ct *Contour) ([]Point, bool, error) {
 	var pts []Point
 	cur := seed
-	havePrev := false
-	var prev Point
 	ts, th, err := Tangent(cur.DhdS, cur.DhdH)
 	if err != nil {
 		return nil, false, err
@@ -216,12 +207,6 @@ func traceOneDirection(ctx context.Context, p Problem, seed Point, sign float64,
 		if err != nil {
 			return pts, false, err
 		}
-		if o.UseSecant && havePrev {
-			ds, dh := cur.TauS-prev.TauS, cur.TauH-prev.TauH
-			if n := math.Hypot(ds, dh); n > 0 {
-				ts, th = ds/n, dh/n
-			}
-		}
 		// Orientation continuity: never double back (Section IIID).
 		if ts*prevTS+th*prevTH < 0 {
 			ts, th = -ts, -th
@@ -235,7 +220,6 @@ func traceOneDirection(ctx context.Context, p Problem, seed Point, sign float64,
 			accepted, stop, closed, grow, err := bundleAdvance(ctx, bp, seed, cur, ts, th, alpha, bSize, len(pts), o, ct)
 			for _, ap := range accepted {
 				pts = append(pts, ap)
-				prev, havePrev = cur, true
 				cur = ap
 				o.Obs.Progress(obs.Progress{
 					Phase: obs.SpanTrace, Done: len(pts), Total: o.MaxPoints,
@@ -333,7 +317,6 @@ func traceOneDirection(ctx context.Context, p Problem, seed Point, sign float64,
 		})
 		pts = append(pts, *accepted)
 		prevTS, prevTH = ts, th
-		prev, havePrev = cur, true
 		cur = *accepted
 	}
 	return pts, false, nil

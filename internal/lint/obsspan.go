@@ -17,7 +17,7 @@ import (
 // Spans whose handle escapes the function (stored in a struct, passed to a
 // callee, returned) transfer ownership and are exempt from the local
 // end-on-all-paths check, matching the caller-owned-span contract of
-// surface.GenerateObs.
+// surface.GenerateCtx.
 var AnalyzerObsSpan = &Analyzer{
 	Name: "obsspan",
 	Doc:  "obs spans must be ended on all return paths and named by Span* constants from the schema-v1 vocabulary",

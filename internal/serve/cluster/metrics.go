@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"latchchar/internal/serve"
 	"latchchar/internal/serve/jobcore"
 	"latchchar/serveclient"
 )
@@ -80,24 +81,17 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *Coordinator) writeMetrics(w io.Writer) {
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
-	}
-
-	counter("latchcoord_requests_total", "Characterize and batch requests received by the coordinator.",
+	serve.WriteMetric(w, "counter", "latchcoord_requests_total", "Characterize and batch requests received by the coordinator.",
 		float64(co.met.requests.Load()))
-	counter("latchcoord_forwards_total", "Job forwards attempted against workers.",
+	serve.WriteMetric(w, "counter", "latchcoord_forwards_total", "Job forwards attempted against workers.",
 		float64(co.met.forwards.Load()))
-	counter("latchcoord_forward_retries_total", "Forward attempts beyond a key's ring owner.",
+	serve.WriteMetric(w, "counter", "latchcoord_forward_retries_total", "Forward attempts beyond a key's ring owner.",
 		float64(co.met.forwardRetries.Load()))
-	counter("latchcoord_forward_failures_total", "Forwards that exhausted the retry budget.",
+	serve.WriteMetric(w, "counter", "latchcoord_forward_failures_total", "Forwards that exhausted the retry budget.",
 		float64(co.met.forwardFailures.Load()))
-	counter("latchcoord_rehashes_total", "Ring rebuilds after membership changes.",
+	serve.WriteMetric(w, "counter", "latchcoord_rehashes_total", "Ring rebuilds after membership changes.",
 		float64(co.met.rehashes.Load()))
-	counter("latchcoord_stream_events_total", "NDJSON events proxied to stream subscribers.",
+	serve.WriteMetric(w, "counter", "latchcoord_stream_events_total", "NDJSON events proxied to stream subscribers.",
 		float64(co.met.streamEvents.Load()))
 
 	st := co.clusterStatus(time.Now())
@@ -105,13 +99,13 @@ func (co *Coordinator) writeMetrics(w io.Writer) {
 	if st.Draining {
 		drainVal = 1
 	}
-	gauge("latchcoord_draining", "1 while the coordinator refuses new work.", drainVal)
-	gauge("latchcoord_workers_configured", "Configured worker count.", float64(st.WorkersConfigured))
-	gauge("latchcoord_workers_up", "Workers currently accepting jobs.", float64(st.WorkersUp))
-	gauge("latchcoord_workers_draining", "Workers currently draining.", float64(st.WorkersDraining))
-	gauge("latchcoord_workers_down", "Workers currently unreachable.", float64(st.WorkersDown))
-	gauge("latchcoord_ring_slots", "Virtual nodes on the hash ring.", float64(st.RingSlots))
-	gauge("latchcoord_tracked_jobs", "Forwarded-job records retained.", float64(st.TrackedJobs))
+	serve.WriteMetric(w, "gauge", "latchcoord_draining", "1 while the coordinator refuses new work.", drainVal)
+	serve.WriteMetric(w, "gauge", "latchcoord_workers_configured", "Configured worker count.", float64(st.WorkersConfigured))
+	serve.WriteMetric(w, "gauge", "latchcoord_workers_up", "Workers currently accepting jobs.", float64(st.WorkersUp))
+	serve.WriteMetric(w, "gauge", "latchcoord_workers_draining", "Workers currently draining.", float64(st.WorkersDraining))
+	serve.WriteMetric(w, "gauge", "latchcoord_workers_down", "Workers currently unreachable.", float64(st.WorkersDown))
+	serve.WriteMetric(w, "gauge", "latchcoord_ring_slots", "Virtual nodes on the hash ring.", float64(st.RingSlots))
+	serve.WriteMetric(w, "gauge", "latchcoord_tracked_jobs", "Forwarded-job records retained.", float64(st.TrackedJobs))
 
 	// Per-worker health gauges, one labeled series per configured worker.
 	fmt.Fprintf(w, "# HELP latchcoord_worker_up Worker health: 1 up, 0.5 draining, 0 down.\n# TYPE latchcoord_worker_up gauge\n")
@@ -134,14 +128,14 @@ func (co *Coordinator) writeMetrics(w io.Writer) {
 	// of worker counters, so they render as counters even though a worker
 	// restart can step one backwards (same caveat as any federated sum).
 	agg := st.Aggregate
-	gauge("latchcoord_fleet_queue_depth", "Queued jobs summed over reachable workers.", float64(agg.QueueDepth))
-	gauge("latchcoord_fleet_inflight_keys", "Distinct in-flight coalescing keys summed over reachable workers.", float64(agg.InflightKeys))
-	counter("latchcoord_fleet_requests_total", "Requests summed over reachable workers.", float64(agg.Requests))
-	counter("latchcoord_fleet_jobs_done_total", "Jobs finished successfully, summed over reachable workers.", float64(agg.JobsDone))
-	counter("latchcoord_fleet_jobs_failed_total", "Jobs failed, summed over reachable workers.", float64(agg.JobsFailed))
-	counter("latchcoord_fleet_jobs_canceled_total", "Jobs canceled, summed over reachable workers.", float64(agg.JobsCanceled))
-	counter("latchcoord_fleet_coalesced_total", "Coalesced requests summed over reachable workers.", float64(agg.Coalesced))
-	counter("latchcoord_fleet_result_cache_hits_total", "Result-cache hits summed over reachable workers.", float64(agg.ResultCacheHits))
+	serve.WriteMetric(w, "gauge", "latchcoord_fleet_queue_depth", "Queued jobs summed over reachable workers.", float64(agg.QueueDepth))
+	serve.WriteMetric(w, "gauge", "latchcoord_fleet_inflight_keys", "Distinct in-flight coalescing keys summed over reachable workers.", float64(agg.InflightKeys))
+	serve.WriteMetric(w, "counter", "latchcoord_fleet_requests_total", "Requests summed over reachable workers.", float64(agg.Requests))
+	serve.WriteMetric(w, "counter", "latchcoord_fleet_jobs_done_total", "Jobs finished successfully, summed over reachable workers.", float64(agg.JobsDone))
+	serve.WriteMetric(w, "counter", "latchcoord_fleet_jobs_failed_total", "Jobs failed, summed over reachable workers.", float64(agg.JobsFailed))
+	serve.WriteMetric(w, "counter", "latchcoord_fleet_jobs_canceled_total", "Jobs canceled, summed over reachable workers.", float64(agg.JobsCanceled))
+	serve.WriteMetric(w, "counter", "latchcoord_fleet_coalesced_total", "Coalesced requests summed over reachable workers.", float64(agg.Coalesced))
+	serve.WriteMetric(w, "counter", "latchcoord_fleet_result_cache_hits_total", "Result-cache hits summed over reachable workers.", float64(agg.ResultCacheHits))
 
 	// The coordinator's own per-endpoint request-duration histogram.
 	co.rt.Latency().WritePrometheus(w, "latchcoord_request_seconds")

@@ -286,19 +286,29 @@ func (e *Evaluator) EvalGrad(tauS, tauH float64) (h, dhdS, dhdH float64, err err
 	return res.X[out] - e.cal.R, res.Ms[out], res.Mh[out], nil
 }
 
-// OutputAt runs a plain transient and returns the full output waveform;
-// used for waveform figures (Fig. 3(a), Fig. 11(b)).
-func (e *Evaluator) OutputAt(tauS, tauH float64) (times, out []float64, err error) {
-	e.inst.Data.SetSkews(tauS, tauH)
-	eng := transient.NewEngine(e.inst.Circuit, e.cfg.transientOptions(false, e.inst.Out))
-	res, err := eng.RunCtx(e.ctx, e.run, e.x0, e.grid)
+// Waveforms runs a plain transient from the evaluator's start state on the
+// measurement grid's coarse prefix and fine step, run to tEnd instead of tf,
+// and records probes at every grid point. With tEnd = tf the grid is the
+// measurement grid, so the run is the transient behind Eval.
+func (e *Evaluator) Waveforms(tauS, tauH, tEnd float64, probes ...circuit.UnknownID) (*transient.Result, error) {
+	if tEnd <= e.grid.Start() {
+		return nil, fmt.Errorf("stf: waveform end %g before grid start", tEnd)
+	}
+	fineStart := e.inst.Edge50 - e.cfg.MaxSetupSkew - e.inst.Clock.Rise/2 - e.cfg.FineMargin
+	grid, err := transient.TwoPhaseGrid(0, fineStart, tEnd, e.cfg.CoarseStep, e.cfg.FineStep)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	e.inst.Data.SetSkews(tauS, tauH)
+	eng := transient.NewEngine(e.inst.Circuit, e.cfg.transientOptions(false, probes...))
+	res, err := eng.RunCtx(e.ctx, e.run, e.x0, grid)
+	if err != nil {
+		return nil, err
 	}
 	e.PlainEvals++
 	e.run.Count(obs.CtrTransients, 1)
 	e.Work.Add(res.Stats)
-	return res.Times, res.Probes[0], nil
+	return res, nil
 }
 
 // OutputUntil runs a plain transient on an extended grid ending at tEnd
@@ -306,23 +316,10 @@ func (e *Evaluator) OutputAt(tauS, tauH float64) (times, out []float64, err erro
 // Used to expose post-tf behavior such as the C²MOS false transitions of
 // Fig. 11(b).
 func (e *Evaluator) OutputUntil(tauS, tauH, tEnd float64) (times, out []float64, err error) {
-	if tEnd <= e.grid.Start() {
-		return nil, nil, fmt.Errorf("stf: OutputUntil end %g before grid start", tEnd)
-	}
-	fineStart := e.inst.Edge50 - e.cfg.MaxSetupSkew - e.inst.Clock.Rise/2 - e.cfg.FineMargin
-	grid, err := transient.TwoPhaseGrid(0, fineStart, tEnd, e.cfg.CoarseStep, e.cfg.FineStep)
+	res, err := e.Waveforms(tauS, tauH, tEnd, e.inst.Out)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.inst.Data.SetSkews(tauS, tauH)
-	eng := transient.NewEngine(e.inst.Circuit, e.cfg.transientOptions(false, e.inst.Out))
-	res, err := eng.RunCtx(e.ctx, e.run, e.x0, grid)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.PlainEvals++
-	e.run.Count(obs.CtrTransients, 1)
-	e.Work.Add(res.Stats)
 	return res.Times, res.Probes[0], nil
 }
 
@@ -358,15 +355,10 @@ func (e *Evaluator) SupplyEnergy(tauS, tauH float64) (float64, error) {
 	if e.inst.Supply < 0 {
 		return 0, fmt.Errorf("stf: instance has no supply branch for energy measurement")
 	}
-	e.inst.Data.SetSkews(tauS, tauH)
-	eng := transient.NewEngine(e.inst.Circuit, e.cfg.transientOptions(false, e.inst.Supply))
-	res, err := eng.RunCtx(e.ctx, e.run, e.x0, e.grid)
+	res, err := e.Waveforms(tauS, tauH, e.cal.Tf, e.inst.Supply)
 	if err != nil {
 		return 0, err
 	}
-	e.PlainEvals++
-	e.run.Count(obs.CtrTransients, 1)
-	e.Work.Add(res.Stats)
 	// The branch current of a source delivering power is negative in the
 	// MNA convention (current flows out of the + terminal), so the drawn
 	// charge is −∫ i dt.

@@ -2,6 +2,7 @@ package stf
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"latchchar/internal/num"
@@ -207,17 +208,29 @@ func TestCountersAndReset(t *testing.T) {
 	}
 }
 
-func TestOutputAtShape(t *testing.T) {
+func TestWaveformsAtTfRunTheMeasurementTransient(t *testing.T) {
 	e := evaluatorFor(t, "tspc")
-	times, out, err := e.OutputAt(400e-12, 300e-12)
+	inst := e.Instance()
+	plain := e.PlainEvals
+	res, err := e.Waveforms(400e-12, 300e-12, e.Calibration().Tf, inst.Out, inst.Supply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(times) != len(out) || len(times) != e.Grid().Len() {
-		t.Fatalf("waveform shape: %d vs %d", len(times), len(out))
+	if !reflect.DeepEqual(res.Times, e.Grid().Points()) {
+		t.Fatalf("grid ending at tf: %d points, measurement grid has %d", len(res.Times), e.Grid().Len())
 	}
-	if times[len(times)-1] != e.Calibration().Tf {
-		t.Errorf("waveform should end at tf")
+	if len(res.Probes) != 2 || len(res.Probes[0]) != len(res.Times) || len(res.Probes[1]) != len(res.Times) {
+		t.Fatalf("probe shape: %d probes for %d times", len(res.Probes), len(res.Times))
+	}
+	h, err := e.Eval(400e-12, 300e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Probes[0][len(res.Times)-1] - e.Calibration().R; got != h {
+		t.Errorf("output at tf gives h = %v, Eval gives %v", got, h)
+	}
+	if e.PlainEvals != plain+2 {
+		t.Errorf("PlainEvals grew by %d, want 2", e.PlainEvals-plain)
 	}
 }
 

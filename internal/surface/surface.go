@@ -10,7 +10,6 @@ package surface
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -53,16 +52,6 @@ func Generate(sAxis, hAxis []float64, factory Factory, workers int) (*Surface, e
 	return GenerateCtx(context.Background(), nil, sAxis, hAxis, factory, nil, workers)
 }
 
-// GenerateObs is Generate with observability attached: it counts grid
-// evaluations and reports per-row progress (rows done / total) to run as
-// workers complete them. Callers that want the sweep grouped start a
-// "surface" span and pass it (threading the same span into their evaluators
-// parents the worker transients correctly). A nil run behaves exactly like
-// Generate.
-func GenerateObs(run *obs.Run, sAxis, hAxis []float64, factory Factory, workers int) (*Surface, error) {
-	return GenerateCtx(context.Background(), run, sAxis, hAxis, factory, nil, workers)
-}
-
 // newSurface validates the axes and allocates the sample grid.
 func newSurface(sAxis, hAxis []float64) (*Surface, error) {
 	if len(sAxis) < 2 || len(hAxis) < 2 {
@@ -89,14 +78,16 @@ func newSurface(sAxis, hAxis []float64) (*Surface, error) {
 	return sf, nil
 }
 
-// GenerateCtx is GenerateObs with cancellation and optional execution on a
-// shared scheduler pool. A canceled ctx stops the sweep between grid points
-// (and, through evaluators that honor it, mid-transient) and returns the
-// context's cause. When pool is non-nil each row becomes one pool task — the
-// batch engine routes brute-force sweeps here so surface grids, corners and
-// Monte-Carlo samples all share one Parallelism bound; workers then caps how
-// many evaluators the factory builds. A nil pool spawns the classic
-// row-worker goroutines.
+// GenerateCtx is Generate with observability, cancellation and execution on
+// a shared scheduler pool. A non-nil run counts grid evaluations and
+// receives per-row progress (rows done / total); callers that want the sweep
+// grouped start a "surface" span and pass it. A canceled ctx stops the sweep
+// between grid points (and, through evaluators that honor it,
+// mid-transient) and returns the context's cause. The sweep runs as workers
+// pool tasks, one evaluator each — the batch engine routes brute-force
+// sweeps here so surface grids, corners and Monte-Carlo samples all share
+// one Parallelism bound. A nil pool runs the sweep on a private pool of
+// that many workers (GOMAXPROCS when workers ≤ 0), closed on return.
 func GenerateCtx(ctx context.Context, run *obs.Run, sAxis, hAxis []float64, factory Factory, pool *sched.Pool, workers int) (*Surface, error) {
 	return generateRows(ctx, run, sAxis, hAxis, factory, pool, workers,
 		func(ctx context.Context, eval EvalFunc, sf *Surface, i int) error {
@@ -124,8 +115,8 @@ type BlockEvalFunc func(s float64, h, out []float64) error
 // it returns is only ever used from a single goroutine.
 type BlockFactory func() (BlockEvalFunc, error)
 
-// GenerateBlock is GenerateBlockCtx with context.Background() and no
-// observability or pool routing.
+// GenerateBlock is GenerateBlockCtx with context.Background(), no
+// observability and a private pool.
 func GenerateBlock(sAxis, hAxis []float64, factory BlockFactory, workers int) (*Surface, error) {
 	return GenerateBlockCtx(context.Background(), nil, sAxis, hAxis, factory, nil, workers)
 }
@@ -148,21 +139,21 @@ func GenerateBlockCtx(ctx context.Context, run *obs.Run, sAxis, hAxis []float64,
 }
 
 // generateRows is the shared sweep driver behind GenerateCtx and
-// GenerateBlockCtx, generic over the per-worker evaluator type: rows are
-// distributed to up to workers evaluators (lazy-built, recycled), either as
-// pool tasks or classic worker goroutines, and each row is filled by one
-// row() call.
+// GenerateBlockCtx, generic over the per-worker evaluator type: it runs
+// workers pool tasks, each of which builds one evaluator and fills rows,
+// one row() call each, until none are left. The number of evaluator builds
+// is the concurrency, not the row count.
 func generateRows[E any](ctx context.Context, run *obs.Run, sAxis, hAxis []float64, factory func() (E, error), pool *sched.Pool, workers int, row func(ctx context.Context, eval E, sf *Surface, i int) error) (*Surface, error) {
 	sf, err := newSurface(sAxis, hAxis)
 	if err != nil {
 		return nil, err
 	}
+	if pool == nil {
+		pool = sched.NewPool(workers)
+		defer pool.Close()
+	}
 	if workers <= 0 {
-		if pool != nil {
-			workers = pool.NumWorkers()
-		} else {
-			workers = runtime.GOMAXPROCS(0)
-		}
+		workers = pool.NumWorkers()
 	}
 	if workers > len(sAxis) {
 		workers = len(sAxis)
@@ -170,26 +161,31 @@ func generateRows[E any](ctx context.Context, run *obs.Run, sAxis, hAxis []float
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if pool != nil {
-		return generateOnPool(ctx, run, sf, factory, pool, workers, row)
+	inner, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var once sync.Once
+	var firstErr error
+	fail := func(err error) {
+		once.Do(func() {
+			firstErr = err
+			cancel(err)
+		})
 	}
-
-	rows := make(chan int)
-	errs := make(chan error, workers)
-	var rowsDone atomic.Int64
-	var wg sync.WaitGroup
+	var nextRow, rowsDone atomic.Int64
+	grp := pool.NewGroup(inner)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eval, err := factory()
-			if err != nil {
-				errs <- err
+		grp.Go(func(context.Context) {
+			if inner.Err() != nil {
 				return
 			}
-			for i := range rows {
-				if err := row(ctx, eval, sf, i); err != nil {
-					errs <- err
+			eval, err := factory()
+			if err != nil {
+				fail(err)
+				return
+			}
+			for i := int(nextRow.Add(1) - 1); i < len(sf.S); i = int(nextRow.Add(1) - 1) {
+				if err := row(inner, eval, sf, i); err != nil {
+					fail(err)
 					return
 				}
 				run.Count(obs.CtrPoints, int64(len(sf.H)))
@@ -199,82 +195,6 @@ func generateRows[E any](ctx context.Context, run *obs.Run, sAxis, hAxis []float
 					TauS: sf.S[i],
 				})
 			}
-		}()
-	}
-	for i := range sf.S {
-		select {
-		case err := <-errs:
-			close(rows)
-			wg.Wait()
-			return nil, err
-		case rows <- i:
-		}
-	}
-	close(rows)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	return sf, nil
-}
-
-// generateOnPool runs the sweep as one pool task per row. Evaluators are
-// built lazily (at most workers of them) and recycled through a channel, so
-// the calibration-sharing factory economics of the goroutine path carry
-// over: the number of evaluator builds stays bounded by the concurrency, not
-// the row count.
-func generateOnPool[E any](ctx context.Context, run *obs.Run, sf *Surface, factory func() (E, error), pool *sched.Pool, workers int, row func(ctx context.Context, eval E, sf *Surface, i int) error) (*Surface, error) {
-	inner, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	evs := make(chan E, workers)
-	var built atomic.Int32
-	var once sync.Once
-	var firstErr error
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			cancel(err)
-		})
-	}
-	var rowsDone atomic.Int64
-	grp := pool.NewGroup(inner)
-	for i := range sf.S {
-		grp.Go(func(context.Context) {
-			if inner.Err() != nil {
-				return
-			}
-			var eval E
-			select {
-			case eval = <-evs:
-			default:
-				if int(built.Add(1)) <= workers {
-					var err error
-					if eval, err = factory(); err != nil {
-						fail(err)
-						return
-					}
-				} else {
-					built.Add(-1)
-					select {
-					case eval = <-evs:
-					case <-inner.Done():
-						return
-					}
-				}
-			}
-			defer func() { evs <- eval }()
-			if err := row(inner, eval, sf, i); err != nil {
-				fail(err)
-				return
-			}
-			run.Count(obs.CtrPoints, int64(len(sf.H)))
-			run.Progress(obs.Progress{
-				Phase: obs.SpanSurface,
-				Done:  int(rowsDone.Add(1)), Total: len(sf.S),
-				TauS: sf.S[i],
-			})
 		})
 	}
 	waitErr := grp.Wait()

@@ -262,11 +262,7 @@ func characterizeCtx(ctx context.Context, ev *Evaluator, opts Options, warm *Con
 		ev.SetObs(opts.Obs)
 		sp.End()
 	}()
-	cfg := opts.Eval
-	maxS := cfg.MaxSetupSkew
-	if maxS <= 0 {
-		maxS = 1.0e-9 // stf default
-	}
+	maxS := opts.Eval.WithDefaults().MaxSetupSkew
 	bounds := opts.Bounds
 	if (bounds == Rect{}) {
 		bounds = Rect{MinS: 1e-12, MaxS: maxS, MinH: 1e-12, MaxH: maxS}
