@@ -1,15 +1,19 @@
 // Command tracecheck validates a JSON-lines observability trace (written by
 // the -trace flag of the characterization tools) against event schema v1:
 // monotone timestamps, paired span begin/end events and resolvable parents.
-// On success it prints the reconstructed span tree with durations; any
-// violation exits nonzero. CI runs it over a reduced-grid characterization
-// trace to keep the event stream well-formed.
+// It also checks the run's own accounting: the run_end counters must show
+// one LU factorization per Newton iteration (newton_iters ==
+// lu_factorizations + lu_refactorizations). On success it prints the
+// reconstructed span tree with durations; any violation exits nonzero. CI
+// runs it over reduced-grid characterization traces to keep the event
+// stream well-formed and its bookkeeping consistent.
 //
 // With -dump the input is checked as a flight-recorder post-mortem dump
 // instead: a dump_meta header, a bounded ring window (where span begins may
 // have been evicted, so strict pairing is relaxed) and an optional trailing
 // error event carrying the corrector iterate ring. The header and error
-// summary are printed.
+// summary are printed. A dump is a window, not a whole run, so its counters
+// are not checked.
 //
 // Usage:
 //
@@ -64,6 +68,9 @@ func run(args []string) error {
 	if err := obs.Validate(events); err != nil {
 		return fmt.Errorf("invalid trace: %w", err)
 	}
+	if err := checkLUAccounts(events); err != nil {
+		return fmt.Errorf("invalid trace: %w", err)
+	}
 	tree, err := obs.SpanTree(events)
 	if err != nil {
 		return err
@@ -80,6 +87,24 @@ func run(args []string) error {
 	fmt.Printf("valid: %d events, %d spans, %d contour points\n", len(events), spans, points)
 	for _, root := range tree {
 		printNode(root, 0)
+	}
+	return nil
+}
+
+// checkLUAccounts requires every run_end event's counters to account for
+// the run's LU work: each Newton iteration factorizes exactly once and
+// nothing else factorizes, failed and canceled transients included.
+func checkLUAccounts(events []obs.Event) error {
+	for i, e := range events {
+		if e.Kind != obs.KindRunEnd {
+			continue
+		}
+		iters := e.Counters[obs.CtrNewtonIters]
+		lu := e.Counters[obs.CtrLUFactor] + e.Counters[obs.CtrLURefactor]
+		if iters != lu {
+			return fmt.Errorf("event %d (run_end): %s = %d, but %s + %s = %d",
+				i, obs.CtrNewtonIters, iters, obs.CtrLUFactor, obs.CtrLURefactor, lu)
+		}
 	}
 	return nil
 }

@@ -103,3 +103,50 @@ func TestCheckDumpReportsHeaderAndIterates(t *testing.T) {
 		}
 	}
 }
+
+// TestLUAccountsChecked holds full traces to their run_end accounting: a
+// trace whose counters show one LU factorization per Newton iteration
+// passes, and the fixture — a gradient transient that factorized once more
+// per step than it iterated, 1,356 factorizations against 936 Newton
+// iterations — fails, although its event stream is well-formed.
+func TestLUAccountsChecked(t *testing.T) {
+	balanced := obs.New()
+	var buf bytes.Buffer
+	balanced.AddSink(obs.NewJSONLSink(&buf))
+	sp := balanced.StartSpan(obs.SpanTransient)
+	sp.Count(obs.CtrNewtonIters, 936)
+	sp.Count(obs.CtrLUFactor, 1)
+	sp.Count(obs.CtrLURefactor, 935)
+	sp.End()
+	if err := balanced.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{path}); err != nil {
+		t.Fatalf("rejected a trace whose LU work is accounted for: %v", err)
+	}
+
+	const fixture = "testdata/unaccounted_lu.jsonl"
+	f, err := os.Open(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Validate(events); err != nil {
+		t.Fatalf("fixture is not a well-formed trace: %v", err)
+	}
+	err = run([]string{fixture})
+	if err == nil {
+		t.Fatal("accepted a trace with more LU factorizations than Newton iterations")
+	}
+	if !strings.Contains(err.Error(), obs.CtrNewtonIters) {
+		t.Errorf("error does not name the counters: %v", err)
+	}
+}

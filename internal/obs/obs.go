@@ -61,7 +61,6 @@ const (
 	CtrLUFactor       = "lu_factorizations"
 	CtrLURefactor     = "lu_refactorizations"
 	CtrSensSolves     = "sens_solves"
-	CtrSensFactReused = "sens_factorizations_reused"
 	CtrPoints         = "contour_points"
 	CtrStepRejects    = "step_rejects"
 	CtrWarmSeeds      = "warm_seeds"

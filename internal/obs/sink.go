@@ -153,8 +153,7 @@ func WriteSummary(w io.Writer, sum *Summary) error {
 			full+re, full, re, 100*float64(re)/float64(full+re))
 	}
 	if n := sum.Counters[CtrSensSolves]; n > 0 {
-		fmt.Fprintf(w, "sensitivities: %d solves, %d factorizations reused (gradient ≈ free)\n",
-			n, sum.Counters[CtrSensFactReused])
+		fmt.Fprintf(w, "sensitivities: %d solves\n", n)
 	}
 	if n := sum.Counters[CtrPoints]; n > 0 {
 		fmt.Fprintf(w, "contour points: %d (%d predictor steps rejected)\n",
@@ -167,7 +166,7 @@ func WriteSummary(w io.Writer, sum *Summary) error {
 	known := map[string]bool{
 		CtrTransients: true, CtrTransientsGrad: true, CtrSteps: true,
 		CtrNewtonIters: true, CtrLUFactor: true, CtrLURefactor: true,
-		CtrSensSolves: true, CtrSensFactReused: true, CtrPoints: true,
+		CtrSensSolves: true, CtrPoints: true,
 		CtrStepRejects: true,
 	}
 	var rest []string

@@ -43,7 +43,6 @@ func (a *obsAgg) init() {
 		obs.CtrLUFactor:               0,
 		obs.CtrLURefactor:             0,
 		obs.CtrSensSolves:             0,
-		obs.CtrSensFactReused:         0,
 		obs.CtrPoints:                 0,
 		obs.CtrStepRejects:            0,
 		obs.CtrWarmSeeds:              0,

@@ -101,7 +101,7 @@ func (b *BlockEngine) Run(x0 []float64, grid Grid, tSplit float64) (*BlockResult
 // RunCtx is Run with cancellation and observability: the block runs inside a
 // "transient" span of run with block counters and the per-lane iteration
 // histograms merged in, and a canceled ctx stops the lockstep loop between
-// steps.
+// steps. A canceled run still publishes the work it did to run.
 func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, tSplit float64) (*BlockResult, error) {
 	if err := b.opts.Validate(); err != nil {
 		return nil, err
@@ -111,26 +111,22 @@ func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, gr
 	}
 	luF0, luR0 := luCounts(b.lanes...)
 	sp := run.StartSpan(obs.SpanTransient)
-	res, err := b.run(ctx, x0, grid, tSplit)
-	var st *Stats
-	if res != nil {
-		st = &res.Stats
-	}
+	res, st, err := b.run(ctx, x0, grid, tSplit)
 	publish(sp, luF0, luR0, st, b.lanes...)
 	sp.Count(obs.CtrBlockRuns, 1)
 	sp.Observe(obs.HistBlockSize, len(b.lanes))
-	if st != nil {
-		sp.Count(obs.CtrBlockPeelOffs, int64(st.BlockPeelOffs))
-		sp.Count(obs.CtrBlockSharedSteps, int64(st.BlockSharedSteps))
-	}
+	sp.Count(obs.CtrBlockPeelOffs, int64(st.BlockPeelOffs))
+	sp.Count(obs.CtrBlockSharedSteps, int64(st.BlockSharedSteps))
 	sp.End()
 	return res, err
 }
 
-func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit float64) (*BlockResult, error) {
+// run integrates the lanes over grid and returns, besides the result, the
+// lanes' aggregate work, which a canceled run reports too.
+func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit float64) (*BlockResult, Stats, error) {
 	n := b.c.N()
 	if len(x0) != n {
-		return nil, fmt.Errorf("transient: x0 length %d, want %d", len(x0), n)
+		return nil, Stats{}, fmt.Errorf("transient: x0 length %d, want %d", len(x0), n)
 	}
 	K := len(b.lanes)
 	pts := grid.Points()
@@ -176,14 +172,10 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 	}
 
 	done := ctx.Done()
+	var cancelErr error
 	for k := 1; k < len(pts); k++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, fmt.Errorf("%w at t=%.6g s (step %d of %d): %w",
-					ErrCanceled, pts[k], k, len(pts)-1, context.Cause(ctx))
-			default:
-			}
+		if cancelErr = canceled(ctx, done, pts[k], k, len(pts)-1); cancelErr != nil {
+			break
 		}
 		t0, t1 := pts[k-1], pts[k]
 		if !forked && t1 < tSplit {
@@ -227,19 +219,12 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 			break
 		}
 	}
-	if !forked && alive > 0 {
+	if cancelErr == nil && !forked && alive > 0 {
 		fork(len(pts)) // degenerate: the whole grid was shared
 	}
 
 	var st Stats
 	for j, e := range b.lanes {
-		if !dead[j] {
-			res.X[j] = append([]float64(nil), e.x...)
-			if b.opts.Skews {
-				res.Ms[j] = append([]float64(nil), e.ms...)
-				res.Mh[j] = append([]float64(nil), e.mh...)
-			}
-		}
 		st.Add(e.stats)
 		st.Factorizations += e.lu.Factorizations + e.lu.Refactorizations - luF0[j]
 	}
@@ -249,8 +234,20 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 		st.BlockPeelOffs = K - alive
 	}
 	st.Wall = time.Since(wall0)
+	if cancelErr != nil {
+		return nil, st, cancelErr
+	}
+	for j, e := range b.lanes {
+		if !dead[j] {
+			res.X[j] = append([]float64(nil), e.x...)
+			if b.opts.Skews {
+				res.Ms[j] = append([]float64(nil), e.ms...)
+				res.Mh[j] = append([]float64(nil), e.mh...)
+			}
+		}
+	}
 	res.Stats = st
-	return res, nil
+	return res, st, nil
 }
 
 // lane invokes the setLane hook for lane j.

@@ -97,17 +97,15 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats counts the work done by a run; the characterization layers use it
-// for the paper's cost comparisons.
+// for the paper's cost comparisons. Every Newton iteration factorizes once
+// and nothing else factorizes, so Factorizations == NewtonIters; the
+// sensitivity solves (SensSolves) back-substitute against the last Newton
+// iteration's LU — the paper's "essentially free gradient" (DESIGN §5).
 type Stats struct {
 	Steps          int
 	NewtonIters    int
 	Factorizations int
 	SensSolves     int
-	// SensFactorizationsReused counts steps whose sensitivity solves reused
-	// the converged-state LU factorization instead of building their own —
-	// the mechanism behind the paper's "essentially free gradient" (one
-	// factorization serves both Newton and the mₛ/m_h solves, DESIGN §5).
-	SensFactorizationsReused int
 
 	// Block-transient accounting (BlockEngine; zero for scalar runs).
 	// BlockSharedSteps counts lane-steps served by the shared exact prefix —
@@ -144,7 +142,6 @@ func (s *Stats) Add(other Stats) {
 	s.NewtonIters += other.NewtonIters
 	s.Factorizations += other.Factorizations
 	s.SensSolves += other.SensSolves
-	s.SensFactorizationsReused += other.SensFactorizationsReused
 	s.BlockSharedSteps += other.BlockSharedSteps
 	s.BlockPeelOffs += other.BlockPeelOffs
 	s.Wall += other.Wall
@@ -277,7 +274,8 @@ func (e *Engine) RunObs(run *obs.Run, x0 []float64, grid Grid) (*Result, error) 
 // returns an error wrapping ErrCanceled and the context cause; the partial
 // state is discarded (transients are cheap relative to a characterization —
 // cancellation granularity for partial *results* is the contour point, see
-// internal/core). A Background context adds one channel-poll per step.
+// internal/core). A Background context adds one channel-poll per step. A
+// failed or canceled run still publishes the work it did to run.
 func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid) (*Result, error) {
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
@@ -288,11 +286,7 @@ func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Gr
 	luF0, luR0 := luCounts(e)
 	sp := run.StartSpan(obs.SpanTransient)
 	res, err := e.run(ctx, x0, grid)
-	var st *Stats
-	if res != nil {
-		st = &res.Stats
-	}
-	publish(sp, luF0, luR0, st, e)
+	publish(sp, luF0, luR0, e.stats, e)
 	sp.End()
 	return res, err
 }
@@ -328,30 +322,45 @@ func luCounts(lanes ...*Engine) (fresh, refactor int) {
 	return fresh, refactor
 }
 
-// publish reports a finished run of lanes to its span sp: the fresh and
-// pattern-reusing LU factorizations since luF0/luR0 on two counters (their
-// sum is Stats.Factorizations), st's work counters when the run produced a
-// result, and every lane's per-step iteration histograms. A nil sp
-// publishes nothing.
-func publish(sp *obs.Run, luF0, luR0 int, st *Stats, lanes ...*Engine) {
+// publish reports a run of lanes — finished, failed or canceled — to its
+// span sp: the fresh and pattern-reusing LU factorizations since luF0/luR0
+// on two counters (their sum is Stats.Factorizations, which equals
+// st.NewtonIters), st's work counters, and every lane's per-step iteration
+// histograms. A nil sp publishes nothing.
+func publish(sp *obs.Run, luF0, luR0 int, st Stats, lanes ...*Engine) {
 	if !sp.Enabled() {
 		return
 	}
 	luF, luR := luCounts(lanes...)
 	sp.Count(obs.CtrLUFactor, int64(luF-luF0))
 	sp.Count(obs.CtrLURefactor, int64(luR-luR0))
-	if st != nil {
-		sp.Count(obs.CtrSteps, int64(st.Steps))
-		sp.Count(obs.CtrNewtonIters, int64(st.NewtonIters))
-		sp.Count(obs.CtrSensSolves, int64(st.SensSolves))
-		sp.Count(obs.CtrSensFactReused, int64(st.SensFactorizationsReused))
-	}
+	sp.Count(obs.CtrSteps, int64(st.Steps))
+	sp.Count(obs.CtrNewtonIters, int64(st.NewtonIters))
+	sp.Count(obs.CtrSensSolves, int64(st.SensSolves))
 	for _, e := range lanes {
 		sp.Merge(obs.HistNewtonIters, &e.newtonHist)
 	}
 }
 
+// canceled returns the error for a run whose ctx (Done channel done) ended
+// before step k of steps, at time t, and nil while the run may go on.
+func canceled(ctx context.Context, done <-chan struct{}, t float64, k, steps int) error {
+	if done == nil {
+		return nil
+	}
+	select {
+	case <-done:
+		return fmt.Errorf("%w at t=%.6g s (step %d of %d): %w",
+			ErrCanceled, t, k, steps, context.Cause(ctx))
+	default:
+		return nil
+	}
+}
+
+// run integrates over grid. e.stats holds the run's work on every return,
+// a failed or canceled run included, for RunCtx to publish.
 func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, error) {
+	e.stats = Stats{}
 	n := e.c.N()
 	if len(x0) != n {
 		return nil, fmt.Errorf("transient: x0 length %d, want %d", len(x0), n)
@@ -373,25 +382,27 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 			}
 		}
 	}
-	e.stats = Stats{}
 	wall0 := time.Now()
 	e.initAt(x0, pts[0])
 	record(0)
 	luF0, luR0 := e.lu.Factorizations, e.lu.Refactorizations
 	done := ctx.Done()
+	var err error
 	for k := 1; k < len(pts); k++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, fmt.Errorf("%w at t=%.6g s (step %d of %d): %w",
-					ErrCanceled, pts[k], k, len(pts)-1, context.Cause(ctx))
-			default:
-			}
+		if err = canceled(ctx, done, pts[k], k, len(pts)-1); err != nil {
+			break
 		}
-		if err := e.step(pts[k-1], pts[k]); err != nil {
-			return nil, fmt.Errorf("%w at t=%.6g s (step %d)", err, pts[k], k)
+		e.stats.Steps++
+		if err = e.step(pts[k-1], pts[k]); err != nil {
+			err = fmt.Errorf("%w at t=%.6g s (step %d)", err, pts[k], k)
+			break
 		}
 		record(k)
+	}
+	e.stats.Factorizations = (e.lu.Factorizations - luF0) + (e.lu.Refactorizations - luR0)
+	e.stats.Wall = time.Since(wall0)
+	if err != nil {
+		return nil, err
 	}
 	res.X = append([]float64(nil), e.x...)
 	if e.opts.Skews {
@@ -399,9 +410,6 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 		res.Mh = append([]float64(nil), e.mh...)
 	}
 	res.Stats = e.stats
-	res.Stats.Steps = len(pts) - 1
-	res.Stats.Factorizations = (e.lu.Factorizations - luF0) + (e.lu.Refactorizations - luR0)
-	res.Stats.Wall = time.Since(wall0)
 	return res, nil
 }
 
@@ -514,9 +522,10 @@ func (e *Engine) zeroZ() {
 
 // step advances the state from t0 to t1, updating x, qPrev, cPrev and the
 // sensitivities in place: one full Newton solve of the discretized
-// equations, then the sensitivity solves against a factorization at the
-// converged state (DESIGN §5). The scalar engine and every block lane step
-// through here.
+// equations, then the sensitivity solves against the last Newton
+// iteration's factorization (DESIGN §5). The scalar engine and every block
+// lane step through here, with Skews on or off, so a gradient run follows
+// the plain run's trajectory bit for bit.
 func (e *Engine) step(t0, t1 float64) error {
 	n := e.c.N()
 	dt := t1 - t0
@@ -575,15 +584,13 @@ func (e *Engine) step(t0, t1 float64) error {
 		e.newtonHist.Observe(iters, 1)
 	}
 
+	// Nothing is rebuilt at the accepted state, in either mode: the last
+	// Newton evaluation and its LU differ from it by the last update, which
+	// lies within the convergence tolerance. That evaluation gives the charge
+	// history (Q, and for TRAP F+Src), and the sensitivity solves
+	// back-substitute against its LU with its C, as eqs. (9)–(14) prescribe.
+	// Every step therefore factorizes exactly once per Newton iteration.
 	if e.opts.Skews {
-		// The sensitivity solves back-substitute against the factorization
-		// of α·C + G at the converged state.
-		e.evalAt(t1)
-		sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-		if err := e.factorize(); err != nil {
-			return fmt.Errorf("transient: converged-state factorization failed: %w", err)
-		}
-
 		e.zeroZ()
 		e.ev.AddSkewSens(t1, e.zsVec, e.zhVec)
 		var tSens time.Time
@@ -599,14 +606,7 @@ func (e *Engine) step(t0, t1 float64) error {
 		if e.timed {
 			e.stats.Sens += time.Since(tSens)
 		}
-		// The sensitivity solves back-substitute against the factorization
-		// above — no factorization of their own.
-		e.stats.SensFactorizationsReused++
 	}
-	// With Skews off there is nothing to rebuild: the last Newton evaluation
-	// already carries Q (and, for TRAP, F+Src) within the convergence
-	// tolerance of the accepted state, so the converged-state eval and
-	// factorization are elided entirely.
 
 	if e.opts.Method == TRAP {
 		for i := 0; i < n; i++ {
@@ -622,7 +622,7 @@ func (e *Engine) step(t0, t1 float64) error {
 
 // sensBE advances the BE-discretized sensitivities (paper eq. (11)/(13)):
 // (C/Δt + G)·m = (C_prev/Δt)·m_prev − ∂src/∂τ. The solves back-substitute
-// against the engine's converged-state factorization.
+// against the last Newton iteration's factorization.
 func (e *Engine) sensBE(alpha float64) {
 	n := e.c.N()
 	for i := 0; i < n; i++ {

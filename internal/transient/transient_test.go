@@ -462,32 +462,51 @@ func buildClockedInverter(t *testing.T) (*circuit.Circuit, []float64) {
 	return ckt, x0
 }
 
-// TestPlainStepElidesConvergedFactorization pins the satellite bugfix: with
-// Skews off the per-step converged-state eval + factorization is gone, so a
-// plain run factorizes exactly once per Newton iteration — a drop of one
-// factorization per step versus the old unconditional behavior. A Skews run
-// keeps the converged-state factorization.
-func TestPlainStepElidesConvergedFactorization(t *testing.T) {
+// TestOneFactorizationPerNewtonIteration pins the step's cost: every Newton
+// iteration factorizes once and nothing else does, with Skews off or on —
+// the sensitivity solves back-substitute against the last Newton LU instead
+// of a factorization at the accepted state — on the scalar engine in BE and
+// TRAP and on a 4-lane block. The gradient run's state also equals the
+// plain run's bit for bit: both follow one trajectory.
+func TestOneFactorizationPerNewtonIteration(t *testing.T) {
 	ckt, x0 := buildClockedInverter(t)
 	g, err := UniformGrid(0, 4e-9, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, m := range []Method{BE, TRAP} {
+		var plainX []float64
+		for _, skews := range []bool{false, true} {
+			res, err := NewEngine(ckt, Options{Method: m, Skews: skews}).Run(x0, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Factorizations != res.Stats.NewtonIters {
+				t.Errorf("%v skews=%v: %d factorizations, want NewtonIters = %d",
+					m, skews, res.Stats.Factorizations, res.Stats.NewtonIters)
+			}
+			if !skews {
+				plainX = res.X
+				continue
+			}
+			for i, v := range res.X {
+				if math.Float64bits(v) != math.Float64bits(plainX[i]) {
+					t.Errorf("%v: gradient run x[%d] = %v, plain run %v", m, i, v, plainX[i])
+				}
+			}
+		}
 
-	res, err := NewEngine(ckt, Options{}).Run(x0, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Factorizations != res.Stats.NewtonIters {
-		t.Errorf("plain run: %d factorizations, want exactly NewtonIters = %d (converged-state factorization not elided)",
-			res.Stats.Factorizations, res.Stats.NewtonIters)
-	}
-
-	resS, err := NewEngine(ckt, Options{Skews: true}).Run(x0, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := resS.Stats.NewtonIters + resS.Stats.Steps; resS.Stats.Factorizations != want {
-		t.Errorf("skews run: %d factorizations, want NewtonIters+Steps = %d", resS.Stats.Factorizations, want)
+		b := NewBlockEngine(ckt, Options{Method: m, Skews: true}, 4, nil)
+		res, err := b.Run(x0, g, 0) // no shared prefix: all four lanes integrate
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Ok() {
+			t.Fatalf("%v block: lane errors %v", m, res.Errs)
+		}
+		if res.Stats.Factorizations != res.Stats.NewtonIters {
+			t.Errorf("%v block: %d factorizations, want NewtonIters = %d",
+				m, res.Stats.Factorizations, res.Stats.NewtonIters)
+		}
 	}
 }
