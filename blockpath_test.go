@@ -1,6 +1,7 @@
 package latchchar
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -9,16 +10,15 @@ import (
 )
 
 // TestBlockEvalMatchesScalarOnDecks is the block-transient exactness table:
-// for every example netlist deck, EvalBlock at block sizes 1, 2, 4 and 8
-// must reproduce the scalar path's state-transition values within 3 µV, and
-// an 8-lane EvalGradBlock must reproduce EvalGrad on every lane, at the
-// deck's points and around the knee of each built-in cell. The probe points
-// are the characterized contour — the operating region the trace loop
-// actually feeds the kernel. One evaluator serves both paths, so
-// calibration and grid are identical and the comparison isolates the
-// lockstep kernel.
+// for every example netlist deck, in BE and TRAP, EvalBlock at block sizes
+// 1, 2, 4 and 8 must reproduce the scalar path's state-transition values bit
+// for bit, and an 8-lane EvalGradBlock must reproduce EvalGrad's h and
+// gradient bit for bit on every lane, at the deck's points and around the
+// knee of each built-in cell. The probe points are the characterized
+// contour — the operating region the trace loop actually feeds the kernel.
+// One evaluator per method serves both paths and runs every block after
+// scalar evaluations, so a lane that depended on what ran before would show.
 func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
-	const gate = 3e-6
 	decks, err := filepath.Glob(filepath.Join("examples", "netlists", "*.cir"))
 	if err != nil {
 		t.Fatal(err)
@@ -26,6 +26,7 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 	if len(decks) == 0 {
 		t.Fatal("no example decks found")
 	}
+	methods := []EvalConfig{{Method: BE}, {Method: TRAP}}
 
 	for _, path := range decks {
 		name := filepath.Base(path)
@@ -39,65 +40,69 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 				t.Fatal(err)
 			}
 			cell := deck.Cell(name)
-			res, err := Characterize(cell, Options{
-				Points:         8,
-				BothDirections: true,
-			})
-			if err != nil {
-				t.Fatal(err)
+			type table struct {
+				ev   *Evaluator
+				pts  []ContourPoint
+				want []float64
 			}
-			pts := res.Contour.Points
-			if len(pts) > 8 {
-				pts = pts[:8]
-			}
-			if len(pts) < 4 {
-				t.Fatalf("deck traced only %d contour points", len(pts))
-			}
-			ev, err := NewEvaluator(cell, EvalConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			want := make([]float64, len(pts))
-			for j, p := range pts {
-				if want[j], err = ev.Eval(p.TauS, p.TauH); err != nil {
-					t.Fatalf("scalar eval (%g, %g): %v", p.TauS, p.TauH, err)
+			tables := make([]table, len(methods))
+			for m, cfg := range methods {
+				res, err := Characterize(cell, Options{
+					Points:         8,
+					BothDirections: true,
+					Eval:           cfg,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
+				pts := res.Contour.Points
+				if len(pts) > 8 {
+					pts = pts[:8]
+				}
+				if len(pts) < 4 {
+					t.Fatalf("deck traced only %d contour points", len(pts))
+				}
+				ev, err := NewEvaluator(cell, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, len(pts))
+				for j, p := range pts {
+					if want[j], err = ev.Eval(p.TauS, p.TauH); err != nil {
+						t.Fatalf("scalar eval (%g, %g): %v", p.TauS, p.TauH, err)
+					}
+				}
+				tables[m] = table{ev, pts, want}
 			}
 
 			for _, k := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("block=%d", k), func(t *testing.T) {
-					var worst float64
-					for lo := 0; lo < len(pts); lo += k {
-						hi := lo + k
-						if hi > len(pts) {
-							hi = len(pts)
-						}
-						tauS := make([]float64, 0, k)
-						tauH := make([]float64, 0, k)
-						for _, p := range pts[lo:hi] {
-							tauS = append(tauS, p.TauS)
-							tauH = append(tauH, p.TauH)
-						}
-						got, err := ev.EvalBlock(tauS, tauH)
-						if err != nil {
-							t.Fatalf("block eval points [%d:%d]: %v", lo, hi, err)
-						}
-						for i, v := range got {
-							if d := math.Abs(v - want[lo+i]); d > worst {
-								worst = d
+					for m, tb := range tables {
+						for lo := 0; lo < len(tb.pts); lo += k {
+							hi := min(lo+k, len(tb.pts))
+							tauS := make([]float64, 0, k)
+							tauH := make([]float64, 0, k)
+							for _, p := range tb.pts[lo:hi] {
+								tauS = append(tauS, p.TauS)
+								tauH = append(tauH, p.TauH)
+							}
+							got, err := tb.ev.EvalBlock(tauS, tauH)
+							if err != nil {
+								t.Fatalf("%v block eval points [%d:%d]: %v", methods[m].Method, lo, hi, err)
+							}
+							for i, v := range got {
+								if math.Float64bits(v) != math.Float64bits(tb.want[lo+i]) {
+									t.Errorf("%v point %d: h %v, scalar %v", methods[m].Method, lo+i, v, tb.want[lo+i])
+								}
 							}
 						}
 					}
-					if worst > gate {
-						t.Errorf("block size %d deviates %.3g V from the scalar path (gate %.3g V)",
-							k, worst, gate)
-					}
-					t.Logf("block size %d: worst |Δh| %.3g V over %d points", k, worst, len(pts))
 				})
 			}
 
-			checkGradBlock(t, ev, pts, gate)
+			for _, tb := range tables {
+				checkGradBlock(t, tb.ev, tb.pts)
+			}
 		})
 	}
 
@@ -109,37 +114,39 @@ func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Characterize(cell, Options{
-				Points:         20,
-				BothDirections: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pts := res.Contour.Points
-			if len(pts) < 8 {
-				t.Fatalf("cell traced only %d contour points", len(pts))
-			}
-			knee := 0
-			for i, p := range pts {
-				if p.TauS+p.TauH < pts[knee].TauS+pts[knee].TauH {
-					knee = i
+			for _, cfg := range methods {
+				res, err := Characterize(cell, Options{
+					Points:         20,
+					BothDirections: true,
+					Eval:           cfg,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
+				pts := res.Contour.Points
+				if len(pts) < 8 {
+					t.Fatalf("cell traced only %d contour points", len(pts))
+				}
+				knee := 0
+				for i, p := range pts {
+					if p.TauS+p.TauH < pts[knee].TauS+pts[knee].TauH {
+						knee = i
+					}
+				}
+				lo := min(max(knee-4, 0), len(pts)-8)
+				ev, err := NewEvaluator(cell, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGradBlock(t, ev, pts[lo:lo+8])
 			}
-			lo := min(max(knee-4, 0), len(pts)-8)
-			ev, err := NewEvaluator(cell, EvalConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGradBlock(t, ev, pts[lo:lo+8], gate)
 		})
 	}
 }
 
 // checkGradBlock evaluates pts as one gradient block and holds every lane to
-// the scalar EvalGrad: h within gate, sensitivities to 0.1% relative (they
-// feed the Newton corrector, not the accepted contour).
-func checkGradBlock(t *testing.T, ev *Evaluator, pts []ContourPoint, gate float64) {
+// the scalar EvalGrad bit for bit: h, ∂h/∂τs and ∂h/∂τh.
+func checkGradBlock(t *testing.T, ev *Evaluator, pts []ContourPoint) {
 	t.Helper()
 	tauS := make([]float64, len(pts))
 	tauH := make([]float64, len(pts))
@@ -150,10 +157,6 @@ func checkGradBlock(t *testing.T, ev *Evaluator, pts []ContourPoint, gate float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	relErr := func(got, want float64) float64 {
-		return math.Abs(got-want) / math.Max(math.Abs(want), 1e-12)
-	}
-	var worstH, worstG float64
 	for i := range pts {
 		if errs[i] != nil {
 			t.Fatalf("grad block lane %d: %v", i, errs[i])
@@ -162,19 +165,13 @@ func checkGradBlock(t *testing.T, ev *Evaluator, pts []ContourPoint, gate float6
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := math.Abs(hb[i] - h)
-		if d > gate {
-			t.Errorf("grad block lane %d: h deviates %.3g V from scalar (gate %.3g V)", i, d, gate)
+		if math.Float64bits(hb[i]) != math.Float64bits(h) ||
+			math.Float64bits(dsb[i]) != math.Float64bits(ds) ||
+			math.Float64bits(dhb[i]) != math.Float64bits(dh) {
+			t.Errorf("grad block lane %d: (%v, %v, %v), scalar (%v, %v, %v)",
+				i, hb[i], dsb[i], dhb[i], h, ds, dh)
 		}
-		e := math.Max(relErr(dsb[i], ds), relErr(dhb[i], dh))
-		if e > 1e-3 {
-			t.Errorf("grad block lane %d: sensitivities (%g, %g) deviate from scalar (%g, %g)",
-				i, dsb[i], dhb[i], ds, dh)
-		}
-		worstH, worstG = math.Max(worstH, d), math.Max(worstG, e)
 	}
-	t.Logf("%d-lane grad block: worst |Δh| %.3g V, worst relative gradient error %.3g",
-		len(pts), worstH, worstG)
 }
 
 // TestBlockTraceAccuracyGate holds the block-corrected trace loop to the
@@ -222,4 +219,47 @@ func TestBlockTraceAccuracyGate(t *testing.T) {
 	}
 	t.Logf("%d contour points, worst |h_exact| %.3g V, shared steps %d, peel-offs %d",
 		len(res.Contour.Points), worst, res.Stats.BlockSharedSteps, res.Stats.BlockPeelOffs)
+}
+
+// TestBlockBruteForceIsReproducible runs parallel 8-lane block surfaces again
+// and again. Rows land on the four workers' evaluators in a different order
+// each run, so every run equals the Block: 0 surface in every cell only if
+// no lane's result depends on what its evaluator ran before.
+func TestBlockBruteForceIsReproducible(t *testing.T) {
+	const runs = 20
+	eng, err := NewEngine(EngineOptions{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	for _, name := range []string{"tspc", "tgate"} {
+		t.Run(name, func(t *testing.T) {
+			cell, err := CellByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := eng.BruteForce(ctx, cell, SurfaceOptions{N: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 0; run < runs; run++ {
+				got, err := eng.BruteForce(ctx, cell, SurfaceOptions{N: 8, Block: 8, Parallelism: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				differ := 0
+				for i, row := range got.Surface.V {
+					for j, v := range row {
+						if math.Float64bits(v) != math.Float64bits(ref.Surface.V[i][j]) {
+							differ++
+						}
+					}
+				}
+				if differ > 0 {
+					t.Errorf("run %d: %d of %d cells differ from the Block: 0 surface", run, differ, got.Sims)
+				}
+			}
+		})
+	}
 }

@@ -77,13 +77,10 @@ func ResampleContourBlock(p BlockProblem, c *Contour, n, block int, opts MPNROpt
 // Jacobian factorizations and batched device evaluation exactly as the
 // block tracer does. This is the warm-start kernel of the variance-aware
 // Monte-Carlo flow — a process sample's whole probe contour is one or two
-// block solves seeded from the nominal contour. block < 2 falls back to the
-// scalar resampler.
+// block solves seeded from the nominal contour. block < 2 runs chunks of
+// one lane.
 func ResampleContourBlockCtx(ctx context.Context, p BlockProblem, c *Contour, n, block int, opts MPNROptions) (*Contour, error) {
-	if block < 2 {
-		return ResampleContourCtx(ctx, p, c, n, opts)
-	}
-	return resample(ctx, p, p.EvalGradBlock, c, n, block, opts)
+	return resample(ctx, p, p.EvalGradBlock, c, n, max(block, 1), opts)
 }
 
 // resample polishes the n interpolated seeds of c through the lockstep

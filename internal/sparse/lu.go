@@ -8,7 +8,7 @@ import (
 
 // ErrZeroPivot is returned when elimination hits a pivot that is zero or
 // negligible relative to the matrix scale. During Refactor it signals the
-// caller to redo the full Markowitz analysis.
+// caller to factorize that matrix fresh, with a full Markowitz analysis.
 var ErrZeroPivot = errors.New("sparse: zero pivot encountered")
 
 // ErrPattern is returned by Refactor for a matrix whose dimension or
@@ -232,6 +232,18 @@ func analyse(a *CSR) (*LU, error) {
 	f.lVal = make([]float64, len(f.lStep))
 	f.uVal = make([]float64, len(f.uCol))
 	return f, nil
+}
+
+// share returns a factorization over f's analysis — the pivot sequence and
+// the L and U structure, which Refactor and Solve only read — with value and
+// work arrays of its own.
+func (f *LU) share() *LU {
+	g := *f
+	g.lVal = make([]float64, len(f.lVal))
+	g.uVal = make([]float64, len(f.uVal))
+	g.w = make([]float64, len(f.w))
+	g.y = make([]float64, len(f.y))
+	return &g
 }
 
 // Refactor repeats the numeric factorization for a matrix with the pattern

@@ -580,10 +580,11 @@ func TestLURefactorSolveAllocFree(t *testing.T) {
 }
 
 func TestReusableFallsBackToFreshAnalysis(t *testing.T) {
-	// First matrix is diagonal; the recorded pivots are the diagonal
-	// entries. The second matrix (same pattern) zeroes the diagonal but is
-	// nonsingular through its off-diagonal entries, so Refactor's pivot
-	// order goes stale and Reusable must transparently redo the analysis.
+	// First matrix is diagonally dominant; the recorded pivots are the
+	// diagonal entries. The second matrix (same pattern) zeroes the diagonal
+	// but is nonsingular through its off-diagonal entries, so refactorizing
+	// over the kept analysis hits a zero pivot and Reusable must factorize
+	// that matrix fresh — for that call only.
 	b := NewBuilder(2)
 	b.Add(0, 0, 2)
 	b.Add(0, 1, 1)
@@ -597,6 +598,9 @@ func TestReusableFallsBackToFreshAnalysis(t *testing.T) {
 	if r.Factorizations != 1 || r.Refactorizations != 0 {
 		t.Fatalf("counters after first: %+v", r)
 	}
+	rhs := []float64{3, 6}
+	first := make([]float64, 2)
+	r.Solve(rhs, first)
 	m2 := m1.Clone()
 	// Zero the diagonal, strengthen the anti-diagonal.
 	for i := 0; i < 2; i++ {
@@ -610,24 +614,93 @@ func TestReusableFallsBackToFreshAnalysis(t *testing.T) {
 	if err := r.Factorize(m2); err != nil {
 		t.Fatalf("fallback failed: %v", err)
 	}
-	if r.Factorizations != 2 {
-		t.Errorf("expected a fresh analysis, counters: %+v", r)
+	if r.Factorizations != 2 || r.Refactorizations != 0 {
+		t.Errorf("expected a fresh factorization, counters: %+v", r)
 	}
 	x := make([]float64, 2)
-	r.Solve([]float64{3, 6}, x)
+	r.Solve(rhs, x)
 	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
 		t.Errorf("x = %v, want [2 1]", x)
 	}
-	// Same-pattern benign change now refactors fast.
-	m3 := m2.Clone()
-	for k := range m3.Val {
-		m3.Val[k] *= 1.1
-	}
-	if err := r.Factorize(m3); err != nil {
+	// The fallback served its call only: the first matrix refactorizes over
+	// the kept analysis and solves exactly as the first time.
+	if err := r.Factorize(m1); err != nil {
 		t.Fatal(err)
 	}
-	if r.Refactorizations != 1 {
-		t.Errorf("expected a refactorization, counters: %+v", r)
+	if r.Factorizations != 2 || r.Refactorizations != 1 {
+		t.Errorf("expected a refactorization over the kept analysis, counters: %+v", r)
+	}
+	r.Solve(rhs, x)
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(first[i]) {
+			t.Errorf("x = %v after the fallback, %v before", x, first)
+			break
+		}
+	}
+	// The stale matrix keeps falling back: no call adopts its analysis.
+	if err := r.Factorize(m2); err != nil {
+		t.Fatal(err)
+	}
+	if r.Factorizations != 3 || r.Refactorizations != 1 {
+		t.Errorf("expected a second fresh factorization, counters: %+v", r)
+	}
+}
+
+// TestReusableShareRefactorizesOverTheSource pins Share: the receiver
+// refactorizes over the source's analysis without analysing, with values of
+// its own, and solves every matrix exactly as the source does; a receiver
+// that already keeps an analysis keeps it.
+func TestReusableShareRefactorizesOverTheSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := mnaLike(rng, 9, 3, 55)
+	m2 := m.Clone()
+	for k := range m2.Val {
+		m2.Val[k] *= 1 + 0.1*rng.Float64()
+	}
+	var src, dst Reusable
+	if err := src.Factorize(m); err != nil {
+		t.Fatal(err)
+	}
+	dst.Share(&src)
+	if err := dst.Factorize(m2); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Factorizations != 0 || dst.Refactorizations != 1 {
+		t.Errorf("shared receiver counters: %+v, want one refactorization", dst)
+	}
+	rhs := make([]float64, m.N)
+	for i := range rhs {
+		rhs[i] = float64(i + 1)
+	}
+	sameBits := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: %v, want %v", what, got, want)
+			}
+		}
+	}
+	f, err := Factor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := make([]float64, m.N), make([]float64, m.N)
+	f.Solve(rhs, want)
+	src.Solve(rhs, got)
+	sameBits("source after the receiver refactorized", got, want)
+	dst.Solve(rhs, got)
+	if err := src.Factorize(m2); err != nil {
+		t.Fatal(err)
+	}
+	src.Solve(rhs, want)
+	sameBits("shared receiver", got, want)
+	var fresh Reusable
+	if err := fresh.Factorize(m2); err != nil {
+		t.Fatal(err)
+	}
+	fresh.Share(&src)
+	if fresh.lu == src.lu || fresh.Factorizations != 1 {
+		t.Error("Share replaced an analysis the receiver already kept")
 	}
 }
 
@@ -644,8 +717,10 @@ func TestReusableSolveBeforeFactorizePanics(t *testing.T) {
 // FuzzLU builds a matrix from the fuzz input — each 4-byte record is one
 // entry (row, column, value, perturbation) — and drives a Reusable through
 // its factorization, then through the refactorization of the perturbed
-// same-pattern matrix, checking each solve against the dense reference. It
-// must never panic, and any failure must be ErrZeroPivot. Run with
+// same-pattern matrix, checking each solve against the dense reference, and
+// then through the first matrix again, whose solve must repeat the first one
+// bit for bit whatever the perturbed matrix did. It must never panic, and
+// any failure must be ErrZeroPivot. Run with
 // `go test -fuzz=FuzzLU ./internal/sparse`; the seeds execute as regular
 // tests.
 func FuzzLU(f *testing.F) {
@@ -655,6 +730,9 @@ func FuzzLU(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 16, 1, 1, 1, 16, 2, 2, 2, 16, 3, 3, 3, 16, 4, 4, 4, 16, 5, 5, 5, 16, 6, 6, 6, 16, 7,
 		7, 7, 16, 8, 7, 0, 100, 9, 0, 7, 100, 10, 3, 5, 240, 11})
 	f.Add([]byte{1, 0, 0, 16, 192, 1, 1, 16, 0})
+	// The perturbed matrix's zero pivot forces a fresh factorization; the
+	// first matrix must then still refactorize over its own analysis.
+	f.Add([]byte("70100100L27000C\xed0$&001100%%007000&00010001$00C2007$00&C\xfe0710001000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 || len(data) > 4*64+1 {
 			return
@@ -671,6 +749,12 @@ func FuzzLU(f *testing.F) {
 		if !factorizeAndCheck(t, &r, m) {
 			return
 		}
+		rhs := make([]float64, n)
+		for i := range rhs {
+			rhs[i] = float64(i + 1)
+		}
+		first, again := make([]float64, n), make([]float64, n)
+		r.Solve(rhs, first)
 		// Perturb every stored entry; the merged entry k takes the k-th
 		// record's perturbation, which may zero it or fill a stored zero.
 		m2 := m.Clone()
@@ -678,6 +762,15 @@ func FuzzLU(f *testing.F) {
 			m2.Val[k] += deltas[k]
 		}
 		factorizeAndCheck(t, &r, m2)
+		if err := r.Factorize(m); err != nil {
+			t.Fatalf("Factorize of the first matrix again: %v", err)
+		}
+		r.Solve(rhs, again)
+		for i := range first {
+			if math.Float64bits(again[i]) != math.Float64bits(first[i]) {
+				t.Fatalf("first matrix solves to %v after the perturbed one, %v before", again, first)
+			}
+		}
 	})
 }
 
@@ -713,7 +806,7 @@ func factorizeAndCheck(t *testing.T, r *Reusable, m *CSR) bool {
 		invNorm = math.Max(invNorm, s)
 	}
 	growth, amax := 1.0, m.MaxAbs()
-	for _, v := range r.lu.uVal {
+	for _, v := range r.cur.uVal {
 		growth = math.Max(growth, math.Abs(v)/amax)
 	}
 	amp := d.NormInf() * invNorm * growth

@@ -65,8 +65,10 @@ func (e *Evaluator) blockEngine(k int, skews bool) *transient.BlockEngine {
 
 // EvalBlock computes h(τs, τh) for a block of skew pairs with one lockstep
 // multi-lane transient (transient.BlockEngine): nearby points share the
-// exact stimulus prefix. Lanes that peel off the block are retried on the
-// scalar path, so the result is defined for every point or the call errors.
+// exact stimulus prefix. Every lane equals Eval at its skews bit for bit,
+// whatever the evaluator ran before; a one-lane block runs Eval. A lane that
+// peels off the block fails the call with its own error, naming the lane —
+// the error Eval would return at that point.
 func (e *Evaluator) EvalBlock(tauS, tauH []float64) ([]float64, error) {
 	k := len(tauS)
 	if len(tauH) != k {
@@ -95,12 +97,7 @@ func (e *Evaluator) EvalBlock(tauS, tauH []float64) ([]float64, error) {
 	out := make([]float64, k)
 	for i := 0; i < k; i++ {
 		if res.Errs[i] != nil {
-			h, err := e.Eval(tauS[i], tauH[i])
-			if err != nil {
-				return nil, fmt.Errorf("stf: lane %d peeled off (%v) and the scalar retry failed: %w", i, res.Errs[i], err)
-			}
-			out[i] = h
-			continue
+			return nil, fmt.Errorf("stf: lane %d: %w", i, res.Errs[i])
 		}
 		out[i] = res.X[i][e.inst.Out] - e.cal.R
 	}
@@ -108,10 +105,11 @@ func (e *Evaluator) EvalBlock(tauS, tauH []float64) ([]float64, error) {
 }
 
 // EvalGradBlock is EvalBlock carrying forward sensitivities: h and its
-// gradient for every lane. Per-lane failures (a peel-off whose scalar retry
-// also failed) are reported in errs without invalidating the other lanes;
-// the final error is reserved for whole-block failures (cancellation, a
-// failure inside the shared prefix, invalid input).
+// gradient for every lane, each equal to EvalGrad's bit for bit. A lane that
+// peels off reports its own error, naming the lane, in errs without
+// invalidating the other lanes; the final error is reserved for whole-block
+// failures (cancellation, invalid input) and for a one-lane block's EvalGrad
+// error.
 func (e *Evaluator) EvalGradBlock(tauS, tauH []float64) (h, dhdS, dhdH []float64, errs []error, err error) {
 	k := len(tauS)
 	if len(tauH) != k {
@@ -141,14 +139,7 @@ func (e *Evaluator) EvalGradBlock(tauS, tauH []float64) (h, dhdS, dhdH []float64
 	out := e.inst.Out
 	for i := 0; i < k; i++ {
 		if res.Errs[i] != nil {
-			h[i], dhdS[i], dhdH[i], err = e.EvalGrad(tauS[i], tauH[i])
-			if err != nil {
-				if e.ctx.Err() != nil {
-					return nil, nil, nil, nil, err
-				}
-				errs[i] = fmt.Errorf("stf: lane %d peeled off (%v) and the scalar retry failed: %w", i, res.Errs[i], err)
-			}
-			err = nil
+			errs[i] = fmt.Errorf("stf: lane %d: %w", i, res.Errs[i])
 			continue
 		}
 		h[i] = res.X[i][out] - e.cal.R

@@ -1,11 +1,15 @@
 package stf
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"latchchar/internal/num"
+	"latchchar/internal/obs"
 	"latchchar/internal/registers"
 	"latchchar/internal/transient"
 )
@@ -294,38 +298,97 @@ func TestClockToQ(t *testing.T) {
 	}
 }
 
+// TestEvaluatorDeterministic requires an evaluation to depend on its skews
+// alone: repeating it after scalar and block evaluations at other skews
+// reproduces it bit for bit.
 func TestEvaluatorDeterministic(t *testing.T) {
-	// Re-running the same evaluation must reproduce the result. The sparse
-	// LU reuses its recorded pivot order across runs and only re-runs the
-	// Markowitz analysis when a pivot goes stale, so consecutive runs can
-	// differ by rounding when the pivot order changed in between — the
-	// agreement requirement is therefore "to solver tolerance", far tighter
-	// than anything the characterization layer can observe.
 	e := evaluatorFor(t, "tspc")
+	elsewhere := func() {
+		t.Helper()
+		if _, err := e.Eval(150e-12, 90e-12); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.EvalBlock([]float64{150e-12, 420e-12, 600e-12}, []float64{90e-12, 250e-12, 40e-12}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, _, err := e.EvalGradBlock([]float64{200e-12, 500e-12}, []float64{60e-12, 300e-12}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	h1, err := e.Eval(313e-12, 171e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
+	elsewhere()
 	h2, err := e.Eval(313e-12, 171e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !num.ApproxEqual(h1, h2, 1e-9, 1e-9) {
+	if math.Float64bits(h1) != math.Float64bits(h2) {
 		t.Errorf("non-deterministic: %v vs %v", h1, h2)
 	}
 	g1a, g1b, g1c, err := e.EvalGrad(313e-12, 171e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
+	elsewhere()
 	g2a, g2b, g2c, err := e.EvalGrad(313e-12, 171e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !num.ApproxEqual(g1a, g2a, 1e-9, 1e-9) ||
-		!num.ApproxEqual(g1b, g2b, 1e-6, 1) ||
-		!num.ApproxEqual(g1c, g2c, 1e-6, 1) {
+	if math.Float64bits(g1a) != math.Float64bits(g2a) ||
+		math.Float64bits(g1b) != math.Float64bits(g2b) ||
+		math.Float64bits(g1c) != math.Float64bits(g2c) {
 		t.Errorf("gradient evaluation non-deterministic: (%v %v %v) vs (%v %v %v)",
 			g1a, g1b, g1c, g2a, g2b, g2c)
+	}
+}
+
+// TestBlockPeelOffIsTheLaneResult starves every tspc lane of Newton
+// iterations (two per step fail at the clock edge near 1.1 ns): each lane
+// of EvalBlock and EvalGradBlock must report its own Newton failure, naming
+// the lane, as Eval does at its skews, and the failed lanes must cost no
+// transient beyond the block's: every step and Newton iteration the
+// evaluator published belongs to the two block runs.
+func TestBlockPeelOffIsTheLaneResult(t *testing.T) {
+	cell, err := registers.ByName("tspc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := cell.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluatorWithCalibration(inst, Config{MaxNewtonIter: 2}, evaluatorFor(t, "tspc").Calibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := obs.New()
+	e.SetObs(run)
+	tauS := []float64{300e-12, 350e-12, 400e-12, 450e-12}
+	tauH := []float64{200e-12, 220e-12, 240e-12, 260e-12}
+	k := len(tauS)
+	if _, err := e.EvalBlock(tauS, tauH); !errors.Is(err, transient.ErrNewtonFailure) || !strings.Contains(err.Error(), "lane 0") {
+		t.Errorf("EvalBlock: err = %v, want lane 0's Newton failure", err)
+	}
+	_, _, _, errs, err := e.EvalGradBlock(tauS, tauH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lerr := range errs {
+		if !errors.Is(lerr, transient.ErrNewtonFailure) || !strings.Contains(lerr.Error(), fmt.Sprintf("lane %d", i)) {
+			t.Errorf("EvalGradBlock lane %d: err = %v, want its Newton failure", i, lerr)
+		}
+	}
+	if e.PlainEvals != k || e.GradEvals != k {
+		t.Errorf("%d-lane blocks counted %d plain and %d gradient transients, want %d each", k, e.PlainEvals, e.GradEvals, k)
+	}
+	if steps, iters := run.Counter(obs.CtrSteps), run.Counter(obs.CtrNewtonIters); steps != int64(e.Work.Steps) || iters != int64(e.Work.NewtonIters) {
+		t.Errorf("published %d steps and %d Newton iterations, the blocks ran %d and %d",
+			steps, iters, e.Work.Steps, e.Work.NewtonIters)
+	}
+	if _, err := e.Eval(tauS[0], tauH[0]); !errors.Is(err, transient.ErrNewtonFailure) {
+		t.Errorf("Eval: err = %v, want a Newton failure", err)
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 // vectorized multi-point kernel of DESIGN §13. Each lane is a full scalar
 // Engine (structure-of-arrays state: lane-major vectors, shared symbolic
 // analysis via newEngine's prototype path), and every lane steps through the
-// one Engine.step. The lanes cooperate in two ways:
+// one Engine.step. Lanes 1…K−1 refactorize over lane 0's pivot analysis, so
+// every lane's result equals a scalar Engine's at its stimulus bit for bit,
+// whatever the block ran before. The lanes cooperate in two ways:
 //
 //   - Shared exact prefix: the caller passes tSplit, the earliest time any
 //     lane's stimulus can differ. Until then every lane is bit-identical, so
@@ -22,8 +24,8 @@ import (
 //     fork — K−1 lane-steps saved per prefix step, counted in
 //     Stats.BlockSharedSteps.
 //   - Peel-off: a lane whose Newton iteration fails records its error and
-//     drops out; the remaining lanes continue unharmed. Callers retry peeled
-//     lanes on the scalar path.
+//     drops out; the remaining lanes continue unharmed. The error is the
+//     lane's result: the scalar engine would fail the same way.
 //
 // A BlockEngine is not safe for concurrent use.
 type BlockEngine struct {

@@ -1,12 +1,14 @@
 package transient
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"latchchar/internal/circuit"
 	"latchchar/internal/device"
+	"latchchar/internal/obs"
 	"latchchar/internal/solver"
 )
 
@@ -74,8 +76,9 @@ func runScalarLane(t *testing.T, opts Options, t0, rise, amp float64, x0 []float
 
 // TestBlockSharedPrefixMatchesScalar advances four lanes whose stimuli are
 // identical until t0 and diverge after: the block result must match four
-// independent scalar integrations within 3 µV, and the shared prefix must
-// actually have saved lane-steps.
+// independent scalar integrations bit for bit, the shared prefix must
+// actually have saved lane-steps, and the fresh block must have made one
+// pivot analysis — lane 0's, which the other lanes refactorize over.
 func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 	const (
 		t0   = 2e-9
@@ -94,12 +97,16 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBlockEngine(ckt, opts, len(amps), func(lane int) { *amp = amps[lane] })
-	res, err := b.Run(x0, g, t0)
+	run := obs.New()
+	res, err := b.RunCtx(context.Background(), run, x0, g, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Ok() {
 		t.Fatalf("lane errors: %v", res.Errs)
+	}
+	if n := run.Counter(obs.CtrLUFactor); n != 1 {
+		t.Errorf("lu_factorizations = %d on a fresh %d-lane block, want 1", n, len(amps))
 	}
 	if res.Stats.BlockSharedSteps == 0 {
 		t.Error("no lane-steps saved despite a 2 ns shared prefix")
@@ -110,8 +117,8 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 	for lane, a := range amps {
 		want := runScalarLane(t, opts, t0, rise, a, x0, g)
 		for i := range want.X {
-			if d := math.Abs(res.X[lane][i] - want.X[i]); d > 3e-6 {
-				t.Errorf("lane %d node %d deviates %.3g V from scalar", lane, i, d)
+			if math.Float64bits(res.X[lane][i]) != math.Float64bits(want.X[i]) {
+				t.Errorf("lane %d node %d: %v, scalar %v", lane, i, res.X[lane][i], want.X[i])
 			}
 		}
 	}
@@ -120,7 +127,7 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 
 // TestBlockPeelOff poisons one lane's stimulus with NaN: that lane must fail
 // with a per-lane error (counted as a peel-off) while the remaining lanes
-// converge to the same states as their scalar references. Poisoning lane 0
+// converge to their scalar references' states bit for bit. Poisoning lane 0
 // additionally checks that the lane the shared prefix ran on can peel off
 // after the fork.
 func TestBlockPeelOff(t *testing.T) {
@@ -166,8 +173,8 @@ func TestBlockPeelOff(t *testing.T) {
 			}
 			want := runScalarLane(t, opts, t0, rise, a, x0, g)
 			for i := range want.X {
-				if d := math.Abs(res.X[lane][i] - want.X[i]); d > 3e-6 {
-					t.Errorf("lane %d node %d deviates %.3g V after peel-off", lane, i, d)
+				if math.Float64bits(res.X[lane][i]) != math.Float64bits(want.X[i]) {
+					t.Errorf("lane %d node %d after peel-off: %v, scalar %v", lane, i, res.X[lane][i], want.X[i])
 				}
 			}
 		}

@@ -111,8 +111,7 @@ type Stats struct {
 	// BlockSharedSteps counts lane-steps served by the shared exact prefix —
 	// steps lanes 1…K−1 never had to integrate because every lane's
 	// stimulus is bit-identical before the skews diverge. BlockPeelOffs
-	// counts lanes that dropped out of a block on a Newton failure (they are
-	// retried on the scalar path by the caller).
+	// counts lanes that dropped out of a block on a Newton failure.
 	BlockSharedSteps int
 	BlockPeelOffs    int
 
@@ -450,8 +449,11 @@ func (e *Engine) initAt(x0 []float64, t0 float64) {
 // forkFrom copies src's integrator state into e: the state, the charge and
 // capacitance history, the sensitivities and their TRAP derivative memory.
 // Block lanes 1…K−1 fork from lane 0 where the shared prefix ends, while
-// every lane is still bit-identical, so the copy is exact.
+// every lane is still bit-identical, so the copy is exact. e also takes
+// src's pivot analysis, made on the first Newton matrix from x0 as a scalar
+// engine's is (no skew enters it), so e factorizes as a scalar engine would.
 func (e *Engine) forkFrom(src *Engine) {
+	e.lu.Share(&src.lu)
 	copy(e.x, src.x)
 	copy(e.qPrev, src.qPrev)
 	if e.opts.Skews {

@@ -360,10 +360,10 @@ type SurfaceOptions struct {
 	// which is independent of Parallelism.
 	Parallelism int
 	// Block is the block-transient lane count: a value > 1 evaluates each
-	// grid row in chunks of Block lockstep lanes sharing Jacobian
-	// factorizations and device evaluations (the per-row cost accounting is
-	// unchanged — still one transient per grid point). 0 or 1 keeps scalar
-	// per-point evaluation.
+	// grid row in chunks of Block lockstep lanes sharing the stimulus prefix
+	// (the per-row cost accounting is unchanged — still one transient per
+	// grid point). 0 or 1 evaluates point by point. The surface is the same
+	// bit for bit for every Block and Parallelism.
 	Block int
 	// Eval tunes the per-worker evaluators.
 	Eval EvalConfig
@@ -428,7 +428,13 @@ func (e *Engine) BruteForce(ctx context.Context, cell *Cell, opts SurfaceOptions
 	if err != nil {
 		return nil, err
 	}
-	newEval := func() (*stf.Evaluator, error) {
+	sAxis := surface.Linspace(opts.Domain.MinS, opts.Domain.MaxS, opts.N)
+	hAxis := surface.Linspace(opts.Domain.MinH, opts.Domain.MaxH, opts.N)
+	// Row-at-a-time sweep: each row is evaluated in chunks of Block
+	// lockstep block-transient lanes sharing the stimulus prefix; a chunk of
+	// one runs the scalar transient.
+	lanes := max(opts.Block, 1)
+	factory := func() (surface.BlockEvalFunc, error) {
 		inst, err := cell.Build()
 		if err != nil {
 			return nil, err
@@ -440,52 +446,27 @@ func (e *Engine) BruteForce(ctx context.Context, cell *Cell, opts SurfaceOptions
 			return nil, err
 		}
 		ev.SetContext(ctx)
-		return ev, nil
-	}
-	sAxis := surface.Linspace(opts.Domain.MinS, opts.Domain.MaxS, opts.N)
-	hAxis := surface.Linspace(opts.Domain.MinH, opts.Domain.MaxH, opts.N)
-	var sf *Surface
-	if opts.Block > 1 {
-		// Row-at-a-time sweep: each row is evaluated in chunks of Block
-		// lockstep block-transient lanes sharing the stimulus prefix and
-		// Jacobian factorizations.
-		lanes := opts.Block
-		factory := func() (surface.BlockEvalFunc, error) {
-			ev, err := newEval()
-			if err != nil {
-				return nil, err
-			}
-			tauS := make([]float64, 0, lanes)
-			return func(s float64, h, out []float64) error {
-				for lo := 0; lo < len(h); lo += lanes {
-					hi := lo + lanes
-					if hi > len(h) {
-						hi = len(h)
-					}
-					tauS = tauS[:0]
-					for range h[lo:hi] {
-						tauS = append(tauS, s)
-					}
-					vals, err := ev.EvalBlock(tauS, h[lo:hi])
-					if err != nil {
-						return err
-					}
-					copy(out[lo:hi], vals)
+		tauS := make([]float64, 0, lanes)
+		return func(s float64, h, out []float64) error {
+			for lo := 0; lo < len(h); lo += lanes {
+				hi := lo + lanes
+				if hi > len(h) {
+					hi = len(h)
 				}
-				return nil
-			}, nil
-		}
-		sf, err = surface.GenerateBlockCtx(ctx, sp, sAxis, hAxis, factory, e.pool, workers)
-	} else {
-		factory := func() (surface.EvalFunc, error) {
-			ev, err := newEval()
-			if err != nil {
-				return nil, err
+				tauS = tauS[:0]
+				for range h[lo:hi] {
+					tauS = append(tauS, s)
+				}
+				vals, err := ev.EvalBlock(tauS, h[lo:hi])
+				if err != nil {
+					return err
+				}
+				copy(out[lo:hi], vals)
 			}
-			return ev.Eval, nil
-		}
-		sf, err = surface.GenerateCtx(ctx, sp, sAxis, hAxis, factory, e.pool, workers)
+			return nil
+		}, nil
 	}
+	sf, err := surface.GenerateBlockCtx(ctx, sp, sAxis, hAxis, factory, e.pool, workers)
 	if err != nil {
 		return nil, fmt.Errorf("latchchar: surface generation: %w", err)
 	}

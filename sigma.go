@@ -416,10 +416,10 @@ const probeHTol = 1e-4
 // first; the remaining probes start displaced by that shift — on the smooth
 // arms of the curve the displacement is nearly uniform, so the chained
 // seeds land within a picosecond or two of the sample's curve and converge
-// in one or two gradient transients each. block > 1 batches the remaining
-// probes through the lockstep block-transient kernel in chunks of that many
-// lanes. Any failed probe fails the whole contour (the caller falls back to
-// a cold characterization).
+// in one or two gradient transients each. The remaining probes run through
+// the lockstep block-transient kernel in chunks of max(block, 1) lanes; a
+// chunk of one is the scalar corrector. Any failed probe fails the whole
+// contour (the caller falls back to a cold characterization).
 func probeContour(ctx context.Context, ev *Evaluator, nom *Contour, block int, opts MPNROptions) (*Contour, error) {
 	pts := nom.Points
 	out := &Contour{Closed: nom.Closed}
@@ -444,37 +444,27 @@ func probeContour(ctx context.Context, ev *Evaluator, nom *Contour, block int, o
 	}
 	solved := make([]ContourPoint, len(pts))
 	solved[mid] = pilot.Point
-	if block > 1 {
-		for lo := 0; lo < len(idx); lo += block {
-			hi := lo + block
-			if hi > len(idx) {
-				hi = len(idx)
-			}
-			results, errs, berr := core.SolveMPNRBlockCtx(ctx, ev, seedS[lo:hi], seedH[lo:hi], opts)
-			for i := range results {
-				out.GradEvals += results[i].GradEvals
-			}
-			if berr != nil {
-				return nil, fmt.Errorf("probe block at %d: %w", idx[lo], berr)
-			}
-			for i := range results {
-				if errs[i] != nil {
-					return nil, fmt.Errorf("probe %d: %w", idx[lo+i], errs[i])
-				}
-				if !results[i].Converged {
-					return nil, fmt.Errorf("probe %d: %w", idx[lo+i], core.ErrNoConvergence)
-				}
-				solved[idx[lo+i]] = results[i].Point
-			}
+	block = max(block, 1)
+	for lo := 0; lo < len(idx); lo += block {
+		hi := lo + block
+		if hi > len(idx) {
+			hi = len(idx)
 		}
-	} else {
-		for i, j := range idx {
-			r, err := core.SolveMPNRCtx(ctx, ev, seedS[i], seedH[i], opts)
-			out.GradEvals += r.GradEvals
-			if err != nil {
-				return nil, fmt.Errorf("probe %d: %w", j, err)
+		results, errs, berr := core.SolveMPNRBlockCtx(ctx, ev, seedS[lo:hi], seedH[lo:hi], opts)
+		for i := range results {
+			out.GradEvals += results[i].GradEvals
+		}
+		if berr != nil {
+			return nil, fmt.Errorf("probe block at %d: %w", idx[lo], berr)
+		}
+		for i := range results {
+			if errs[i] != nil {
+				return nil, fmt.Errorf("probe %d: %w", idx[lo+i], errs[i])
 			}
-			solved[j] = r.Point
+			if !results[i].Converged {
+				return nil, fmt.Errorf("probe %d: %w", idx[lo+i], core.ErrNoConvergence)
+			}
+			solved[idx[lo+i]] = results[i].Point
 		}
 	}
 	out.Points = solved
