@@ -174,8 +174,10 @@ mcsmoke:
 
 # fuzzsmoke runs each native fuzz target for 15 s: FuzzLU (sparse LU
 # factorization, refactorization and solve against the dense reference) and
-# FuzzParse (the netlist parser). A failing input is saved under the
-# package's testdata/fuzz/ and replays as a regular test from then on.
+# FuzzParse (the netlist parser; every deck that builds is also assembled at
+# two states, and its C must be symmetric and the same at both, bit for
+# bit). A failing input is saved under the package's testdata/fuzz/ and
+# replays as a regular test from then on.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLU$$' -fuzztime 15s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/netlist

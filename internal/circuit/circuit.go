@@ -11,7 +11,9 @@
 //
 // Devices register their matrix entries once (Setup) and then stamp values
 // through integer slots on every evaluation, so no pattern work happens in
-// the inner Newton loop.
+// the inner Newton loop. Constant capacitances go further: a device
+// registers them with their values (SetupCtx.ConstC), Finalize sums them
+// into the C template once, and every evaluation starts C from that copy.
 package circuit
 
 import (
@@ -37,14 +39,16 @@ const noSlot Slot = -1
 // Device is a circuit element. Setup is called exactly once when the
 // circuit is finalized; Eval is called for every residual/Jacobian
 // evaluation and must only stamp values through the handles acquired in
-// Setup.
+// Setup. A constant C entry is given its value in Setup (ConstC) and is not
+// stamped again in Eval.
 type Device interface {
 	// Name returns the instance name, used in diagnostics.
 	Name() string
-	// Setup registers matrix pattern entries and any extra branch unknowns.
+	// Setup registers matrix pattern entries, constant C values and any
+	// extra branch unknowns.
 	Setup(ctx *SetupCtx) error
-	// Eval stamps q, f, src values and C, G matrix values for the state and
-	// time in ctx.
+	// Eval stamps q, f, src values, G matrix values and the state-dependent
+	// C values for the state and time in ctx.
 	Eval(ctx *EvalCtx)
 }
 
@@ -77,13 +81,21 @@ type Circuit struct {
 	finalized bool
 	gEntries  []patEntry // provisional G entries in setup order
 	cEntries  []patEntry
-	gSlotMap  []int // provisional slot -> CSR value index
+	cConst    []constEntry // ConstC registrations in setup order
+	gSlotMap  []int        // provisional slot -> CSR value index
 	cSlotMap  []int
 	gPat      *sparse.CSR // pattern with zero values (template)
-	cPat      *sparse.CSR
+	cPat      *sparse.CSR // pattern holding the summed constant C values
 }
 
 type patEntry struct{ i, j UnknownID }
+
+// constEntry is one constant C value registered through ConstC; slot is
+// its provisional C slot.
+type constEntry struct {
+	slot Slot
+	v    float64
+}
 
 // New returns an empty circuit.
 func New() *Circuit {
@@ -205,6 +217,10 @@ func (c *Circuit) Finalize() error {
 	}
 	c.gPat, c.gSlotMap = build(c.gEntries)
 	c.cPat, c.cSlotMap = build(c.cEntries)
+	// The constant C values, summed once in registration order.
+	for _, e := range c.cConst {
+		c.cPat.Val[c.cSlotMap[e.slot]] += e.v
+	}
 	return nil
 }
 
@@ -237,13 +253,26 @@ func (s *SetupCtx) G(i, j UnknownID) Slot {
 	return Slot(len(s.c.gEntries) - 1)
 }
 
-// C registers a charge-Jacobian pattern entry (i, j) and returns its slot.
+// C registers a charge-Jacobian pattern entry (i, j) for a state-dependent
+// value and returns its slot; Eval stamps the value through AddC on every
+// evaluation, on top of the constant values (see ConstC).
 func (s *SetupCtx) C(i, j UnknownID) Slot {
 	if i == Ground || j == Ground {
 		return noSlot
 	}
 	s.c.cEntries = append(s.c.cEntries, patEntry{i, j})
 	return Slot(len(s.c.cEntries) - 1)
+}
+
+// ConstC registers a charge-Jacobian pattern entry (i, j) holding the
+// constant value v. Finalize adds the registered values into the C
+// template in registration order, and every Eval.At starts C from that
+// template, so the device stamps nothing for the entry in Eval. Entries
+// touching ground are dropped.
+func (s *SetupCtx) ConstC(i, j UnknownID, v float64) {
+	if slot := s.C(i, j); slot != noSlot {
+		s.c.cConst = append(s.c.cConst, constEntry{slot, v})
+	}
 }
 
 // RegisterDataSource marks d as a skew-dependent source whose sensitivity
@@ -283,7 +312,9 @@ func (c *Circuit) NewEval() *Eval {
 	return ev
 }
 
-// At assembles q, f, src, C and G for state x at time t.
+// At assembles q, f, src, C and G for state x at time t. C starts from the
+// constant values summed at Finalize; the devices add the state-dependent
+// ones.
 func (ev *Eval) At(x []float64, t float64) {
 	if len(x) != ev.c.N() {
 		panic("circuit: Eval.At state length mismatch")
@@ -293,7 +324,7 @@ func (ev *Eval) At(x []float64, t float64) {
 		ev.F[i] = 0
 		ev.Src[i] = 0
 	}
-	ev.C.ZeroVals()
+	copy(ev.C.Val, ev.c.cPat.Val)
 	ev.G.ZeroVals()
 	ev.ctx.X = x
 	ev.ctx.T = t

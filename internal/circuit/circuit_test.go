@@ -236,3 +236,46 @@ func TestEvalStateLengthChecked(t *testing.T) {
 	}()
 	ev.At([]float64{1, 2}, 0)
 }
+
+// capStub registers a constant capacitance c between a and b through
+// ConstC and a state-dependent one, v(a) farads on (a, a), through C.
+type capStub struct {
+	a, b UnknownID
+	c    float64
+	vs   Slot
+}
+
+func (s *capStub) Name() string { return "cs" }
+func (s *capStub) Setup(ctx *SetupCtx) error {
+	ctx.ConstC(s.a, s.a, s.c)
+	ctx.ConstC(s.a, s.b, -s.c)
+	ctx.ConstC(s.b, s.a, -s.c)
+	ctx.ConstC(s.b, s.b, s.c)
+	s.vs = ctx.C(s.a, s.a)
+	return nil
+}
+func (s *capStub) Eval(ctx *EvalCtx) { ctx.AddC(s.vs, ctx.V(s.a)) }
+
+func TestConstCTemplate(t *testing.T) {
+	c := New()
+	a, b := c.Node("a"), c.Node("b")
+	c.AddDevice(&capStub{a: a, b: b, c: 2})
+	c.AddDevice(&capStub{a: a, b: Ground, c: 3}) // shares (a, a); ground entries dropped
+	if err := c.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	ev := c.NewEval()
+	for _, va := range []float64{5, 7} {
+		// Re-evaluation restarts C from the constant template.
+		ev.At([]float64{va, 0}, 0)
+		if got, want := ev.C.At(0, 0), 2+3+2*va; got != want {
+			t.Errorf("v(a)=%v: C(a,a) = %v, want %v", va, got, want)
+		}
+		if ev.C.At(0, 1) != -2 || ev.C.At(1, 0) != -2 || ev.C.At(1, 1) != 2 {
+			t.Errorf("v(a)=%v: constant entries %v", va, ev.C.ToDense())
+		}
+	}
+	if ev.C.NNZ() != 4 {
+		t.Errorf("C NNZ = %d, want 4", ev.C.NNZ())
+	}
+}

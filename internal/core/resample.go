@@ -93,7 +93,7 @@ func resample(ctx context.Context, p Problem, eval gradBlock, c *Contour, n, blo
 	sp := opts.Obs.StartSpan(obs.SpanResample)
 	defer sp.End()
 	opts.Obs = sp // correctors nest under the resample span
-	out := &Contour{Closed: c.Closed}
+	out := &Contour{Closed: c.Closed, Points: make([]Point, 0, n)}
 	for lo := 0; lo < n; lo += block {
 		hi := lo + block
 		if hi > n {

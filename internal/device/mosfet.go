@@ -90,27 +90,24 @@ type MOSFET struct {
 	nlgd   *nlGateStamp
 }
 
+// capStamp is one constant capacitance c between p and n: its C entries
+// are registered with their values in setup, so eval stamps only q.
 type capStamp struct {
-	p, n  circuit.UnknownID
-	c     float64
-	slots [4]circuit.Slot
+	p, n circuit.UnknownID
+	c    float64
 }
 
 func (cs *capStamp) setup(ctx *circuit.SetupCtx) {
-	cs.slots[0] = ctx.C(cs.p, cs.p)
-	cs.slots[1] = ctx.C(cs.p, cs.n)
-	cs.slots[2] = ctx.C(cs.n, cs.p)
-	cs.slots[3] = ctx.C(cs.n, cs.n)
+	ctx.ConstC(cs.p, cs.p, cs.c)
+	ctx.ConstC(cs.p, cs.n, -cs.c)
+	ctx.ConstC(cs.n, cs.p, -cs.c)
+	ctx.ConstC(cs.n, cs.n, cs.c)
 }
 
 func (cs *capStamp) eval(ctx *circuit.EvalCtx) {
 	q := cs.c * (ctx.V(cs.p) - ctx.V(cs.n))
 	ctx.AddQ(cs.p, q)
 	ctx.AddQ(cs.n, -q)
-	ctx.AddC(cs.slots[0], cs.c)
-	ctx.AddC(cs.slots[1], -cs.c)
-	ctx.AddC(cs.slots[2], -cs.c)
-	ctx.AddC(cs.slots[3], cs.c)
 }
 
 // NewMOSFET constructs a MOSFET instance. b is the bulk node (typically

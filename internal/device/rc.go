@@ -3,7 +3,9 @@
 // waveforms (including the skew-parametric data source), and a
 // Shichman-Hodges (SPICE level-1) MOSFET with constant intrinsic
 // capacitances. Each device stamps the MNA system through the slot handles
-// it acquires in Setup.
+// it acquires in Setup; constant capacitances (the capacitor, and the
+// MOSFET's junction and constant gate capacitances) register their C values
+// in Setup instead and stamp only their charges on each evaluation.
 package device
 
 import (
@@ -57,7 +59,6 @@ type Capacitor struct {
 	Inst   string
 	P, N   circuit.UnknownID
 	Farads float64
-	cSlots [4]circuit.Slot
 }
 
 // NewCapacitor returns a capacitor between p and n.
@@ -71,12 +72,13 @@ func NewCapacitor(name string, p, n circuit.UnknownID, farads float64) (*Capacit
 // Name implements circuit.Device.
 func (c *Capacitor) Name() string { return c.Inst }
 
-// Setup implements circuit.Device.
+// Setup implements circuit.Device. The capacitance is constant, so its C
+// entries are registered with their values here and Eval stamps only q.
 func (c *Capacitor) Setup(ctx *circuit.SetupCtx) error {
-	c.cSlots[0] = ctx.C(c.P, c.P)
-	c.cSlots[1] = ctx.C(c.P, c.N)
-	c.cSlots[2] = ctx.C(c.N, c.P)
-	c.cSlots[3] = ctx.C(c.N, c.N)
+	ctx.ConstC(c.P, c.P, c.Farads)
+	ctx.ConstC(c.P, c.N, -c.Farads)
+	ctx.ConstC(c.N, c.P, -c.Farads)
+	ctx.ConstC(c.N, c.N, c.Farads)
 	return nil
 }
 
@@ -85,10 +87,6 @@ func (c *Capacitor) Eval(ctx *circuit.EvalCtx) {
 	q := c.Farads * (ctx.V(c.P) - ctx.V(c.N))
 	ctx.AddQ(c.P, q)
 	ctx.AddQ(c.N, -q)
-	ctx.AddC(c.cSlots[0], c.Farads)
-	ctx.AddC(c.cSlots[1], -c.Farads)
-	ctx.AddC(c.cSlots[2], -c.Farads)
-	ctx.AddC(c.cSlots[3], c.Farads)
 }
 
 // ConductivePairs implements circuit.ConductiveDevice.

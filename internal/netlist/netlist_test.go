@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"latchchar/internal/circuit"
 	"latchchar/internal/registers"
 	"latchchar/internal/stf"
 )
@@ -391,9 +392,10 @@ func TestParseFileMissing(t *testing.T) {
 }
 
 // FuzzParse exercises the parser with arbitrary inputs; it must never
-// panic, only return errors. The seeds cover every element and directive
-// form. Run with `go test -fuzz=FuzzParse ./internal/netlist` for real
-// fuzzing; the seeds execute as regular tests.
+// panic, only return errors. A deck that builds is also assembled, and its
+// charge Jacobian checked (checkConstantC). The seeds cover every element
+// and directive form. Run with `go test -fuzz=FuzzParse ./internal/netlist`
+// for real fuzzing; the seeds execute as regular tests.
 func FuzzParse(f *testing.F) {
 	f.Add(tspcDeck)
 	f.Add("R1 a b 1k\n")
@@ -407,10 +409,46 @@ func FuzzParse(f *testing.F) {
 	f.Add("C1 x 0 1f\n.vdd 3\n.crossfrac 0.9\n.rising 0\n.end\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		d, err := ParseString(input)
-		if err == nil && d != nil {
-			// A successfully parsed deck must also survive Build or fail
-			// with an error, never panic.
-			_, _ = d.Build()
+		if err != nil || d == nil {
+			return
+		}
+		// A successfully parsed deck must also survive Build or fail with
+		// an error, never panic.
+		inst, err := d.Build()
+		if err == nil {
+			checkConstantC(t, inst.Circuit)
 		}
 	})
+}
+
+// checkConstantC assembles a built circuit at two different states and
+// requires its charge Jacobian C to be symmetric and equal at both, bit for
+// bit. Every capacitance a deck can declare is constant — C elements and
+// the MOSFET's junction and gate caps; a .model card cannot select the
+// NLGate gate-capacitance model — so C is the template summed at Finalize.
+func checkConstantC(t *testing.T, c *circuit.Circuit) {
+	t.Helper()
+	ev := c.NewEval()
+	x := make([]float64, c.N())
+	for i := range x {
+		x[i] = float64(i%5) - 1
+	}
+	ev.At(x, 0)
+	first := append([]float64(nil), ev.C.Val...)
+	for i := range x {
+		x[i] = 2.5 - 0.7*float64(i%3)
+	}
+	ev.At(x, 1e-9)
+	m := ev.C
+	for i := 0; i < m.N; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			j := m.Col[k]
+			if math.Float64bits(m.Val[k]) != math.Float64bits(first[k]) {
+				t.Fatalf("C(%d,%d) moved between states: %v then %v", i, j, first[k], m.Val[k])
+			}
+			if math.Float64bits(m.Val[k]) != math.Float64bits(m.At(j, i)) {
+				t.Fatalf("C not symmetric: C(%d,%d) = %v, C(%d,%d) = %v", i, j, m.Val[k], j, i, m.At(j, i))
+			}
+		}
+	}
 }

@@ -64,14 +64,14 @@ func TwoPhaseGrid(t0, tFine, t1, coarse, fine float64) (Grid, error) {
 	case fine > coarse:
 		return Grid{}, fmt.Errorf("transient: fine step %g exceeds coarse step %g", fine, coarse)
 	}
-	var pts []float64
 	nc := int(math.Ceil((tFine - t0) / coarse))
+	nf := int(math.Ceil((t1 - tFine) / fine))
+	pts := make([]float64, 0, nc+1+nf)
 	dtc := (tFine - t0) / float64(nc)
 	for i := 0; i <= nc; i++ {
 		pts = append(pts, t0+float64(i)*dtc)
 	}
 	pts[len(pts)-1] = tFine
-	nf := int(math.Ceil((t1 - tFine) / fine))
 	dtf := (t1 - tFine) / float64(nf)
 	for i := 1; i <= nf; i++ {
 		pts = append(pts, tFine+float64(i)*dtf)

@@ -259,7 +259,9 @@ func (e *Engine) runSampleProbe(ctx context.Context, mk func(Process) *Cell, nom
 		return
 	}
 	if errors.Is(perr, ErrCanceled) {
-		s.Result = finish(probe)
+		// probeContour returns no contour on error: the canceled sample
+		// keeps an empty one and the transients it spent.
+		s.Result = finish(&Contour{Closed: nomCt.Closed})
 		s.Err = fmt.Errorf("latchchar: sample %d: %w", s.Index, perr)
 		return
 	}
@@ -338,8 +340,10 @@ func SigmaFromSamples(nominal *Contour, samples []MCSample, level float64) (*Sig
 	}
 	sig := &SigmaContours{
 		Level:   level,
-		Inner:   &Contour{Closed: nominal.Closed},
-		Outer:   &Contour{Closed: nominal.Closed},
+		Probes:  make([]ContourPoint, 0, m),
+		Delta:   make([]MCStats, 0, m),
+		Inner:   &Contour{Closed: nominal.Closed, Points: make([]ContourPoint, 0, m)},
+		Outer:   &Contour{Closed: nominal.Closed, Points: make([]ContourPoint, 0, m)},
 		Samples: used,
 	}
 	for j := 0; j < m; j++ {

@@ -2,9 +2,11 @@ package latchchar
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -246,5 +248,52 @@ func TestMonteCarloContoursMatchesBruteForce(t *testing.T) {
 	// end-clamp skip), so a margin of the 8 probes may be reference-only.
 	if shared < 4 {
 		t.Errorf("only %d probes shared between the estimates", shared)
+	}
+}
+
+// Canceling a Monte-Carlo run while its samples solve their warm probes
+// ends each canceled sample with an error wrapping both ErrCanceled and
+// context.Canceled and a Result holding an empty contour and the sims the
+// sample spent (a canceled probe solve returns no contour, which a sample
+// once dereferenced). The context is canceled from the second mk call,
+// the first sample's, after the nominal has been characterized.
+func TestMonteCarloCancelDuringProbes(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tm := DefaultTiming()
+	var calls atomic.Int32
+	mk := func(p Process) *Cell {
+		if calls.Add(1) == 2 {
+			cancel()
+		}
+		return TSPCCell(p, tm)
+	}
+	res, err := MonteCarloContoursCtx(ctx, mk, DefaultProcess(), MCOptions{
+		Samples:      4,
+		Seed:         1,
+		Characterize: Options{Points: 10, Block: 4},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res == nil || len(res.Samples) != 4 {
+		t.Fatalf("canceled run returned %+v", res)
+	}
+	sims := res.NominalSims
+	for _, s := range res.Samples {
+		if !errors.Is(s.Err, ErrCanceled) || !errors.Is(s.Err, context.Canceled) {
+			t.Errorf("sample %d: err = %v, want ErrCanceled and context.Canceled", s.Index, s.Err)
+		}
+		if s.Result == nil || s.Result.Contour == nil {
+			t.Errorf("sample %d: no result or contour", s.Index)
+			continue
+		}
+		if n := len(s.Result.Contour.Points); n != 0 || s.WarmStarted {
+			t.Errorf("sample %d: %d contour points, warm %v; want an empty, unwarmed contour", s.Index, n, s.WarmStarted)
+		}
+		sims += s.Result.TotalSims()
+	}
+	if res.TotalSims != sims {
+		t.Errorf("TotalSims = %d, want nominal plus samples = %d", res.TotalSims, sims)
 	}
 }
