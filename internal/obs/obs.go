@@ -61,6 +61,10 @@ const (
 	CtrLUFactor       = "lu_factorizations"
 	CtrLURefactor     = "lu_refactorizations"
 	CtrSensSolves     = "sens_solves"
+	// CtrResumedSteps counts the lane-steps transients took from the
+	// rest-stimulus checkpoint instead of integrating them
+	// (transient.Stats.ResumedSteps).
+	CtrResumedSteps   = "resumed_steps"
 	CtrPoints         = "contour_points"
 	CtrStepRejects    = "step_rejects"
 	CtrWarmSeeds      = "warm_seeds"

@@ -146,6 +146,9 @@ func WriteSummary(w io.Writer, sum *Summary) error {
 		fmt.Fprintf(w, "integrator: %d steps, %d Newton iterations\n",
 			steps, sum.Counters[CtrNewtonIters])
 	}
+	if n := sum.Counters[CtrResumedSteps]; n > 0 {
+		fmt.Fprintf(w, "checkpoint: %d steps resumed, not integrated\n", n)
+	}
 	full := sum.Counters[CtrLUFactor]
 	re := sum.Counters[CtrLURefactor]
 	if full+re > 0 {
@@ -166,7 +169,7 @@ func WriteSummary(w io.Writer, sum *Summary) error {
 	known := map[string]bool{
 		CtrTransients: true, CtrTransientsGrad: true, CtrSteps: true,
 		CtrNewtonIters: true, CtrLUFactor: true, CtrLURefactor: true,
-		CtrSensSolves: true, CtrPoints: true,
+		CtrSensSolves: true, CtrResumedSteps: true, CtrPoints: true,
 		CtrStepRejects: true,
 	}
 	var rest []string

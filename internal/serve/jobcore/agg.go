@@ -43,6 +43,7 @@ func (a *obsAgg) init() {
 		obs.CtrLUFactor:               0,
 		obs.CtrLURefactor:             0,
 		obs.CtrSensSolves:             0,
+		obs.CtrResumedSteps:           0,
 		obs.CtrPoints:                 0,
 		obs.CtrStepRejects:            0,
 		obs.CtrWarmSeeds:              0,

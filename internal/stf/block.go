@@ -87,7 +87,7 @@ func (e *Evaluator) EvalBlock(tauS, tauH []float64) ([]float64, error) {
 	be := e.blockEngine(k, false)
 	e.blkS = append(e.blkS[:0], tauS...)
 	e.blkH = append(e.blkH[:0], tauH...)
-	res, err := be.RunCtx(e.ctx, e.run, e.x0, e.grid, e.blockSplit(tauS, tauH))
+	res, err := be.RunCtx(e.ctx, e.run, e.x0, e.grid, e.blockSplit(tauS, tauH), e.checkpoint(tauS, tauH))
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func (e *Evaluator) EvalGradBlock(tauS, tauH []float64) (h, dhdS, dhdH []float64
 	be := e.blockEngine(k, true)
 	e.blkS = append(e.blkS[:0], tauS...)
 	e.blkH = append(e.blkH[:0], tauH...)
-	res, rerr := be.RunCtx(e.ctx, e.run, e.x0, e.grid, e.blockSplit(tauS, tauH))
+	res, rerr := be.RunCtx(e.ctx, e.run, e.x0, e.grid, e.blockSplit(tauS, tauH), e.checkpoint(tauS, tauH))
 	if rerr != nil {
 		return nil, nil, nil, nil, rerr
 	}

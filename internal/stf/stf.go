@@ -13,6 +13,7 @@ package stf
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"latchchar/internal/circuit"
 	"latchchar/internal/num"
@@ -126,6 +127,12 @@ type Evaluator struct {
 	engPlain *transient.Engine
 	engGrad  *transient.Engine
 
+	// cp is the rest-stimulus checkpoint at grid point cpT, the last one
+	// before the data line can leave rest for τs ≤ MaxSetupSkew (DESIGN §5);
+	// nil when no grid point after the first precedes that time.
+	cp  *transient.Checkpoint
+	cpT float64
+
 	// Block-transient lanes (EvalBlock/EvalGradBlock): engines cached per
 	// lane count, plus the current block's skews for the setLane hook.
 	blkPlain   map[int]*transient.BlockEngine
@@ -172,7 +179,7 @@ func newEvaluator(inst *registers.Instance, cfg Config, cal *Calibration) (*Eval
 		return nil, err
 	}
 
-	fineStart := inst.Edge50 - c.MaxSetupSkew - inst.Clock.Rise/2 - c.FineMargin
+	fineStart := e.fineStart(c.MaxSetupSkew)
 	if fineStart <= 0 || fineStart >= e.cal.Tf {
 		return nil, fmt.Errorf("stf: fine window start %g outside (0, tf=%g); reduce MaxSetupSkew", fineStart, e.cal.Tf)
 	}
@@ -181,9 +188,34 @@ func newEvaluator(inst *registers.Instance, cfg Config, cal *Calibration) (*Eval
 		return nil, fmt.Errorf("stf: measurement grid: %w", err)
 	}
 	e.grid = grid
+	pts := grid.Points()
+	if k := sort.SearchFloat64s(pts, inst.Data.SupportStart(c.MaxSetupSkew)) - 1; k >= 1 {
+		e.cp, e.cpT = transient.NewCheckpoint(k), pts[k]
+	}
 	e.engPlain = transient.NewEngine(inst.Circuit, c.transientOptions(false))
 	e.engGrad = transient.NewEngine(inst.Circuit, c.transientOptions(true))
 	return e, nil
+}
+
+// fineStart is where a grid's fine phase starts for setup skews up to
+// maxTauS: FineMargin before the data pulse's earliest leading ramp, so the
+// ramp and the clock edge after it both fall in the fine phase.
+func (e *Evaluator) fineStart(maxTauS float64) float64 {
+	return e.inst.Data.SupportStart(maxTauS) - e.cfg.FineMargin
+}
+
+// checkpoint returns the checkpoint for a run at the skew pairs, or nil for
+// a run from x0. A run may save into or resume from it only when every
+// pair's data ramps start strictly after cpT: its stimulus then rests, with
+// zero skew derivatives, at every grid point up to cpT, as every other
+// such run's does, so all of them integrate the same trajectory there.
+func (e *Evaluator) checkpoint(tauS, tauH []float64) *transient.Checkpoint {
+	for i := range tauS {
+		if !(e.cpT < e.inst.Data.RestUntil(tauS[i], tauH[i])) {
+			return nil
+		}
+	}
+	return e.cp
 }
 
 // SetObs re-points the evaluator's observability handle; solvers use this
@@ -218,7 +250,7 @@ func (e *Evaluator) calibrate() error {
 		dir = -1
 	}
 
-	fineStart := inst.Edge50 - c.CalSkew - inst.Clock.Rise/2 - c.FineMargin
+	fineStart := e.fineStart(c.CalSkew)
 	if fineStart <= 0 {
 		return fmt.Errorf("stf: calibration fine window start %g ≤ 0; reduce CalSkew", fineStart)
 	}
@@ -261,7 +293,7 @@ func (e *Evaluator) Instance() *registers.Instance { return e.inst }
 // Eval computes h(τs, τh) = cᵀx(tf) − r with one transient simulation.
 func (e *Evaluator) Eval(tauS, tauH float64) (float64, error) {
 	e.inst.Data.SetSkews(tauS, tauH)
-	res, err := e.engPlain.RunCtx(e.ctx, e.run, e.x0, e.grid)
+	res, err := e.engPlain.RunCtx(e.ctx, e.run, e.x0, e.grid, e.checkpoint([]float64{tauS}, []float64{tauH}))
 	if err != nil {
 		return 0, err
 	}
@@ -275,7 +307,7 @@ func (e *Evaluator) Eval(tauS, tauH float64) (float64, error) {
 // simulation carrying forward sensitivities.
 func (e *Evaluator) EvalGrad(tauS, tauH float64) (h, dhdS, dhdH float64, err error) {
 	e.inst.Data.SetSkews(tauS, tauH)
-	res, err := e.engGrad.RunCtx(e.ctx, e.run, e.x0, e.grid)
+	res, err := e.engGrad.RunCtx(e.ctx, e.run, e.x0, e.grid, e.checkpoint([]float64{tauS}, []float64{tauH}))
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -289,19 +321,19 @@ func (e *Evaluator) EvalGrad(tauS, tauH float64) (h, dhdS, dhdH float64, err err
 // Waveforms runs a plain transient from the evaluator's start state on the
 // measurement grid's coarse prefix and fine step, run to tEnd instead of tf,
 // and records probes at every grid point. With tEnd = tf the grid is the
-// measurement grid, so the run is the transient behind Eval.
+// measurement grid, so the run is the transient behind Eval. It integrates
+// from x0: the probes need every grid point.
 func (e *Evaluator) Waveforms(tauS, tauH, tEnd float64, probes ...circuit.UnknownID) (*transient.Result, error) {
 	if tEnd <= e.grid.Start() {
 		return nil, fmt.Errorf("stf: waveform end %g before grid start", tEnd)
 	}
-	fineStart := e.inst.Edge50 - e.cfg.MaxSetupSkew - e.inst.Clock.Rise/2 - e.cfg.FineMargin
-	grid, err := transient.TwoPhaseGrid(0, fineStart, tEnd, e.cfg.CoarseStep, e.cfg.FineStep)
+	grid, err := transient.TwoPhaseGrid(0, e.fineStart(e.cfg.MaxSetupSkew), tEnd, e.cfg.CoarseStep, e.cfg.FineStep)
 	if err != nil {
 		return nil, err
 	}
 	e.inst.Data.SetSkews(tauS, tauH)
 	eng := transient.NewEngine(e.inst.Circuit, e.cfg.transientOptions(false, probes...))
-	res, err := eng.RunCtx(e.ctx, e.run, e.x0, grid)
+	res, err := eng.RunCtx(e.ctx, e.run, e.x0, grid, nil)
 	if err != nil {
 		return nil, err
 	}

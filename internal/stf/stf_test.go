@@ -349,7 +349,9 @@ func TestEvaluatorDeterministic(t *testing.T) {
 // of EvalBlock and EvalGradBlock must report its own Newton failure, naming
 // the lane, as Eval does at its skews, and the failed lanes must cost no
 // transient beyond the block's: every step and Newton iteration the
-// evaluator published belongs to the two block runs.
+// evaluator published belongs to the two block runs. The failures come
+// before the rest-stimulus checkpoint, so no run saves it: Eval then fails
+// the same way twice, and no run ever resumes.
 func TestBlockPeelOffIsTheLaneResult(t *testing.T) {
 	cell, err := registers.ByName("tspc")
 	if err != nil {
@@ -387,9 +389,18 @@ func TestBlockPeelOffIsTheLaneResult(t *testing.T) {
 		t.Errorf("published %d steps and %d Newton iterations, the blocks ran %d and %d",
 			steps, iters, e.Work.Steps, e.Work.NewtonIters)
 	}
-	if _, err := e.Eval(tauS[0], tauH[0]); !errors.Is(err, transient.ErrNewtonFailure) {
-		t.Errorf("Eval: err = %v, want a Newton failure", err)
+	_, err1 := e.Eval(tauS[0], tauH[0])
+	if !errors.Is(err1, transient.ErrNewtonFailure) {
+		t.Fatalf("Eval: err = %v, want a Newton failure", err1)
 	}
+	if _, err2 := e.Eval(tauS[0], tauH[0]); err2 == nil || err2.Error() != err1.Error() {
+		t.Errorf("repeated Eval: err = %v, the first failed with %v", err2, err1)
+	}
+	if e.Work.ResumedSteps != 0 || run.Counter(obs.CtrResumedSteps) != 0 {
+		t.Errorf("resumed %d lane-steps (%d published) after failures before the checkpoint, want 0",
+			e.Work.ResumedSteps, run.Counter(obs.CtrResumedSteps))
+	}
+	checkLUAccounts(t, run)
 }
 
 func TestSupplyEnergyMagnitude(t *testing.T) {

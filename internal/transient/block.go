@@ -27,6 +27,9 @@ import (
 //     drops out; the remaining lanes continue unharmed. The error is the
 //     lane's result: the scalar engine would fail the same way.
 //
+// A block run resumes at a Checkpoint and saves into one as a scalar run
+// does, through lane 0: every lane's stimulus agrees up to the checkpoint.
+//
 // A BlockEngine is not safe for concurrent use.
 type BlockEngine struct {
 	c     *circuit.Circuit
@@ -74,8 +77,9 @@ type BlockResult struct {
 	// failure before the fork (in the shared prefix, where all lanes are
 	// identical) fails every lane.
 	Errs []error
-	// Stats aggregates the work of all lanes. Steps counts executed
-	// lane-steps; BlockSharedSteps counts the lane-steps the prefix saved.
+	// Stats aggregates the work of all lanes. Steps, NewtonIters and
+	// Factorizations count executed work only; BlockSharedSteps counts the
+	// lane-steps the prefix saved and ResumedSteps those the checkpoint did.
 	Stats Stats
 }
 
@@ -97,14 +101,16 @@ func (r *BlockResult) Ok() bool {
 // BlockResult.Errs; the returned error is non-nil only for invalid options,
 // a bad x0, or cancellation.
 func (b *BlockEngine) Run(x0 []float64, grid Grid, tSplit float64) (*BlockResult, error) {
-	return b.RunCtx(context.Background(), nil, x0, grid, tSplit)
+	return b.RunCtx(context.Background(), nil, x0, grid, tSplit, nil)
 }
 
-// RunCtx is Run with cancellation and observability: the block runs inside a
-// "transient" span of run with block counters and the per-lane iteration
-// histograms merged in, and a canceled ctx stops the lockstep loop between
-// steps. A canceled run still publishes the work it did to run.
-func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, tSplit float64) (*BlockResult, error) {
+// RunCtx is Run with cancellation, observability and a checkpoint: the block
+// runs inside a "transient" span of run with block counters and the
+// per-lane iteration histograms merged in, and a canceled ctx stops the
+// lockstep loop between steps. A canceled run still publishes the work it
+// did to run. A non-nil cp resumes or saves every lane as Engine.RunCtx
+// does.
+func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, tSplit float64, cp *Checkpoint) (*BlockResult, error) {
 	if err := b.opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -113,7 +119,7 @@ func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, gr
 	}
 	luF0, luR0 := luCounts(b.lanes...)
 	sp := run.StartSpan(obs.SpanTransient)
-	res, st, err := b.run(ctx, x0, grid, tSplit)
+	res, st, err := b.run(ctx, x0, grid, tSplit, cp)
 	publish(sp, luF0, luR0, st, b.lanes...)
 	sp.Count(obs.CtrBlockRuns, 1)
 	sp.Observe(obs.HistBlockSize, len(b.lanes))
@@ -123,9 +129,10 @@ func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, gr
 	return res, err
 }
 
-// run integrates the lanes over grid and returns, besides the result, the
-// lanes' aggregate work, which a canceled run reports too.
-func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit float64) (*BlockResult, Stats, error) {
+// run integrates the lanes over grid, from x0 or from cp's state, and
+// returns, besides the result, the lanes' aggregate work, which a canceled
+// run reports too.
+func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit float64, cp *Checkpoint) (*BlockResult, Stats, error) {
 	n := b.c.N()
 	if len(x0) != n {
 		return nil, Stats{}, fmt.Errorf("transient: x0 length %d, want %d", len(x0), n)
@@ -154,13 +161,13 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 	stepsRun := 0
 
 	b.lane(0)
-	b.lanes[0].initAt(x0, pts[0])
+	k0 := b.lanes[0].start(x0, pts, cp)
 
-	// fork brings lanes 1…K−1 to lane 0's state. After a shared prefix the
-	// lanes were bit-identical up to here, so copying the integrator state
-	// (and the sensitivities, exactly zero until the stimulus support begins)
-	// is exact. With no prefix at all the lanes may already differ at t0, so
-	// each initializes independently from x0 instead.
+	// fork brings lanes 1…K−1 to lane 0's state. After a shared prefix or a
+	// checkpoint the lanes were bit-identical up to here, so copying the
+	// integrator state (and the sensitivities, exactly zero until the
+	// stimulus support begins) is exact. With neither the lanes may already
+	// differ at t0, so each initializes independently from x0 instead.
 	fork := func(k int) {
 		for j := 1; j < K; j++ {
 			if k == 1 {
@@ -175,7 +182,7 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 
 	done := ctx.Done()
 	var cancelErr error
-	for k := 1; k < len(pts); k++ {
+	for k := k0 + 1; k < len(pts); k++ {
 		if cancelErr = canceled(ctx, done, pts[k], k, len(pts)-1); cancelErr != nil {
 			break
 		}
@@ -197,6 +204,7 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 			}
 			stepsRun++
 			sharedSteps += K - 1
+			cp.saveAt(k, b.lanes[0])
 			continue
 		}
 		if !forked {
@@ -220,6 +228,9 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 		if alive == 0 {
 			break
 		}
+		if !dead[0] {
+			cp.saveAt(k, b.lanes[0])
+		}
 	}
 	if cancelErr == nil && !forked && alive > 0 {
 		fork(len(pts)) // degenerate: the whole grid was shared
@@ -231,6 +242,7 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 		st.Factorizations += e.lu.Factorizations + e.lu.Refactorizations - luF0[j]
 	}
 	st.Steps = stepsRun
+	st.ResumedSteps = K * k0
 	st.BlockSharedSteps = sharedSteps
 	if alive > 0 {
 		st.BlockPeelOffs = K - alive

@@ -98,7 +98,7 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 	}
 	b := NewBlockEngine(ckt, opts, len(amps), func(lane int) { *amp = amps[lane] })
 	run := obs.New()
-	res, err := b.RunCtx(context.Background(), run, x0, g, t0)
+	res, err := b.RunCtx(context.Background(), run, x0, g, t0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,15 +97,24 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats counts the work done by a run; the characterization layers use it
-// for the paper's cost comparisons. Every Newton iteration factorizes once
-// and nothing else factorizes, so Factorizations == NewtonIters; the
-// sensitivity solves (SensSolves) back-substitute against the last Newton
-// iteration's LU — the paper's "essentially free gradient" (DESIGN §5).
+// for the paper's cost comparisons. Steps, NewtonIters and Factorizations
+// count only executed work: the lane-steps a run took from a Checkpoint
+// (ResumedSteps) or from the block's shared prefix (BlockSharedSteps) cost
+// no Newton iteration. Every Newton iteration factorizes once and nothing
+// else factorizes, so Factorizations == NewtonIters; the sensitivity solves
+// (SensSolves) back-substitute against the last Newton iteration's LU — the
+// paper's "essentially free gradient" (DESIGN §5). A completed run with K
+// lanes (K = 1 for Engine) accounts for its whole grid:
+// Steps + BlockSharedSteps + ResumedSteps == K × (grid points − 1).
 type Stats struct {
 	Steps          int
 	NewtonIters    int
 	Factorizations int
 	SensSolves     int
+
+	// ResumedSteps counts the lane-steps a run took from a Checkpoint
+	// instead of integrating them: the checkpoint's grid index per lane.
+	ResumedSteps int
 
 	// Block-transient accounting (BlockEngine; zero for scalar runs).
 	// BlockSharedSteps counts lane-steps served by the shared exact prefix —
@@ -141,6 +150,7 @@ func (s *Stats) Add(other Stats) {
 	s.NewtonIters += other.NewtonIters
 	s.Factorizations += other.Factorizations
 	s.SensSolves += other.SensSolves
+	s.ResumedSteps += other.ResumedSteps
 	s.BlockSharedSteps += other.BlockSharedSteps
 	s.BlockPeelOffs += other.BlockPeelOffs
 	s.Wall += other.Wall
@@ -254,7 +264,7 @@ func newEngine(c *circuit.Circuit, opts Options, proto *Engine) *Engine {
 
 // Run integrates from x0 at grid.Start() to grid.End(). x0 is copied.
 func (e *Engine) Run(x0 []float64, grid Grid) (*Result, error) {
-	return e.RunCtx(context.Background(), nil, x0, grid)
+	return e.RunCtx(context.Background(), nil, x0, grid, nil)
 }
 
 // RunObs is Run with observability attached: the simulation runs inside a
@@ -264,7 +274,7 @@ func (e *Engine) Run(x0 []float64, grid Grid) (*Result, error) {
 // attribute time to the transient vs. LU phases. A nil run behaves exactly
 // like Run and adds no allocations.
 func (e *Engine) RunObs(run *obs.Run, x0 []float64, grid Grid) (*Result, error) {
-	return e.RunCtx(context.Background(), run, x0, grid)
+	return e.RunCtx(context.Background(), run, x0, grid, nil)
 }
 
 // RunCtx is RunObs with a cancellation context: the step loop checks ctx
@@ -275,7 +285,11 @@ func (e *Engine) RunObs(run *obs.Run, x0 []float64, grid Grid) (*Result, error) 
 // cancellation granularity for partial *results* is the contour point, see
 // internal/core). A Background context adds one channel-poll per step. A
 // failed or canceled run still publishes the work it did to run.
-func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid) (*Result, error) {
+//
+// A non-nil cp makes the run resume at cp's grid point when cp holds a
+// state, and save its state there when cp is empty (see Checkpoint); a nil
+// cp integrates from x0.
+func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, cp *Checkpoint) (*Result, error) {
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -284,7 +298,7 @@ func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Gr
 	}
 	luF0, luR0 := luCounts(e)
 	sp := run.StartSpan(obs.SpanTransient)
-	res, err := e.run(ctx, x0, grid)
+	res, err := e.run(ctx, x0, grid, cp)
 	publish(sp, luF0, luR0, e.stats, e)
 	sp.End()
 	return res, err
@@ -336,6 +350,7 @@ func publish(sp *obs.Run, luF0, luR0 int, st Stats, lanes ...*Engine) {
 	sp.Count(obs.CtrSteps, int64(st.Steps))
 	sp.Count(obs.CtrNewtonIters, int64(st.NewtonIters))
 	sp.Count(obs.CtrSensSolves, int64(st.SensSolves))
+	sp.Count(obs.CtrResumedSteps, int64(st.ResumedSteps))
 	for _, e := range lanes {
 		sp.Merge(obs.HistNewtonIters, &e.newtonHist)
 	}
@@ -356,9 +371,10 @@ func canceled(ctx context.Context, done <-chan struct{}, t float64, k, steps int
 	}
 }
 
-// run integrates over grid. e.stats holds the run's work on every return,
-// a failed or canceled run included, for RunCtx to publish.
-func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, error) {
+// run integrates over grid, from x0 or from cp's state. e.stats holds the
+// run's work on every return, a failed or canceled run included, for RunCtx
+// to publish.
+func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoint) (*Result, error) {
 	e.stats = Stats{}
 	n := e.c.N()
 	if len(x0) != n {
@@ -382,12 +398,13 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 		}
 	}
 	wall0 := time.Now()
-	e.initAt(x0, pts[0])
-	record(0)
+	k0 := e.start(x0, pts, cp)
+	e.stats.ResumedSteps = k0
+	record(k0)
 	luF0, luR0 := e.lu.Factorizations, e.lu.Refactorizations
 	done := ctx.Done()
 	var err error
-	for k := 1; k < len(pts); k++ {
+	for k := k0 + 1; k < len(pts); k++ {
 		if err = canceled(ctx, done, pts[k], k, len(pts)-1); err != nil {
 			break
 		}
@@ -397,6 +414,7 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 			break
 		}
 		record(k)
+		cp.saveAt(k, e)
 	}
 	e.stats.Factorizations = (e.lu.Factorizations - luF0) + (e.lu.Refactorizations - luR0)
 	e.stats.Wall = time.Since(wall0)
@@ -410,6 +428,18 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid) (*Result, err
 	}
 	res.Stats = e.stats
 	return res, nil
+}
+
+// start brings e to the run's first grid point and returns its index: the
+// checkpoint's when cp holds a state, else 0 with the state at x0. A run
+// that records probes needs every grid point, so it always starts at x0.
+func (e *Engine) start(x0, pts []float64, cp *Checkpoint) int {
+	if cp == nil || cp.st == nil || len(e.opts.Probes) > 0 {
+		e.initAt(x0, pts[0])
+		return 0
+	}
+	e.forkFrom(cp.st)
+	return cp.k
 }
 
 // initAt seeds the integrator state at t0: the initial assembly fills qPrev,
@@ -449,9 +479,11 @@ func (e *Engine) initAt(x0 []float64, t0 float64) {
 // forkFrom copies src's integrator state into e: the state, the charge and
 // capacitance history, the sensitivities and their TRAP derivative memory.
 // Block lanes 1…K−1 fork from lane 0 where the shared prefix ends, while
-// every lane is still bit-identical, so the copy is exact. e also takes
-// src's pivot analysis, made on the first Newton matrix from x0 as a scalar
-// engine's is (no skew enters it), so e factorizes as a scalar engine would.
+// every lane is still bit-identical, so the copy is exact; a checkpoint
+// saves and restores a run through it the same way. e also takes src's
+// pivot analysis unless it keeps one, made on the first Newton matrix from
+// x0 as a scalar engine's is (no skew enters it), so e factorizes as a
+// scalar engine would.
 func (e *Engine) forkFrom(src *Engine) {
 	e.lu.Share(&src.lu)
 	copy(e.x, src.x)

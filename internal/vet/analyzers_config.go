@@ -138,9 +138,10 @@ var analyzerSimWindow = &Analyzer{
 						ps(cfg.CoarseStep), ps(ck.Period)),
 				})
 			}
-			// The calibration transient needs its fine window to start after
-			// t = 0 (stf.calibrate errors out otherwise; catch it statically).
-			if start := t.Inst.Edge50 - cfg.CalSkew - ck.Rise/2 - cfg.FineMargin; start <= 0 {
+			// The calibration transient needs its fine window, which starts
+			// FineMargin before the data ramp at CalSkew, to start after t = 0
+			// (stf.calibrate errors out otherwise; catch it statically).
+			if start := t.Inst.Data.SupportStart(cfg.CalSkew) - cfg.FineMargin; start <= 0 {
 				out = append(out, Diagnostic{
 					Severity: Error,
 					Param:    "calskew",

@@ -1,6 +1,9 @@
 package wave
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DataPulse is the parametric data waveform ud(t, τs, τh) of the paper's
 // Fig. 2: the line rests at Rest, transitions to Active with its 50% point
@@ -48,17 +51,17 @@ func (d *DataPulse) SetSkews(tauS, tauH float64) {
 func (d *DataPulse) Skews() (tauS, tauH float64) { return d.tauS, d.tauH }
 
 // leading ramp interval [a, a+Rise]; 50% at Edge50 − τs.
-func (d *DataPulse) leadStart() float64 { return d.Edge50 - d.tauS - d.Rise/2 }
+func (d *DataPulse) leadStart(tauS float64) float64 { return d.Edge50 - tauS - d.Rise/2 }
 
 // trailing ramp interval [b, b+Fall]; 50% at Edge50 + τh.
-func (d *DataPulse) trailStart() float64 { return d.Edge50 + d.tauH - d.Fall/2 }
+func (d *DataPulse) trailStart(tauH float64) float64 { return d.Edge50 + tauH - d.Fall/2 }
 
 // V implements Waveform. The two ramps are superposed, so even degenerate
 // overlapping-ramp configurations produce a continuous bounded waveform.
 func (d *DataPulse) V(t float64) float64 {
-	a := d.leadStart()
+	a := d.leadStart(d.tauS)
 	s1, _ := d.Shape.ramp(a, a+d.Rise, t)
-	b := d.trailStart()
+	b := d.trailStart(d.tauH)
 	s2, _ := d.Shape.ramp(b, b+d.Fall, t)
 	return d.Rest + (d.Active-d.Rest)*(s1-s2)
 }
@@ -67,7 +70,7 @@ func (d *DataPulse) V(t float64) float64 {
 // depends on τs; shifting its start earlier by dτs raises the profile by its
 // time derivative.
 func (d *DataPulse) DTauS(t float64) float64 {
-	a := d.leadStart()
+	a := d.leadStart(d.tauS)
 	_, ds1dt := d.Shape.ramp(a, a+d.Rise, t)
 	return (d.Active - d.Rest) * ds1dt
 }
@@ -76,7 +79,7 @@ func (d *DataPulse) DTauS(t float64) float64 {
 // ramp depends on τh; shifting its start later by dτh raises the pulse tail
 // by its time derivative.
 func (d *DataPulse) DTauH(t float64) float64 {
-	b := d.trailStart()
+	b := d.trailStart(d.tauH)
 	_, ds2dt := d.Shape.ramp(b, b+d.Fall, t)
 	return (d.Active - d.Rest) * ds2dt
 }
@@ -85,5 +88,13 @@ func (d *DataPulse) DTauH(t float64) float64 {
 // Rest, for the given maximum setup skew; useful for choosing the fine
 // integration window.
 func (d *DataPulse) SupportStart(maxTauS float64) float64 {
-	return d.Edge50 - maxTauS - d.Rise/2
+	return d.leadStart(maxTauS)
+}
+
+// RestUntil returns the start of the pulse's first ramp at skews (tauS,
+// tauH), computed as V computes it. Strictly before it the pulse equals
+// Rest and both skew derivatives are zero, bit for bit whatever the skews;
+// a NaN skew gives NaN, before which nothing rests.
+func (d *DataPulse) RestUntil(tauS, tauH float64) float64 {
+	return math.Min(d.leadStart(tauS), d.trailStart(tauH))
 }

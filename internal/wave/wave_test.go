@@ -267,6 +267,36 @@ func TestDataPulseSupportStart(t *testing.T) {
 	}
 }
 
+// TestDataPulseRestUntil pins the bound a run's checkpoint eligibility rests
+// on: at every time strictly before RestUntil the pulse equals Rest and both
+// skew derivatives are zero, for leading-first and trailing-first pulses and
+// both ramp shapes. At RestUntil itself the linear ramp's derivative is
+// already nonzero, so the bound is strict.
+func TestDataPulseRestUntil(t *testing.T) {
+	for _, shape := range []RampShape{RampSmooth, RampLinear} {
+		for _, sk := range [][2]float64{{200e-12, 150e-12}, {900e-12, 400e-12}, {300e-12, -1.5e-9}} {
+			d := mkPulse(t, shape)
+			d.SetSkews(sk[0], sk[1])
+			tq := d.RestUntil(sk[0], sk[1])
+			for _, tb := range []float64{0, tq - 1e-9, math.Nextafter(tq, math.Inf(-1))} {
+				if v, zs, zh := d.V(tb), d.DTauS(tb), d.DTauH(tb); v != d.Rest || zs != 0 || zh != 0 {
+					t.Errorf("%v skews %v: at %g, before RestUntil %g: V = %v, zs = %v, zh = %v", shape, sk, tb, tq, v, zs, zh)
+				}
+			}
+			if shape == RampLinear && d.DTauS(tq) == 0 && d.DTauH(tq) == 0 {
+				t.Errorf("skews %v: linear ramp still at rest at RestUntil %g", sk, tq)
+			}
+		}
+	}
+	d := mkPulse(t, RampSmooth)
+	if got := d.RestUntil(math.NaN(), 0); !math.IsNaN(got) {
+		t.Errorf("RestUntil(NaN, 0) = %v, want NaN", got)
+	}
+	if got := d.RestUntil(0, math.NaN()); !math.IsNaN(got) {
+		t.Errorf("RestUntil(0, NaN) = %v, want NaN", got)
+	}
+}
+
 func TestDataPulseSkewsAccessor(t *testing.T) {
 	d := mkPulse(t, RampSmooth)
 	s, h := d.Skews()
