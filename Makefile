@@ -10,7 +10,7 @@ BENCHOUT ?= BENCH_core.json
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race fmtcheck vet lint latchlint vulncheck charvet perfbenchcheck tracesmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke fuzzsmoke ci clean
+.PHONY: all build test race fmtcheck vet lint latchlint vulncheck charvet perfbenchcheck tracesmoke delaysmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke fuzzsmoke ci clean
 
 all: build
 
@@ -75,9 +75,9 @@ charvet:
 perfbenchcheck:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# SMOKE_OUTDIR receives the tracesmoke and mcsmoke outputs: event traces,
-# contours and the captured -v summaries (CI points it at artifacts/ and
-# uploads them).
+# SMOKE_OUTDIR receives the tracesmoke, delaysmoke and mcsmoke outputs:
+# event traces, contours, surfaces and the captured -v summaries (CI points
+# it at artifacts/ and uploads them).
 SMOKE_OUTDIR ?= /tmp/latchchar-smoke
 
 # tracesmoke runs a reduced-grid characterization with event tracing on,
@@ -89,6 +89,18 @@ tracesmoke:
 		-o $(SMOKE_OUTDIR)/contour.csv 2> $(SMOKE_OUTDIR)/summary.txt
 	cat $(SMOKE_OUTDIR)/summary.txt
 	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/trace.jsonl
+
+# delaysmoke runs a 6×6 clock-to-Q delay surface (BruteForceDelay: every
+# sample's transient stops at the output crossing) with event tracing on,
+# writes the surface and its iso-delay contour, prints the -v summary and
+# validates the JSONL stream with tracecheck.
+delaysmoke:
+	mkdir -p $(SMOKE_OUTDIR)
+	$(GO) run ./cmd/surfgen -cell tspc -delay -n 6 -v \
+		-trace $(SMOKE_OUTDIR)/delay-trace.jsonl -surface $(SMOKE_OUTDIR)/delay-surface.csv \
+		-contour $(SMOKE_OUTDIR)/delay-contour.csv 2> $(SMOKE_OUTDIR)/delay-summary.txt
+	cat $(SMOKE_OUTDIR)/delay-summary.txt
+	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/delay-trace.jsonl
 
 # batchsmoke exercises the batch engine end to end on a reduced grid: a
 # 4-corner warm-started sweep that must spend fewer seed transients than
@@ -182,7 +194,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLU$$' -fuzztime 15s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/netlist
 
-ci: build lint perfbenchcheck vulncheck race tracesmoke batchsmoke servesmoke clustersmoke mcsmoke fuzzsmoke benchsmoke
+ci: build lint perfbenchcheck vulncheck race tracesmoke delaysmoke batchsmoke servesmoke clustersmoke mcsmoke fuzzsmoke benchsmoke
 
 clean:
 	$(GO) clean ./...

@@ -16,8 +16,9 @@ import (
 // contains all points that result in a prescribed increase (e.g., 10%)".
 // BruteForce implements the alternative (output level at tf); this file
 // implements the delay-surface variant. It is the more expensive baseline:
-// every sample needs an extended transient that runs past the crossing
-// instead of stopping at tf.
+// every sample's transient runs until the output crosses r — past tf where
+// the delay is degraded, the whole search window where the register fails
+// to latch — instead of stopping at tf.
 
 // DelaySurfaceResult is the outcome of BruteForceDelay.
 type DelaySurfaceResult struct {

@@ -144,28 +144,37 @@ func CrossingTime(ts, vs []float64, level float64, dir int, tMin float64) (t flo
 		panic("num: CrossingTime length mismatch")
 	}
 	for i := 1; i < len(ts); i++ {
-		if ts[i] < tMin {
-			continue
-		}
-		a, b := vs[i-1], vs[i]
-		var crossed bool
-		switch {
-		case dir >= 0:
-			crossed = a < level && b >= level
-		default:
-			crossed = a > level && b <= level
-		}
-		if !crossed {
-			continue
-		}
-		if a == b {
-			return ts[i], true
-		}
-		u := (level - a) / (b - a)
-		tc := Lerp(ts[i-1], ts[i], u)
-		if tc >= tMin {
+		if tc, ok := Crossing(ts[i-1], ts[i], vs[i-1], vs[i], level, dir, tMin); ok {
 			return tc, true
 		}
+	}
+	return 0, false
+}
+
+// Crossing is CrossingTime's test of one sample interval: it reports
+// whether the waveform sampled as a at t0 and b at t1 crosses level going
+// in direction dir within the interval, at a linearly interpolated time at
+// or after tMin, and returns that time. Leaving the level does not count;
+// reaching it does. CrossingTime returns the crossing of the first interval
+// that passes this test, so a caller that applies it to a waveform interval
+// by interval stops at the interval CrossingTime would report, with the
+// same bits.
+func Crossing(t0, t1, a, b, level float64, dir int, tMin float64) (t float64, ok bool) {
+	if t1 < tMin {
+		return 0, false
+	}
+	var crossed bool
+	if dir >= 0 {
+		crossed = a < level && b >= level
+	} else {
+		crossed = a > level && b <= level
+	}
+	if !crossed {
+		return 0, false
+	}
+	// crossed implies a ≠ b, so the interpolation is defined.
+	if tc := Lerp(t0, t1, (level-a)/(b-a)); tc >= tMin {
+		return tc, true
 	}
 	return 0, false
 }

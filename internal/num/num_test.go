@@ -193,6 +193,48 @@ func TestCrossingTimeNone(t *testing.T) {
 	}
 }
 
+// TestCrossingStopsWhereCrossingTimeReports applies Crossing interval by
+// interval, as a transient that stops at a crossing does, and requires the
+// scan to stop at the interval whose crossing CrossingTime reports, with the
+// same bits, and to run to the end where CrossingTime finds none.
+func TestCrossingStopsWhereCrossingTimeReports(t *testing.T) {
+	ts := []float64{0, 1, 2, 3, 4}
+	cases := []struct {
+		name  string
+		vs    []float64
+		level float64
+		dir   int
+		tMin  float64
+		stop  int // index of the sample that ends the scan; 0 = none
+		tc    float64
+	}{
+		{"rising", []float64{0, 0, 1, 1, 1}, 0.5, +1, 0, 2, 1.5},
+		{"falling", []float64{2, 2, 0, 0, 0}, 1, -1, 0, 2, 1.5},
+		{"crossing interpolated before tMin goes on", []float64{0, 0, 1, 0, 1}, 0.5, +1, 1.8, 4, 3.5},
+		{"interval ending before tMin goes on", []float64{0, 1, 0, 1, 1}, 0.5, +1, 1.5, 3, 2.5},
+		{"wrong direction", []float64{1, 1, 0, 0, 0}, 0.5, +1, 0, 0, 0},
+		{"reaching the level counts", []float64{0, 0.5, 0, 0, 0}, 0.5, +1, 0, 1, 1},
+		{"leaving the level does not", []float64{0.5, 1, 1, 1, 1}, 0.5, +1, 0, 0, 0},
+		{"no crossing", []float64{0, 0.4, 0.4, 0.4, 0.4}, 0.5, +1, 0, 0, 0},
+	}
+	for _, c := range cases {
+		stop, tc := 0, 0.0
+		for i := 1; i < len(ts); i++ {
+			if got, ok := Crossing(ts[i-1], ts[i], c.vs[i-1], c.vs[i], c.level, c.dir, c.tMin); ok {
+				stop, tc = i, got
+				break
+			}
+		}
+		if stop != c.stop || tc != c.tc {
+			t.Errorf("%s: scan stopped at sample %d with t = %v, want %d and %v", c.name, stop, tc, c.stop, c.tc)
+		}
+		want, ok := CrossingTime(ts, c.vs, c.level, c.dir, c.tMin)
+		if ok != (stop > 0) || math.Float64bits(want) != math.Float64bits(tc) {
+			t.Errorf("%s: CrossingTime = %v (ok %v), the scan gave %v (stopped %v)", c.name, want, ok, tc, stop > 0)
+		}
+	}
+}
+
 func TestCrossingTimeMismatchedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

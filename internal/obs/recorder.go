@@ -38,9 +38,14 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{buf: make([]Event, capacity)}
 }
 
-// Event records e into the ring, evicting the oldest event once full.
+// Event records e into the ring, evicting the oldest event once full. A
+// released recorder drops e.
 func (r *Recorder) Event(e *Event) {
 	r.mu.Lock()
+	if r.buf == nil {
+		r.mu.Unlock()
+		return
+	}
 	if r.full {
 		r.dropped++
 	}
@@ -56,6 +61,16 @@ func (r *Recorder) Event(e *Event) {
 // Close satisfies Sink. The ring stays readable after Close so a dump can be
 // taken from a run that already ended.
 func (r *Recorder) Close(*Summary) error { return nil }
+
+// Release frees the ring once nothing will read it again: the serving layer
+// releases a job's recorder after the job ends and its dump, if any, is
+// written, so a kept job record no longer holds the ring. A released
+// recorder drops later events, and its window is empty.
+func (r *Recorder) Release() {
+	r.mu.Lock()
+	r.buf, r.next, r.full = nil, 0, false
+	r.mu.Unlock()
+}
 
 // Snapshot returns the recorded window in emission order and the number of
 // older events the ring evicted to make room.

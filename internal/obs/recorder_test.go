@@ -42,6 +42,21 @@ func TestRecorderPartialRing(t *testing.T) {
 	}
 }
 
+// TestRecorderRelease: a released recorder frees its ring, drops later
+// events without panicking and shows an empty window.
+func TestRecorderRelease(t *testing.T) {
+	rec := NewRecorder(4)
+	rec.Event(&Event{V: SchemaVersion, Kind: KindPoint, TNs: 1})
+	rec.Release()
+	rec.Event(&Event{V: SchemaVersion, Kind: KindPoint, TNs: 2})
+	if rec.buf != nil {
+		t.Error("Release kept the ring")
+	}
+	if events, _ := rec.Snapshot(); len(events) != 0 || rec.Len() != 0 {
+		t.Errorf("released recorder holds %d events (Len %d), want none", len(events), rec.Len())
+	}
+}
+
 func TestRecorderDefaultCapacity(t *testing.T) {
 	rec := NewRecorder(0)
 	if got := len(rec.buf); got != DefaultRecorderCapacity {

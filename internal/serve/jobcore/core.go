@@ -465,6 +465,10 @@ func (c *Core) runJob(j *Job) {
 			c.cfg.Logger.Info("flight dump written", "corr", j.corr, "job", j.id, "path", path)
 		}
 	}
+	// The dump was the ring's only reader; a kept record must not hold it.
+	if j.rec != nil {
+		j.rec.Release()
+	}
 	close(j.done)
 }
 

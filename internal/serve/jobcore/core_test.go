@@ -2,11 +2,15 @@ package jobcore
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"latchchar"
+	"latchchar/internal/obs"
 	"latchchar/serveclient"
 )
 
@@ -158,5 +162,39 @@ func TestMockJobMode(t *testing.T) {
 	}
 	if st.RunMS < 5 {
 		t.Errorf("mock job ran in %.2fms, want >= the configured service time", st.RunMS)
+	}
+}
+
+// TestFinishedJobsReleaseTheirRings runs 256 sequential mock jobs, fewer
+// than the record bound, so every record is kept. A finished job's flight
+// recorder is released once its dump is written, so the live heap must grow
+// by less than a tenth of one default ring per job; keeping the rings grows
+// it by a whole ring (1.31 MB) per job.
+func TestFinishedJobsReleaseTheirRings(t *testing.T) {
+	const jobs = 256
+	c := newTestCore(t, Config{Workers: 1, MockJobTime: time.Microsecond})
+	cell, err := latchchar.CellByName("tspc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	for i := 0; i < jobs; i++ {
+		j, _, err := c.Submit(fmt.Sprintf("ring-%d", i), "", cell, latchchar.Options{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+	}
+	ring := float64(obs.DefaultRecorderCapacity) * float64(unsafe.Sizeof(obs.Event{}))
+	perJob := (float64(liveHeap()) - float64(before)) / jobs
+	t.Logf("live heap grew %.0f bytes per finished job", perJob)
+	if perJob >= ring/10 {
+		t.Errorf("live heap grew %.0f bytes per finished job, want under a tenth of a %.0f-byte ring", perJob, ring)
 	}
 }

@@ -44,7 +44,7 @@ type Job struct {
 	mcOpts    latchchar.MCOptions
 
 	run     *obs.Run
-	rec     *obs.Recorder // flight recorder; nil when disabled
+	rec     *obs.Recorder // flight recorder; nil when disabled, released at job end
 	created time.Time
 	done    chan struct{}
 

@@ -42,8 +42,9 @@ type Config struct {
 	// Degrade is the prescribed clock-to-Q degradation defining setup/hold
 	// times (default 0.10, the paper's 10%).
 	Degrade float64
-	// PostWindow is how far past the active edge the calibration transient
-	// runs while hunting for the crossing (default 3 ns).
+	// PostWindow bounds how far past the active edge the calibration and
+	// clock-to-Q transients hunt for the output crossing (default 3 ns); each
+	// stops at the step that completes the crossing.
 	PostWindow float64
 	// MaxNewtonIter bounds the per-step Newton iterations of every transient
 	// the evaluator launches (default 50, transient.Options).
@@ -258,15 +259,11 @@ func (e *Evaluator) calibrate() error {
 	if err != nil {
 		return fmt.Errorf("stf: calibration grid: %w", err)
 	}
-	eng := transient.NewEngine(inst.Circuit, c.transientOptions(false, inst.Out))
 	inst.Data.SetSkews(c.CalSkew, c.CalSkew)
-	res, err := eng.RunObs(sp, e.x0, grid)
+	tc, ok, err := e.firstCrossing(sp, grid, r, dir, inst.Edge50)
 	if err != nil {
 		return fmt.Errorf("stf: calibration transient: %w", err)
 	}
-	sp.Count(obs.CtrTransients, 1)
-	e.Work.Add(res.Stats)
-	tc, ok := num.CrossingTime(res.Times, res.Probes[0], r, dir, inst.Edge50)
 	if !ok {
 		return fmt.Errorf("stf: calibration output never crossed %g V after the active edge", r)
 	}
@@ -279,6 +276,32 @@ func (e *Evaluator) calibrate() error {
 		Rising:    inst.OutputRising,
 	}
 	return nil
+}
+
+// firstCrossing runs a plain transient from x0 over grid at the current
+// skews, under run, and returns the time tc at which the output first
+// crosses level in direction dir at or after tMin. The run stops at the step
+// that completes the crossing: the stop condition applies num.Crossing to
+// each step's interval as num.CrossingTime does to a recorded waveform, so
+// tc equals CrossingTime over the whole grid bit for bit, and the steps after
+// it — whose result the measurement would discard — never run. An output
+// that never crosses runs the whole grid and returns ok = false.
+func (e *Evaluator) firstCrossing(run *obs.Run, grid transient.Grid, level float64, dir int, tMin float64) (tc float64, ok bool, err error) {
+	out := e.inst.Out
+	tPrev, vPrev := grid.Start(), e.x0[out]
+	opts := e.cfg.transientOptions(false)
+	opts.Stop = func(t float64, x []float64) bool {
+		tc, ok = num.Crossing(tPrev, t, vPrev, x[out], level, dir, tMin)
+		tPrev, vPrev = t, x[out]
+		return ok
+	}
+	res, err := transient.NewEngine(e.inst.Circuit, opts).RunCtx(e.ctx, run, e.x0, grid, nil)
+	if err != nil {
+		return 0, false, err
+	}
+	run.Count(obs.CtrTransients, 1)
+	e.Work.Add(res.Stats)
+	return tc, ok, nil
 }
 
 // Calibration returns the measured characteristic timing.
@@ -327,7 +350,7 @@ func (e *Evaluator) Waveforms(tauS, tauH, tEnd float64, probes ...circuit.Unknow
 	if tEnd <= e.grid.Start() {
 		return nil, fmt.Errorf("stf: waveform end %g before grid start", tEnd)
 	}
-	grid, err := transient.TwoPhaseGrid(0, e.fineStart(e.cfg.MaxSetupSkew), tEnd, e.cfg.CoarseStep, e.cfg.FineStep)
+	grid, err := e.gridTo(tEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -341,6 +364,12 @@ func (e *Evaluator) Waveforms(tauS, tauH, tEnd float64, probes ...circuit.Unknow
 	e.run.Count(obs.CtrTransients, 1)
 	e.Work.Add(res.Stats)
 	return res, nil
+}
+
+// gridTo is the measurement grid's coarse prefix and fine step, run to tEnd
+// instead of tf.
+func (e *Evaluator) gridTo(tEnd float64) (transient.Grid, error) {
+	return transient.TwoPhaseGrid(0, e.fineStart(e.cfg.MaxSetupSkew), tEnd, e.cfg.CoarseStep, e.cfg.FineStep)
 }
 
 // OutputUntil runs a plain transient on an extended grid ending at tEnd
@@ -357,12 +386,14 @@ func (e *Evaluator) OutputUntil(tauS, tauH, tEnd float64) (times, out []float64,
 
 // ClockToQ measures the actual clock-to-Q delay for one skew pair: the time
 // from the active edge's 50% crossing to the output's crossing of the
-// calibrated level r, found on an extended transient (the "pushout curve"
-// data of the paper's Figs. 3 and 7). ok is false when the register fails
-// to latch within the search window.
+// calibrated level r (the "pushout curve" data of the paper's Figs. 3 and 7).
+// The transient runs on OutputUntil's grid to PostWindow past the edge and
+// stops at the crossing, so the delay equals the one found on OutputUntil's
+// waveform bit for bit. ok is false when the register fails to latch within
+// that window.
 func (e *Evaluator) ClockToQ(tauS, tauH float64) (delay float64, ok bool, err error) {
 	edge := e.inst.Edge50
-	times, out, err := e.OutputUntil(tauS, tauH, edge+e.cfg.PostWindow)
+	grid, err := e.gridTo(edge + e.cfg.PostWindow)
 	if err != nil {
 		return 0, false, err
 	}
@@ -370,7 +401,12 @@ func (e *Evaluator) ClockToQ(tauS, tauH float64) (delay float64, ok bool, err er
 	if e.cal.Rising {
 		dir = +1
 	}
-	tc, ok := num.CrossingTime(times, out, e.cal.R, dir, edge)
+	e.inst.Data.SetSkews(tauS, tauH)
+	tc, ok, err := e.firstCrossing(e.run, grid, e.cal.R, dir, edge)
+	if err != nil {
+		return 0, false, err
+	}
+	e.PlainEvals++
 	if !ok {
 		return 0, false, nil
 	}

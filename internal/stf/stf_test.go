@@ -298,6 +298,97 @@ func TestClockToQ(t *testing.T) {
 	}
 }
 
+// TestCrossingStopHonorsTMin runs the stopped crossing measurement at a
+// latching skew pair with tMin at the edge, at the crossing and just after
+// it, inside the interval that completes it. For every tMin the crossing and
+// ok must equal num.CrossingTime's on OutputUntil's waveform bit for bit,
+// and the run must take exactly the steps up to the interval CrossingTime
+// reports, or the whole window when it finds none: a crossing interpolated
+// before tMin does not stop the run.
+func TestCrossingStopHonorsTMin(t *testing.T) {
+	e := evaluatorFor(t, "tspc")
+	cal := e.Calibration()
+	const tauS, tauH = 800e-12, 700e-12
+	edge := e.inst.Edge50
+	tEnd := edge + e.cfg.PostWindow
+	times, out, err := e.OutputUntil(tauS, tauH, tEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := e.gridTo(tEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, ok := num.CrossingTime(times, out, cal.R, +1, edge)
+	if !ok || !cal.Rising {
+		t.Fatalf("TSPC output: crossing %v (ok %v), rising %v; want a rising crossing", tc, ok, cal.Rising)
+	}
+	for _, tMin := range []float64{edge, tc, math.Nextafter(tc, math.Inf(1))} {
+		want, wantOK := num.CrossingTime(times, out, cal.R, +1, tMin)
+		steps := 1
+		for steps < len(times)-1 {
+			if _, ok := num.CrossingTime(times[:steps+1], out[:steps+1], cal.R, +1, tMin); ok {
+				break
+			}
+			steps++
+		}
+		e.inst.Data.SetSkews(tauS, tauH)
+		before := e.Work.Steps
+		got, gotOK, err := e.firstCrossing(nil, grid, cal.R, +1, tMin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("tMin %v: crossing %v (ok %v), CrossingTime gives %v (ok %v)", tMin, got, gotOK, want, wantOK)
+		}
+		if ran := e.Work.Steps - before; ran != steps {
+			t.Errorf("tMin %v: ran %d steps, want %d", tMin, ran, steps)
+		}
+	}
+}
+
+// TestUncrossedOutputRunsTheWholeWindow: a crossing measurement stops at the
+// crossing, so one whose output never crosses runs its whole window. A
+// starved-hold ClockToQ integrates every step to PostWindow past the edge and
+// returns ok = false; a calibration whose level the output cannot reach
+// integrates its whole grid and fails with the calibration error.
+func TestUncrossedOutputRunsTheWholeWindow(t *testing.T) {
+	e := evaluatorFor(t, "tspc")
+	grid, err := e.gridTo(e.inst.Edge50 + e.cfg.PostWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Work.Steps
+	if _, ok, err := e.ClockToQ(600e-12, 5e-12); err != nil || ok {
+		t.Fatalf("starved hold: ok = %v, err = %v; want a failed latch", ok, err)
+	}
+	if got := e.Work.Steps - before; got != grid.Len()-1 {
+		t.Errorf("ClockToQ ran %d steps without a crossing, want the window's %d", got, grid.Len()-1)
+	}
+
+	cell, err := registers.ByName("tspc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := cell.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.CrossFrac = 1.5 // r = 1.5·VDD, above anything the rising output reaches
+	run := obs.New()
+	if _, err := NewEvaluator(inst, Config{Obs: run}); err == nil || !strings.Contains(err.Error(), "never crossed") {
+		t.Fatalf("err = %v, want the calibration's never-crossed error", err)
+	}
+	c := Config{}.withDefaults()
+	calGrid, err := transient.TwoPhaseGrid(0, inst.Data.SupportStart(c.CalSkew)-c.FineMargin, inst.Edge50+c.PostWindow, c.CoarseStep, c.FineStep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run.Counter(obs.CtrSteps); got != int64(calGrid.Len()-1) {
+		t.Errorf("calibration ran %d steps without a crossing, want the grid's %d", got, calGrid.Len()-1)
+	}
+}
+
 // TestEvaluatorDeterministic requires an evaluation to depend on its skews
 // alone: repeating it after scalar and block evaluations at other skews
 // reproduces it bit for bit.

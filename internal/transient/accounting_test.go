@@ -308,3 +308,106 @@ func TestCanceledRunSavesNoCheckpoint(t *testing.T) {
 		}
 	})
 }
+
+// TestStoppedRunEndsAtItsStep stops the clocked inverter's run at the step
+// where its output first falls below half the supply, from x0 and through a
+// checkpoint, in BE and TRAP. The result ends at that step: Times, every
+// probe and X equal the full run's up to it bit for bit, Steps +
+// ResumedSteps counts the steps up to it, and the published counters keep
+// one LU per Newton iteration. A checkpoint past the stop is never saved,
+// and NewBlockEngine refuses a stop condition.
+func TestStoppedRunEndsAtItsStep(t *testing.T) {
+	ckt, x0 := buildClockedInverter(t)
+	out, err := ckt.LookupNode("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := UniformGrid(0, 4e-9, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]circuit.UnknownID, ckt.N())
+	for i := range all {
+		all[i] = circuit.UnknownID(i)
+	}
+	var tLast float64
+	stop := func(t float64, x []float64) bool {
+		tLast = t
+		return x[out] < 1.25
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, m := range []Method{BE, TRAP} {
+		full, err := NewEngine(ckt, Options{Method: m, Probes: all}).Run(x0, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 1
+		for full.Probes[out][k] >= 1.25 {
+			k++
+		}
+		t.Logf("%v: the output crosses at step %d of %d", m, k, g.Len()-1)
+		xAt := make([]float64, ckt.N())
+		for i := range xAt {
+			xAt[i] = full.Probes[i][k]
+		}
+
+		run := obs.New()
+		res, err := NewEngine(ckt, Options{Method: m, Probes: all, Stop: stop}).RunObs(run, x0, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(m.String()+" Times", res.Times, g.Points()[:k+1])
+		for i := range all {
+			same(fmt.Sprintf("%v probe %d", m, i), res.Probes[i], full.Probes[i][:k+1])
+		}
+		same(m.String()+" X", res.X, xAt)
+		if tLast != res.Times[k] {
+			t.Errorf("%v: the last stop check saw t = %g, the run ends at %g", m, tLast, res.Times[k])
+		}
+		if st := res.Stats; st.Steps != k || st.ResumedSteps != 0 {
+			t.Errorf("%v: %d executed + %d resumed steps, want %d + 0", m, st.Steps, st.ResumedSteps, k)
+		}
+		checkAccounts(t, run)
+
+		// The first run through an empty checkpoint before the stop saves
+		// it, the next resumes there; one past the stop stays empty.
+		for _, cpk := range []int{k / 2, k + 1} {
+			cp := NewCheckpoint(cpk)
+			eng := NewEngine(ckt, Options{Method: m, Stop: stop})
+			for i := 0; i < 2; i++ {
+				run := obs.New()
+				res, err := eng.RunCtx(context.Background(), run, x0, g, cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed := 0
+				if i == 1 && cpk < k {
+					resumed = cpk
+				}
+				if st := res.Stats; st.Steps+st.ResumedSteps != k || st.ResumedSteps != resumed {
+					t.Errorf("%v checkpoint %d run %d: %d executed + %d resumed steps, want %d with %d resumed",
+						m, cpk, i, st.Steps, st.ResumedSteps, k, resumed)
+				}
+				same(fmt.Sprintf("%v checkpoint %d run %d X", m, cpk, i), res.X, xAt)
+				checkAccounts(t, run)
+			}
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("NewBlockEngine accepted a stop condition")
+		}
+	}()
+	NewBlockEngine(ckt, Options{Stop: stop}, 2, nil)
+}

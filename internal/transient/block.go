@@ -46,14 +46,18 @@ type BlockEngine struct {
 // lane index before that lane evaluates any device; it must reconfigure the
 // shared circuit's stimulus for that lane (and may be nil when all lanes
 // share one stimulus). Lane 0's engine performs the symbolic analysis; the
-// others alias its sparsity structure. Options.Probes is not supported on
-// the block path (probes are a scalar-run concern) and must be empty.
+// others alias its sparsity structure. Options.Probes and Options.Stop are
+// not supported on the block path (both are scalar-run concerns) and must be
+// unset.
 func NewBlockEngine(c *circuit.Circuit, opts Options, k int, setLane func(lane int)) *BlockEngine {
 	if k <= 0 {
 		panic("transient: NewBlockEngine requires at least one lane")
 	}
 	if len(opts.Probes) != 0 {
 		panic("transient: BlockEngine does not support Probes")
+	}
+	if opts.Stop != nil {
+		panic("transient: BlockEngine does not support Stop")
 	}
 	b := &BlockEngine{c: c, opts: opts.withDefaults(), setLane: setLane}
 	b.lanes = make([]*Engine, k)

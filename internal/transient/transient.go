@@ -54,6 +54,13 @@ type Options struct {
 	// Probes lists unknowns whose waveforms are recorded at every grid
 	// point.
 	Probes []circuit.UnknownID
+	// Stop, when set, can end a run before the grid does: it is called after
+	// each accepted step with the step's end time and state (read-only, valid
+	// for the call), and the step for which it returns true is the run's
+	// last. The Result of a stopped run ends at that step — Times, Probes and
+	// X — and its Stats count the work done up to it. Scalar runs only:
+	// NewBlockEngine rejects it.
+	Stop func(t float64, x []float64) bool
 }
 
 // Validate rejects option values the defaulting pass cannot repair:
@@ -404,7 +411,8 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoin
 	luF0, luR0 := e.lu.Factorizations, e.lu.Refactorizations
 	done := ctx.Done()
 	var err error
-	for k := k0 + 1; k < len(pts); k++ {
+	last := len(pts) - 1
+	for k := k0 + 1; k <= last; k++ {
 		if err = canceled(ctx, done, pts[k], k, len(pts)-1); err != nil {
 			break
 		}
@@ -415,11 +423,19 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoin
 		}
 		record(k)
 		cp.saveAt(k, e)
+		if e.opts.Stop != nil && e.opts.Stop(pts[k], e.x) {
+			last = k
+			break
+		}
 	}
 	e.stats.Factorizations = (e.lu.Factorizations - luF0) + (e.lu.Refactorizations - luR0)
 	e.stats.Wall = time.Since(wall0)
 	if err != nil {
 		return nil, err
+	}
+	res.Times = pts[:last+1]
+	for i := range res.Probes {
+		res.Probes[i] = res.Probes[i][:last+1]
 	}
 	res.X = append([]float64(nil), e.x...)
 	if e.opts.Skews {

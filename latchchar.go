@@ -179,7 +179,9 @@ type Result struct {
 	// (calibration excluded; it is a fixed +1 for any method).
 	PlainSims, GradSims int
 	// Stats aggregates integrator-level work (steps, Newton iterations, LU
-	// factorizations, wall-clock attribution) over the whole run.
+	// factorizations, wall-clock attribution) over the characterization's
+	// transients; like PlainSims it excludes the calibration, whose work the
+	// evaluator counts before the characterization starts.
 	Stats transient.Stats
 	// Elapsed is the wall-clock characterization time.
 	Elapsed time.Duration
