@@ -3,9 +3,11 @@
 // monotone timestamps, paired span begin/end events and resolvable parents.
 // It also checks the run's own accounting: the run_end counters must show
 // one LU factorization per Newton iteration (newton_iters ==
-// lu_factorizations + lu_refactorizations). On success it prints the
-// reconstructed span tree with durations; any violation exits nonzero. CI
-// runs it over reduced-grid characterization traces to keep the event
+// lu_factorizations + lu_refactorizations) and one contour point per point
+// event (contour_points == the run's point events; a missing counter counts
+// as 0). On success it prints the reconstructed span tree with durations;
+// any violation exits nonzero. CI runs it over reduced-grid
+// characterization, delay-surface and Monte-Carlo traces to keep the event
 // stream well-formed and its bookkeeping consistent.
 //
 // With -dump the input is checked as a flight-recorder post-mortem dump
@@ -68,7 +70,7 @@ func run(args []string) error {
 	if err := obs.Validate(events); err != nil {
 		return fmt.Errorf("invalid trace: %w", err)
 	}
-	if err := checkLUAccounts(events); err != nil {
+	if err := checkAccounts(events); err != nil {
 		return fmt.Errorf("invalid trace: %w", err)
 	}
 	tree, err := obs.SpanTree(events)
@@ -91,19 +93,29 @@ func run(args []string) error {
 	return nil
 }
 
-// checkLUAccounts requires every run_end event's counters to account for
-// the run's LU work: each Newton iteration factorizes exactly once and
-// nothing else factorizes, failed and canceled transients included.
-func checkLUAccounts(events []obs.Event) error {
+// checkAccounts requires every run_end event's counters to account for the
+// run's work: each Newton iteration factorizes exactly once and nothing
+// else factorizes, failed and canceled transients included; and the run
+// counts exactly the contour points it emitted as point events.
+func checkAccounts(events []obs.Event) error {
+	points := int64(0)
 	for i, e := range events {
-		if e.Kind != obs.KindRunEnd {
-			continue
-		}
-		iters := e.Counters[obs.CtrNewtonIters]
-		lu := e.Counters[obs.CtrLUFactor] + e.Counters[obs.CtrLURefactor]
-		if iters != lu {
-			return fmt.Errorf("event %d (run_end): %s = %d, but %s + %s = %d",
-				i, obs.CtrNewtonIters, iters, obs.CtrLUFactor, obs.CtrLURefactor, lu)
+		switch e.Kind {
+		case obs.KindRunBegin:
+			points = 0
+		case obs.KindPoint:
+			points++
+		case obs.KindRunEnd:
+			iters := e.Counters[obs.CtrNewtonIters]
+			lu := e.Counters[obs.CtrLUFactor] + e.Counters[obs.CtrLURefactor]
+			if iters != lu {
+				return fmt.Errorf("event %d (run_end): %s = %d, but %s + %s = %d",
+					i, obs.CtrNewtonIters, iters, obs.CtrLUFactor, obs.CtrLURefactor, lu)
+			}
+			if n := e.Counters[obs.CtrPoints]; n != points {
+				return fmt.Errorf("event %d (run_end): %s = %d, but the run emitted %d point events",
+					i, obs.CtrPoints, n, points)
+			}
 		}
 	}
 	return nil

@@ -150,3 +150,51 @@ func TestLUAccountsChecked(t *testing.T) {
 		t.Errorf("error does not name the counters: %v", err)
 	}
 }
+
+// TestPointAccountsChecked holds full traces to their contour-point
+// accounting: a trace that counts each of its point events passes, and the
+// fixture — a 6×6 surface run that counted its 36 grid samples as contour
+// points while emitting no point event — fails, although its event stream
+// is well-formed and its LU work is accounted for.
+func TestPointAccountsChecked(t *testing.T) {
+	balanced := obs.New()
+	var buf bytes.Buffer
+	balanced.AddSink(obs.NewJSONLSink(&buf))
+	for i := 0; i < 2; i++ {
+		sp := balanced.StartSpan(obs.SpanStep)
+		sp.Point(float64(i)*1e-12, 1e-10, 2)
+		sp.Count(obs.CtrPoints, 1)
+		sp.End()
+	}
+	if err := balanced.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{path}); err != nil {
+		t.Fatalf("rejected a trace whose contour points are accounted for: %v", err)
+	}
+
+	const fixture = "testdata/uncounted_points.jsonl"
+	f, err := os.Open(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Validate(events); err != nil {
+		t.Fatalf("fixture is not a well-formed trace: %v", err)
+	}
+	err = run([]string{fixture})
+	if err == nil {
+		t.Fatal("accepted a trace counting 36 contour points against 0 point events")
+	}
+	if !strings.Contains(err.Error(), obs.CtrPoints) {
+		t.Errorf("error does not name the counter: %v", err)
+	}
+}

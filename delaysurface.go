@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"latchchar/internal/obs"
 	"latchchar/internal/stf"
 	"latchchar/internal/surface"
 )
@@ -53,63 +52,32 @@ func BruteForceDelayCtx(ctx context.Context, cell *Cell, opts SurfaceOptions) (*
 }
 
 // BruteForceDelay runs the delay-surface baseline on this engine's pool; see
-// Engine.BruteForce.
+// Engine.BruteForce. Each row measures ClockToQ point by point.
 func (e *Engine) BruteForceDelay(ctx context.Context, cell *Cell, opts SurfaceOptions) (*DelaySurfaceResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.N <= 0 {
-		opts.N = 40
-	}
-	if (opts.Domain == Rect{}) {
-		opts.Domain = Rect{MinS: 10e-12, MaxS: 0.8e-9, MinH: 10e-12, MaxH: 0.8e-9}
-	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = e.pool.NumWorkers()
-	}
 	start := time.Now()
-	sp := opts.Obs.StartSpan(obs.SpanSurface)
-	defer sp.End()
-	cal, _, err := e.calibrationFor(cell, opts.Eval, sp)
+	sf, cal, err := e.sweep(ctx, cell, opts, func(ev *stf.Evaluator) surface.BlockEvalFunc {
+		failDelay := 3 * ev.Calibration().CharDelay
+		return func(s float64, h, out []float64) error {
+			for j := range h {
+				d, ok, err := ev.ClockToQ(s, h[j])
+				if err != nil {
+					return fmt.Errorf("point τh=%g: %w", h[j], err)
+				}
+				if !ok || d > failDelay {
+					d = failDelay
+				}
+				out[j] = d
+			}
+			return nil
+		}
+	})
 	if err != nil {
 		return nil, err
-	}
-	failDelay := 3 * cal.CharDelay
-
-	factory := func() (surface.EvalFunc, error) {
-		inst, err := cell.Build()
-		if err != nil {
-			return nil, err
-		}
-		cfg := opts.Eval
-		cfg.Obs = sp
-		ev, err := stf.NewEvaluatorWithCalibration(inst, cfg, cal)
-		if err != nil {
-			return nil, err
-		}
-		ev.SetContext(ctx)
-		return func(s, h float64) (float64, error) {
-			d, ok, err := ev.ClockToQ(s, h)
-			if err != nil {
-				return 0, err
-			}
-			if !ok || d > failDelay {
-				return failDelay, nil
-			}
-			return d, nil
-		}, nil
-	}
-	sAxis := surface.Linspace(opts.Domain.MinS, opts.Domain.MaxS, opts.N)
-	hAxis := surface.Linspace(opts.Domain.MinH, opts.Domain.MaxH, opts.N)
-	sf, err := surface.GenerateCtx(ctx, sp, sAxis, hAxis, factory, e.pool, workers)
-	if err != nil {
-		return nil, fmt.Errorf("latchchar: delay surface: %w", err)
 	}
 	level := (1 + opts.Eval.WithDefaults().Degrade) * cal.CharDelay
 	return &DelaySurfaceResult{
 		Surface:     sf,
-		FailDelay:   failDelay,
+		FailDelay:   3 * cal.CharDelay,
 		Contour:     sf.Contour(level),
 		Calibration: cal,
 		Sims:        sf.NumSamples(),

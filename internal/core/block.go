@@ -159,78 +159,92 @@ func solveMPNRBlockCtx(ctx context.Context, p Problem, eval gradBlock, tauS0, ta
 	return results, errsOut, nil
 }
 
-// bundleAdvance is the block predictor-corrector cycle of the trace loop:
-// predict B equally spaced lookahead points along the current tangent
-// (cur + i·α·T, i = 1..B), correct them as one lockstep bundle, and accept
-// the in-order prefix of lanes that converged, advanced monotonically along
-// the tangent, stayed in bounds and did not close the curve. The first
-// non-accepting lane truncates the prefix — contour order is sacred. An
-// empty prefix means the caller falls back to the scalar α-halving cycle.
+// bundleAdvance is the trace loop's one predictor-corrector cycle
+// (Section IIIE): predict lanes equally spaced lookahead points along the
+// current tangent (cur + i·α·T, i = 1..lanes), correct them as one lockstep
+// bundle through eval, and accept the in-order prefix of lanes that
+// converged, stayed in bounds and did not close the curve. Every lane after
+// the first must also advance along the tangent past its predecessor
+// (correctors can pull lookahead points backwards onto already-traced
+// curve). The first non-accepting lane truncates the prefix — contour order
+// is sacred. A cycle that accepts nothing halves α and retries one lane
+// through p.EvalGrad, until a lane converges or α falls below MinStep. The
+// cycle, retries included, runs inside one "step" span.
 //
-// Returns the accepted points, whether tracing should stop (bounds exit or
-// closure, with closed distinguishing the two), whether the step length may
-// grow (every lane accepted comfortably), and a cancellation error if the
-// bundle was interrupted.
-func bundleAdvance(ctx context.Context, p BlockProblem, seed, cur Point, ts, th, alpha float64, bSize, nPts int, o TraceOptions, ct *Contour) (accepted []Point, stop, closed, grow bool, err error) {
+// Returns the accepted points, the step length to continue with (α grown
+// by 1.4 when every lane converged within FastIters), whether tracing
+// should stop (bounds exit or closure, with closed distinguishing the two)
+// and the error that ended the trace: a *CanceledError, or a
+// *ConvergenceError carrying the step lengths tried. Each point is tested
+// for closure against the step length the cycle would continue with if it
+// ended there.
+func bundleAdvance(ctx context.Context, p Problem, eval gradBlock, lanes int, seed, cur Point, ts, th, alpha float64, nPts int, o TraceOptions, ct *Contour) (accepted []Point, next float64, stop, closed bool, err error) {
 	stepSpan := o.Obs.StartSpan(obs.SpanStep)
 	defer stepSpan.End()
 	stepOpts := o.MPNR
 	stepOpts.Obs = stepSpan
-
-	predS := make([]float64, bSize)
-	predH := make([]float64, bSize)
-	for i := 0; i < bSize; i++ {
-		predS[i] = cur.TauS + float64(i+1)*alpha*ts
-		predH[i] = cur.TauH + float64(i+1)*alpha*th
-	}
-	results, errs, err := solveMPNRBlockCtx(ctx, p, p.EvalGradBlock, predS, predH, stepOpts)
-	for i := range results {
-		ct.GradEvals += results[i].GradEvals
-	}
-	if err != nil {
-		return nil, false, false, false, err
-	}
-
-	prevProj := 0.0
-	maxIters := 0
+	var tried []float64
 	zero := Rect{}
-	for i := 0; i < bSize; i++ {
-		ok := errs[i] == nil && results[i].Converged
-		pt := results[i].Point
-		if ok {
-			// Monotone-advance guard: a corrected point must move forward
-			// along the tangent past its predecessor, or the bundle prefix
-			// ends here (correctors can pull lookahead points backwards onto
-			// already-traced curve).
+	for {
+		predS := make([]float64, lanes)
+		predH := make([]float64, lanes)
+		for i := range predS {
+			predS[i] = cur.TauS + float64(i+1)*alpha*ts
+			predH[i] = cur.TauH + float64(i+1)*alpha*th
+		}
+		results, errs, err := solveMPNRBlockCtx(ctx, p, eval, predS, predH, stepOpts)
+		for i := range results {
+			ct.GradEvals += results[i].GradEvals
+		}
+		if err != nil {
+			return nil, alpha, false, false, &CanceledError{Op: "trace", At: cur, Points: nPts, Err: err}
+		}
+		next = alpha
+		prevProj, maxIters := 0.0, 0
+		for i, res := range results {
+			pt := res.Point
+			ok := errs[i] == nil
 			proj := (pt.TauS-cur.TauS)*ts + (pt.TauH-cur.TauH)*th
-			ok = proj > prevProj
+			if ok && i > 0 {
+				// Monotone-advance guard. Lane 0 is exempt: once converged
+				// it is accepted, as a one-lane cycle accepts it.
+				ok = proj > prevProj
+			}
 			prevProj = proj
-		}
-		if o.RecordSteps {
-			step := TraceStep{From: cur, PredS: predS[i], PredH: predH[i], Alpha: alpha, OK: ok}
-			if ok {
-				step.Accepted = pt
+			if o.RecordSteps {
+				step := TraceStep{From: cur, PredS: predS[i], PredH: predH[i], Alpha: alpha, OK: ok}
+				if ok {
+					step.Accepted = pt
+				}
+				ct.Steps = append(ct.Steps, step)
 			}
-			ct.Steps = append(ct.Steps, step)
-		}
-		if !ok {
-			return accepted, false, false, false, nil
-		}
-		if o.Bounds != zero && !o.Bounds.Contains(pt.TauS, pt.TauH) {
-			return accepted, true, false, false, nil
-		}
-		if nPts+len(accepted) >= 3 {
-			if d := math.Hypot(pt.TauS-seed.TauS, pt.TauH-seed.TauH); d < alpha/2 {
-				return accepted, true, true, false, nil
+			if !ok {
+				break
 			}
+			if o.Bounds != zero && !o.Bounds.Contains(pt.TauS, pt.TauH) {
+				return accepted, next, true, false, nil
+			}
+			maxIters = max(maxIters, pt.CorrectorIters)
+			if i == lanes-1 && maxIters <= o.FastIters && alpha < o.MaxStep {
+				next = math.Min(o.MaxStep, alpha*1.4)
+			}
+			if nPts+len(accepted) >= 3 && math.Hypot(pt.TauS-seed.TauS, pt.TauH-seed.TauH) < next/2 {
+				return accepted, next, true, true, nil
+			}
+			stepSpan.Point(pt.TauS, pt.TauH, pt.CorrectorIters)
+			stepSpan.Count(obs.CtrPoints, 1)
+			accepted = append(accepted, pt)
 		}
-		stepSpan.Point(pt.TauS, pt.TauH, pt.CorrectorIters)
-		stepSpan.Count(obs.CtrPoints, 1)
-		accepted = append(accepted, pt)
-		if pt.CorrectorIters > maxIters {
-			maxIters = pt.CorrectorIters
+		if len(accepted) > 0 {
+			return accepted, next, false, false, nil
 		}
+		// Lane 0 did not converge: shrink the step and retry one lane.
+		stepSpan.Count(obs.CtrStepRejects, 1)
+		tried = append(tried, alpha)
+		alpha /= 2
+		if alpha < o.MinStep {
+			return nil, alpha, false, false, &ConvergenceError{Op: "trace", At: cur, StepLens: tried, Err: errs[0]}
+		}
+		eval, lanes = oneLane(p), 1
 	}
-	grow = len(accepted) == bSize && maxIters <= o.FastIters
-	return accepted, false, false, grow, nil
 }

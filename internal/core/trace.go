@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"latchchar/internal/obs"
 )
@@ -58,17 +57,18 @@ type TraceOptions struct {
 	FastIters int
 	// RecordSteps keeps the predictor/corrector history.
 	RecordSteps bool
-	// Block is the predictor lookahead width: a value > 1 predicts a bundle
-	// of Block equally spaced points along the tangent each cycle and
-	// corrects them as one lockstep block (BlockProblem — for circuit
-	// problems a single multi-lane block-transient), accepting the converged
-	// in-order prefix. Ignored (scalar predictor) when ≤ 1 or when the
-	// problem does not implement BlockProblem.
+	// Block is the predictor lookahead width. For a BlockProblem each cycle
+	// predicts max(Block, 1) equally spaced points along the tangent and
+	// corrects them as one lockstep bundle, through EvalGradBlock when
+	// Block > 1 (for circuit problems a single multi-lane block-transient),
+	// accepting the converged in-order prefix; other problems predict one
+	// point per cycle. One-lane cycles, and the one-lane α/2 retries of a
+	// cycle that accepted nothing, evaluate through EvalGrad.
 	Block int
 	// Obs attaches observability: the trace runs inside a "trace" span with
-	// one "step" span per predictor-corrector cycle, emits point events and
-	// live progress (points traced / budget, current (τs, τh), corrector
-	// iterations, ETA). nil disables collection.
+	// one "step" span per predictor-corrector cycle (its retries included),
+	// emits point events and live progress (points traced / budget, current
+	// (τs, τh), corrector iterations, ETA). nil disables collection.
 	Obs *obs.Run
 }
 
@@ -183,8 +183,10 @@ func TraceContourCtx(ctx context.Context, p Problem, seedS, seedH float64, opts 
 }
 
 // traceOneDirection walks the curve from seed with initial orientation
-// sign·T(seed). It returns the accepted points (excluding the seed) and
-// whether the walk closed back onto the seed.
+// sign·T(seed), one bundleAdvance cycle per advance: Block lanes through
+// EvalGradBlock when p is a BlockProblem and Block > 1, one lane through
+// EvalGrad otherwise. It returns the accepted points (excluding the seed)
+// and whether the walk closed back onto the seed.
 func traceOneDirection(ctx context.Context, p Problem, seed Point, sign float64, o TraceOptions, ct *Contour) ([]Point, bool, error) {
 	var pts []Point
 	cur := seed
@@ -194,9 +196,9 @@ func traceOneDirection(ctx context.Context, p Problem, seed Point, sign float64,
 	}
 	prevTS, prevTH := sign*ts, sign*th
 	alpha := o.Step
-	bp, _ := p.(BlockProblem)
-	if o.Block <= 1 {
-		bp = nil
+	eval, lanes := oneLane(p), 1
+	if bp, ok := p.(BlockProblem); ok && o.Block > 1 {
+		eval, lanes = bp.EvalGradBlock, o.Block
 	}
 
 	for len(pts) < o.MaxPoints {
@@ -211,113 +213,20 @@ func traceOneDirection(ctx context.Context, p Problem, seed Point, sign float64,
 		if ts*prevTS+th*prevTH < 0 {
 			ts, th = -ts, -th
 		}
-
-		if bp != nil {
-			bSize := o.Block
-			if rem := o.MaxPoints - len(pts); bSize > rem {
-				bSize = rem
-			}
-			accepted, stop, closed, grow, err := bundleAdvance(ctx, bp, seed, cur, ts, th, alpha, bSize, len(pts), o, ct)
-			for _, ap := range accepted {
-				pts = append(pts, ap)
-				cur = ap
-				o.Obs.Progress(obs.Progress{
-					Phase: obs.SpanTrace, Done: len(pts), Total: o.MaxPoints,
-					TauS: ap.TauS, TauH: ap.TauH, CorrectorIters: ap.CorrectorIters,
-				})
-			}
-			if len(accepted) > 0 {
-				prevTS, prevTH = ts, th
-			}
-			if err != nil {
-				var ce *CanceledError
-				if errors.As(err, &ce) {
-					ce.Points = len(pts)
-				}
-				return pts, false, err
-			}
-			if stop {
-				return pts, closed, nil
-			}
-			if grow && alpha < o.MaxStep {
-				alpha = math.Min(o.MaxStep, alpha*1.4)
-			}
-			if len(accepted) > 0 {
-				continue
-			}
-			// Empty prefix: the bundle's first lane failed to correct. Fall
-			// through to the scalar α-halving cycle for this advance.
+		accepted, next, stop, closed, err := bundleAdvance(ctx, p, eval, min(lanes, o.MaxPoints-len(pts)), seed, cur, ts, th, alpha, len(pts), o, ct)
+		for _, ap := range accepted {
+			pts = append(pts, ap)
+			o.Obs.Progress(obs.Progress{
+				Phase: obs.SpanTrace, Done: len(pts), Total: o.MaxPoints,
+				TauS: ap.TauS, TauH: ap.TauH, CorrectorIters: ap.CorrectorIters,
+			})
 		}
-
-		stepSpan := o.Obs.StartSpan(obs.SpanStep)
-		stepOpts := o.MPNR
-		stepOpts.Obs = stepSpan
-		var accepted *Point
-		var alphasTried []float64
-		for {
-			predS := cur.TauS + alpha*ts
-			predH := cur.TauH + alpha*th
-			res, err := SolveMPNRCtx(ctx, p, predS, predH, stepOpts)
-			ct.GradEvals += res.GradEvals
-			step := TraceStep{From: cur, PredS: predS, PredH: predH, Alpha: alpha, OK: err == nil}
-			if err == nil {
-				step.Accepted = res.Point
-				accepted = &res.Point
-			}
-			if o.RecordSteps {
-				ct.Steps = append(ct.Steps, step)
-			}
-			if err == nil {
-				// Grow the step when the corrector is comfortable.
-				if res.Point.CorrectorIters <= o.FastIters && alpha < o.MaxStep {
-					alpha = math.Min(o.MaxStep, alpha*1.4)
-				}
-				break
-			}
-			if canceled(err) {
-				// A canceled corrector is not a struggling corrector: stop
-				// here with the points accepted so far.
-				stepSpan.End()
-				return pts, false, &CanceledError{Op: "trace", At: cur, Points: len(pts), Err: err}
-			}
-			// Corrector struggled: shrink and retry.
-			stepSpan.Count(obs.CtrStepRejects, 1)
-			alphasTried = append(alphasTried, alpha)
-			alpha /= 2
-			if alpha < o.MinStep {
-				stepSpan.End()
-				return pts, false, &ConvergenceError{
-					Op:       "trace",
-					At:       cur,
-					StepLens: alphasTried,
-					Err:      err,
-				}
-			}
+		if err != nil || stop {
+			return pts, closed, err
 		}
-		// Domain bound check.
-		zero := Rect{}
-		if o.Bounds != zero && !o.Bounds.Contains(accepted.TauS, accepted.TauH) {
-			stepSpan.End()
-			return pts, false, nil
-		}
-		// Closed-curve detection: back at the seed.
-		if len(pts) >= 3 {
-			d := math.Hypot(accepted.TauS-seed.TauS, accepted.TauH-seed.TauH)
-			if d < alpha/2 {
-				stepSpan.End()
-				return pts, true, nil
-			}
-		}
-		stepSpan.Point(accepted.TauS, accepted.TauH, accepted.CorrectorIters)
-		stepSpan.Count(obs.CtrPoints, 1)
-		stepSpan.End()
-		o.Obs.Progress(obs.Progress{
-			Phase: obs.SpanTrace, Done: len(pts) + 1, Total: o.MaxPoints,
-			TauS: accepted.TauS, TauH: accepted.TauH, CorrectorIters: accepted.CorrectorIters,
-		})
-		pts = append(pts, *accepted)
+		cur = pts[len(pts)-1]
 		prevTS, prevTH = ts, th
-		cur = *accepted
+		alpha = next
 	}
 	return pts, false, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -49,8 +48,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxJobs bounds retained forwarded-job records (default 4096).
 	MaxJobs int
-	// Logf logs coordinator events (default log.Printf).
-	Logf func(format string, args ...any)
 	// Logger receives structured request logs (default slog.Default()).
 	Logger *slog.Logger
 	// HTTPClient overrides the client used for worker calls (tests).
@@ -105,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs == 0 {
 		c.MaxJobs = 4096
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -360,7 +354,7 @@ func (co *Coordinator) rejectDraining(w http.ResponseWriter, r *http.Request) {
 
 func (co *Coordinator) json(w http.ResponseWriter, code int, v any) {
 	if err := serve.WriteJSON(w, code, v); err != nil {
-		co.cfg.Logf("cluster: writing response: %v", err)
+		co.cfg.Logger.Warn("writing response failed", "error", err.Error())
 	}
 }
 

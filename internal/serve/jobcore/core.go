@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"os"
@@ -48,8 +47,6 @@ type Config struct {
 	// ProgressInterval is the progress-event cadence on job event streams
 	// (default 250ms).
 	ProgressInterval time.Duration
-	// Logf logs serving events (default log.Printf).
-	Logf func(format string, args ...any)
 	// Logger receives structured job-lifecycle logs, every line stamped
 	// with the creating request's correlation ID (default slog.Default()).
 	Logger *slog.Logger
@@ -90,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProgressInterval <= 0 {
 		c.ProgressInterval = 250 * time.Millisecond
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -447,7 +441,7 @@ func (c *Core) runJob(j *Job) {
 	}
 	c.agg.fold(j.run.Summary())
 	if err := j.run.Close(); err != nil {
-		c.cfg.Logf("jobcore: job %s: closing obs run: %v", j.id, err)
+		c.cfg.Logger.Warn("closing obs run failed", "corr", j.corr, "job", j.id, "error", err.Error())
 	}
 	j.mu.Lock()
 	jobErr := j.err

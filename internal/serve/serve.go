@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -67,8 +66,6 @@ type Config struct {
 	// ProgressInterval is the progress-event cadence on job event streams
 	// (default 250ms).
 	ProgressInterval time.Duration
-	// Logf logs serving events (default log.Printf).
-	Logf func(format string, args ...any)
 	// Logger receives structured request and job-lifecycle logs (default
 	// slog.Default()). The daemon installs a JSON handler here.
 	Logger *slog.Logger
@@ -102,9 +99,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 2 * time.Second
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -116,7 +110,6 @@ func New(cfg Config) (*Server, error) {
 		ResultCacheSize:       cfg.ResultCacheSize,
 		MaxJobs:               cfg.MaxJobs,
 		ProgressInterval:      cfg.ProgressInterval,
-		Logf:                  cfg.Logf,
 		Logger:                cfg.Logger,
 		DumpDir:               cfg.DumpDir,
 		FlightRecorderSize:    cfg.FlightRecorderSize,
@@ -373,6 +366,6 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, err error) {
 
 func (s *Server) json(w http.ResponseWriter, code int, v any) {
 	if err := WriteJSON(w, code, v); err != nil {
-		s.cfg.Logf("serve: writing response: %v", err)
+		s.cfg.Logger.Warn("writing response failed", "error", err.Error())
 	}
 }

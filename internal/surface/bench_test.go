@@ -6,7 +6,7 @@ import (
 )
 
 func BenchmarkContourExtraction(b *testing.B) {
-	sf, err := Generate(Linspace(-1, 1, 101), Linspace(-1, 1, 101),
+	sf, err := GenerateBlock(Linspace(-1, 1, 101), Linspace(-1, 1, 101),
 		analyticFactory(func(s, h float64) float64 {
 			return math.Tanh((s*s + h*h - 0.36) / 0.05)
 		}), 1)
@@ -22,7 +22,7 @@ func BenchmarkContourExtraction(b *testing.B) {
 }
 
 func BenchmarkDeviation(b *testing.B) {
-	sf, err := Generate(Linspace(-1, 1, 101), Linspace(-1, 1, 101),
+	sf, err := GenerateBlock(Linspace(-1, 1, 101), Linspace(-1, 1, 101),
 		analyticFactory(func(s, h float64) float64 { return s*s + h*h }), 1)
 	if err != nil {
 		b.Fatal(err)

@@ -38,20 +38,6 @@ func Linspace(lo, hi float64, n int) []float64 {
 	return out
 }
 
-// EvalFunc evaluates the field at one grid point.
-type EvalFunc func(s, h float64) (float64, error)
-
-// Factory builds one independent EvalFunc per worker; the function it
-// returns is only ever used from a single goroutine.
-type Factory func() (EvalFunc, error)
-
-// Generate evaluates the field over sAxis × hAxis using up to workers
-// concurrent evaluators (default: GOMAXPROCS). Both axes must be strictly
-// increasing.
-func Generate(sAxis, hAxis []float64, factory Factory, workers int) (*Surface, error) {
-	return GenerateCtx(context.Background(), nil, sAxis, hAxis, factory, nil, workers)
-}
-
 // newSurface validates the axes and allocates the sample grid.
 func newSurface(sAxis, hAxis []float64) (*Surface, error) {
 	if len(sAxis) < 2 || len(hAxis) < 2 {
@@ -78,37 +64,11 @@ func newSurface(sAxis, hAxis []float64) (*Surface, error) {
 	return sf, nil
 }
 
-// GenerateCtx is Generate with observability, cancellation and execution on
-// a shared scheduler pool. A non-nil run counts grid evaluations and
-// receives per-row progress (rows done / total); callers that want the sweep
-// grouped start a "surface" span and pass it. A canceled ctx stops the sweep
-// between grid points (and, through evaluators that honor it,
-// mid-transient) and returns the context's cause. The sweep runs as workers
-// pool tasks, one evaluator each — the batch engine routes brute-force
-// sweeps here so surface grids, corners and Monte-Carlo samples all share
-// one Parallelism bound. A nil pool runs the sweep on a private pool of
-// that many workers (GOMAXPROCS when workers ≤ 0), closed on return.
-func GenerateCtx(ctx context.Context, run *obs.Run, sAxis, hAxis []float64, factory Factory, pool *sched.Pool, workers int) (*Surface, error) {
-	return generateRows(ctx, run, sAxis, hAxis, factory, pool, workers,
-		func(ctx context.Context, eval EvalFunc, sf *Surface, i int) error {
-			for j, h := range sf.H {
-				if ctx.Err() != nil {
-					return fmt.Errorf("surface: canceled at row τs=%g: %w", sf.S[i], context.Cause(ctx))
-				}
-				v, err := eval(sf.S[i], h)
-				if err != nil {
-					return fmt.Errorf("surface: point (%g, %g): %w", sf.S[i], h, err)
-				}
-				sf.V[i][j] = v
-			}
-			return nil
-		})
-}
-
 // BlockEvalFunc evaluates one full grid row — fixed s, the whole h axis — in
-// a single call, writing f(s, h[j]) into out[j]. The circuit implementation
-// runs the row as one lockstep block-transient (stf.Evaluator.EvalBlock), so
-// the row shares its stimulus prefix and Jacobians across the h samples.
+// a single call, writing f(s, h[j]) into out[j]. It may run the row point by
+// point or, as the circuit output surface does with Block > 1, in lockstep
+// block-transient chunks (stf.Evaluator.EvalBlock) that share the row's
+// stimulus prefix.
 type BlockEvalFunc func(s float64, h, out []float64) error
 
 // BlockFactory builds one independent BlockEvalFunc per worker; the function
@@ -121,29 +81,19 @@ func GenerateBlock(sAxis, hAxis []float64, factory BlockFactory, workers int) (*
 	return GenerateBlockCtx(context.Background(), nil, sAxis, hAxis, factory, nil, workers)
 }
 
-// GenerateBlockCtx is GenerateCtx for row-at-a-time evaluators: each grid
-// row is one BlockEvalFunc call instead of len(hAxis) scalar calls. Axes,
-// workers, pool routing, cancellation and progress behave exactly like
-// GenerateCtx.
+// GenerateBlockCtx evaluates the field over sAxis × hAxis, one
+// BlockEvalFunc call per grid row. Both axes must be strictly increasing.
+// A non-nil run receives per-row progress (rows done / total); callers that
+// want the sweep grouped start a "surface" span and pass it. A canceled ctx
+// stops the sweep between rows (and, through evaluators that honor it,
+// mid-transient) and returns the context's cause. The sweep runs as workers
+// pool tasks, each of which builds one evaluator and fills rows until none
+// are left, so the number of evaluator builds is the concurrency, not the
+// row count. The batch engine routes brute-force sweeps here so surface
+// grids, corners and Monte-Carlo samples all share one Parallelism bound. A
+// nil pool runs the sweep on a private pool of that many workers
+// (GOMAXPROCS when workers ≤ 0), closed on return.
 func GenerateBlockCtx(ctx context.Context, run *obs.Run, sAxis, hAxis []float64, factory BlockFactory, pool *sched.Pool, workers int) (*Surface, error) {
-	return generateRows(ctx, run, sAxis, hAxis, factory, pool, workers,
-		func(ctx context.Context, eval BlockEvalFunc, sf *Surface, i int) error {
-			if ctx.Err() != nil {
-				return fmt.Errorf("surface: canceled at row τs=%g: %w", sf.S[i], context.Cause(ctx))
-			}
-			if err := eval(sf.S[i], sf.H, sf.V[i]); err != nil {
-				return fmt.Errorf("surface: row τs=%g: %w", sf.S[i], err)
-			}
-			return nil
-		})
-}
-
-// generateRows is the shared sweep driver behind GenerateCtx and
-// GenerateBlockCtx, generic over the per-worker evaluator type: it runs
-// workers pool tasks, each of which builds one evaluator and fills rows,
-// one row() call each, until none are left. The number of evaluator builds
-// is the concurrency, not the row count.
-func generateRows[E any](ctx context.Context, run *obs.Run, sAxis, hAxis []float64, factory func() (E, error), pool *sched.Pool, workers int, row func(ctx context.Context, eval E, sf *Surface, i int) error) (*Surface, error) {
 	sf, err := newSurface(sAxis, hAxis)
 	if err != nil {
 		return nil, err
@@ -184,11 +134,14 @@ func generateRows[E any](ctx context.Context, run *obs.Run, sAxis, hAxis []float
 				return
 			}
 			for i := int(nextRow.Add(1) - 1); i < len(sf.S); i = int(nextRow.Add(1) - 1) {
-				if err := row(inner, eval, sf, i); err != nil {
-					fail(err)
+				if inner.Err() != nil {
+					fail(fmt.Errorf("surface: canceled at row τs=%g: %w", sf.S[i], context.Cause(inner)))
 					return
 				}
-				run.Count(obs.CtrPoints, int64(len(sf.H)))
+				if err := eval(sf.S[i], sf.H, sf.V[i]); err != nil {
+					fail(fmt.Errorf("surface: row τs=%g: %w", sf.S[i], err))
+					return
+				}
 				run.Progress(obs.Progress{
 					Phase: obs.SpanSurface,
 					Done:  int(rowsDone.Add(1)), Total: len(sf.S),

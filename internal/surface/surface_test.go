@@ -24,16 +24,21 @@ func TestLinspace(t *testing.T) {
 	Linspace(0, 1, 1)
 }
 
-func analyticFactory(f func(s, h float64) float64) Factory {
-	return func() (EvalFunc, error) {
-		return func(s, h float64) (float64, error) { return f(s, h), nil }, nil
+func analyticFactory(f func(s, h float64) float64) BlockFactory {
+	return func() (BlockEvalFunc, error) {
+		return func(s float64, h, out []float64) error {
+			for j := range h {
+				out[j] = f(s, h[j])
+			}
+			return nil
+		}, nil
 	}
 }
 
 func TestGenerateFillsGrid(t *testing.T) {
 	sAxis := Linspace(0, 1, 11)
 	hAxis := Linspace(0, 2, 21)
-	sf, err := Generate(sAxis, hAxis, analyticFactory(func(s, h float64) float64 { return s + 10*h }), 4)
+	sf, err := GenerateBlock(sAxis, hAxis, analyticFactory(func(s, h float64) float64 { return s + 10*h }), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +56,11 @@ func TestGenerateFillsGrid(t *testing.T) {
 
 func TestGenerateParallelUsesIndependentEvaluators(t *testing.T) {
 	var built int32
-	factory := func() (EvalFunc, error) {
+	factory := func() (BlockEvalFunc, error) {
 		atomic.AddInt32(&built, 1)
-		return func(s, h float64) (float64, error) { return s * h, nil }, nil
+		return analyticFactory(func(s, h float64) float64 { return s * h })()
 	}
-	if _, err := Generate(Linspace(0, 1, 20), Linspace(0, 1, 20), factory, 4); err != nil {
+	if _, err := GenerateBlock(Linspace(0, 1, 20), Linspace(0, 1, 20), factory, 4); err != nil {
 		t.Fatal(err)
 	}
 	if built != 4 {
@@ -65,36 +70,36 @@ func TestGenerateParallelUsesIndependentEvaluators(t *testing.T) {
 
 func TestGeneratePropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
-	factory := func() (EvalFunc, error) {
-		return func(s, h float64) (float64, error) {
+	factory := func() (BlockEvalFunc, error) {
+		return func(s float64, h, out []float64) error {
 			if s > 0.5 {
-				return 0, boom
+				return boom
 			}
-			return 0, nil
+			return nil
 		}, nil
 	}
-	if _, err := Generate(Linspace(0, 1, 10), Linspace(0, 1, 10), factory, 2); !errors.Is(err, boom) {
+	if _, err := GenerateBlock(Linspace(0, 1, 10), Linspace(0, 1, 10), factory, 2); !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
-	badFactory := func() (EvalFunc, error) { return nil, boom }
-	if _, err := Generate(Linspace(0, 1, 4), Linspace(0, 1, 4), badFactory, 2); !errors.Is(err, boom) {
+	badFactory := func() (BlockEvalFunc, error) { return nil, boom }
+	if _, err := GenerateBlock(Linspace(0, 1, 4), Linspace(0, 1, 4), badFactory, 2); !errors.Is(err, boom) {
 		t.Errorf("factory err = %v", err)
 	}
 }
 
 func TestGenerateValidatesAxes(t *testing.T) {
 	f := analyticFactory(func(s, h float64) float64 { return 0 })
-	if _, err := Generate([]float64{0}, Linspace(0, 1, 3), f, 1); err == nil {
+	if _, err := GenerateBlock([]float64{0}, Linspace(0, 1, 3), f, 1); err == nil {
 		t.Error("single-point axis accepted")
 	}
-	if _, err := Generate([]float64{1, 0}, Linspace(0, 1, 3), f, 1); err == nil {
+	if _, err := GenerateBlock([]float64{1, 0}, Linspace(0, 1, 3), f, 1); err == nil {
 		t.Error("descending axis accepted")
 	}
 }
 
 func TestContourOfLinearField(t *testing.T) {
 	// f = s + h; contour at level 1 is the line s + h = 1.
-	sf, err := Generate(Linspace(0, 1, 21), Linspace(0, 1, 21),
+	sf, err := GenerateBlock(Linspace(0, 1, 21), Linspace(0, 1, 21),
 		analyticFactory(func(s, h float64) float64 { return s + h }), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +126,7 @@ func TestContourOfCircleField(t *testing.T) {
 	// f = s² + h²; contour at level r² is a circle. Interpolated points
 	// land within one cell diagonal of the true circle.
 	n := 81
-	sf, err := Generate(Linspace(-1, 1, n), Linspace(-1, 1, n),
+	sf, err := GenerateBlock(Linspace(-1, 1, n), Linspace(-1, 1, n),
 		analyticFactory(func(s, h float64) float64 { return s*s + h*h }), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +152,7 @@ func TestContourOfCircleField(t *testing.T) {
 }
 
 func TestContourEmptyWhenLevelOutside(t *testing.T) {
-	sf, err := Generate(Linspace(0, 1, 5), Linspace(0, 1, 5),
+	sf, err := GenerateBlock(Linspace(0, 1, 5), Linspace(0, 1, 5),
 		analyticFactory(func(s, h float64) float64 { return s }), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +165,7 @@ func TestContourEmptyWhenLevelOutside(t *testing.T) {
 func TestContourSaddleCellsHandled(t *testing.T) {
 	// f = s·h has a saddle at the origin; the contour at 0 must not crash
 	// and must produce points on the axes.
-	sf, err := Generate(Linspace(-1, 1, 21), Linspace(-1, 1, 21),
+	sf, err := GenerateBlock(Linspace(-1, 1, 21), Linspace(-1, 1, 21),
 		analyticFactory(func(s, h float64) float64 { return s * h }), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +226,7 @@ func TestDistanceToPointSinglePointPolyline(t *testing.T) {
 // Property: marching squares of a monotone field crosses every grid column
 // exactly once (single-valued contour), so linking yields one polyline.
 func TestContourMonotoneFieldSinglePolyline(t *testing.T) {
-	sf, err := Generate(Linspace(0, 1, 31), Linspace(0, 1, 31),
+	sf, err := GenerateBlock(Linspace(0, 1, 31), Linspace(0, 1, 31),
 		analyticFactory(func(s, h float64) float64 { return s + 0.3*h }), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +249,7 @@ func TestContourRandomQuadraticFieldsProperty(t *testing.T) {
 			return a*s*s + b*h*h + c*s*h + d*s + e*h
 		}
 		n := 41
-		sf, err := Generate(Linspace(-1, 1, n), Linspace(-1, 1, n), analyticFactory(field), 1)
+		sf, err := GenerateBlock(Linspace(-1, 1, n), Linspace(-1, 1, n), analyticFactory(field), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -365,7 +365,8 @@ type SurfaceOptions struct {
 	// grid row in chunks of Block lockstep lanes sharing the stimulus prefix
 	// (the per-row cost accounting is unchanged — still one transient per
 	// grid point). 0 or 1 evaluates point by point. The surface is the same
-	// bit for bit for every Block and Parallelism.
+	// bit for bit for every Block and Parallelism. BruteForceDelay measures
+	// every grid point on its own and ignores Block.
 	Block int
 	// Eval tunes the per-worker evaluators.
 	Eval EvalConfig
@@ -408,46 +409,12 @@ func BruteForceCtx(ctx context.Context, cell *Cell, opts SurfaceOptions) (*Surfa
 // per grid row, sharing the Parallelism bound (and the calibration cache)
 // with any concurrently running batch.
 func (e *Engine) BruteForce(ctx context.Context, cell *Cell, opts SurfaceOptions) (*SurfaceResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.N <= 0 {
-		opts.N = 40
-	}
-	if (opts.Domain == Rect{}) {
-		opts.Domain = Rect{MinS: 10e-12, MaxS: 0.8e-9, MinH: 10e-12, MaxH: 0.8e-9}
-	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = e.pool.NumWorkers()
-	}
 	start := time.Now()
-	sp := opts.Obs.StartSpan(obs.SpanSurface)
-	defer sp.End()
-	// Calibrate once (or fetch from the engine cache); workers reuse the
-	// numbers, keeping the cost accounting at exactly N² grid transients.
-	cal, _, err := e.calibrationFor(cell, opts.Eval, sp)
-	if err != nil {
-		return nil, err
-	}
-	sAxis := surface.Linspace(opts.Domain.MinS, opts.Domain.MaxS, opts.N)
-	hAxis := surface.Linspace(opts.Domain.MinH, opts.Domain.MaxH, opts.N)
-	// Row-at-a-time sweep: each row is evaluated in chunks of Block
-	// lockstep block-transient lanes sharing the stimulus prefix; a chunk of
-	// one runs the scalar transient.
+	// Each row is evaluated in chunks of Block lockstep block-transient
+	// lanes sharing the stimulus prefix; a chunk of one runs the scalar
+	// transient.
 	lanes := max(opts.Block, 1)
-	factory := func() (surface.BlockEvalFunc, error) {
-		inst, err := cell.Build()
-		if err != nil {
-			return nil, err
-		}
-		cfg := opts.Eval
-		cfg.Obs = sp
-		ev, err := stf.NewEvaluatorWithCalibration(inst, cfg, cal)
-		if err != nil {
-			return nil, err
-		}
-		ev.SetContext(ctx)
+	sf, cal, err := e.sweep(ctx, cell, opts, func(ev *stf.Evaluator) surface.BlockEvalFunc {
 		tauS := make([]float64, 0, lanes)
 		return func(s float64, h, out []float64) error {
 			for lo := 0; lo < len(h); lo += lanes {
@@ -466,11 +433,10 @@ func (e *Engine) BruteForce(ctx context.Context, cell *Cell, opts SurfaceOptions
 				copy(out[lo:hi], vals)
 			}
 			return nil
-		}, nil
-	}
-	sf, err := surface.GenerateBlockCtx(ctx, sp, sAxis, hAxis, factory, e.pool, workers)
+		}
+	})
 	if err != nil {
-		return nil, fmt.Errorf("latchchar: surface generation: %w", err)
+		return nil, err
 	}
 	return &SurfaceResult{
 		Surface:     sf,
@@ -479,6 +445,55 @@ func (e *Engine) BruteForce(ctx context.Context, cell *Cell, opts SurfaceOptions
 		Sims:        sf.NumSamples(),
 		Elapsed:     time.Since(start),
 	}, nil
+}
+
+// sweep is the brute-force loop BruteForce and BruteForceDelay share: it
+// validates and defaults opts, calibrates once (or takes the engine's
+// cached calibration) and sweeps the N×N grid on the engine's pool inside a
+// "surface" span, with one evaluator per worker; row builds a worker's row
+// function over its evaluator. Workers reuse the calibration, keeping the
+// cost accounting at exactly N² grid transients.
+func (e *Engine) sweep(ctx context.Context, cell *Cell, opts SurfaceOptions, row func(*stf.Evaluator) surface.BlockEvalFunc) (*Surface, Calibration, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, Calibration{}, err
+	}
+	if opts.N <= 0 {
+		opts.N = 40
+	}
+	if (opts.Domain == Rect{}) {
+		opts.Domain = Rect{MinS: 10e-12, MaxS: 0.8e-9, MinH: 10e-12, MaxH: 0.8e-9}
+	}
+	workers := opts.Parallelism
+	if workers <= 0 {
+		workers = e.pool.NumWorkers()
+	}
+	sp := opts.Obs.StartSpan(obs.SpanSurface)
+	defer sp.End()
+	cal, _, err := e.calibrationFor(cell, opts.Eval, sp)
+	if err != nil {
+		return nil, Calibration{}, err
+	}
+	factory := func() (surface.BlockEvalFunc, error) {
+		inst, err := cell.Build()
+		if err != nil {
+			return nil, err
+		}
+		cfg := opts.Eval
+		cfg.Obs = sp
+		ev, err := stf.NewEvaluatorWithCalibration(inst, cfg, cal)
+		if err != nil {
+			return nil, err
+		}
+		ev.SetContext(ctx)
+		return row(ev), nil
+	}
+	sAxis := surface.Linspace(opts.Domain.MinS, opts.Domain.MaxS, opts.N)
+	hAxis := surface.Linspace(opts.Domain.MinH, opts.Domain.MaxH, opts.N)
+	sf, err := surface.GenerateBlockCtx(ctx, sp, sAxis, hAxis, factory, e.pool, workers)
+	if err != nil {
+		return nil, Calibration{}, fmt.Errorf("latchchar: surface generation: %w", err)
+	}
+	return sf, cal, nil
 }
 
 // CompareContours returns the maximum and mean distance from the traced

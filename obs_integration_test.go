@@ -271,3 +271,53 @@ func TestSweepCornersSharedObsCounters(t *testing.T) {
 		t.Fatalf("characterize spans = %d, want %d", got, len(corners))
 	}
 }
+
+// TestSurfacesCountNoContourPoints: a brute-force surface samples a grid and
+// traces no contour, so its run counts no contour points, for the
+// output-level surface and the delay surface alike. The grid's cost stays
+// on the result's Sims (N²).
+func TestSurfacesCountNoContourPoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transient simulations in -short mode")
+	}
+	cell, err := CellByName("tspc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		sweep func(SurfaceOptions) (int, error)
+	}{
+		{"BruteForce", func(o SurfaceOptions) (int, error) {
+			res, err := BruteForce(cell, o)
+			if err != nil {
+				return 0, err
+			}
+			return res.Sims, nil
+		}},
+		{"BruteForceDelay", func(o SurfaceOptions) (int, error) {
+			res, err := BruteForceDelay(cell, o)
+			if err != nil {
+				return 0, err
+			}
+			return res.Sims, nil
+		}},
+	} {
+		run := NewObsRun()
+		sims, err := tc.sweep(SurfaceOptions{N: 6, Obs: run})
+		sum := run.Summary()
+		run.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sims != 36 {
+			t.Errorf("%s: Sims = %d, want 36", tc.name, sims)
+		}
+		if got := sum.Counters[obs.CtrPoints]; got != 0 {
+			t.Errorf("%s: counted %d contour points for a surface that traces none", tc.name, got)
+		}
+		if got := sum.Phase(obs.SpanSurface).Count; got != 1 {
+			t.Errorf("%s: surface spans = %d, want 1", tc.name, got)
+		}
+	}
+}
