@@ -185,14 +185,21 @@ mcsmoke:
 	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/mc-trace.jsonl
 
 # fuzzsmoke runs each native fuzz target for 15 s: FuzzLU (sparse LU
-# factorization, refactorization and solve against the dense reference) and
+# factorization, refactorization and solve against the dense reference),
 # FuzzParse (the netlist parser; every deck that builds is also assembled at
 # two states, and its C must be symmetric and the same at both, bit for
-# bit). A failing input is saved under the package's testdata/fuzz/ and
-# replays as a regular test from then on.
+# bit) and FuzzResolve (the wire codec: bytes decoded as the HTTP handlers
+# decode a characterize request, then resolved; no panic, and an accepted
+# request gets a real coalescing key that fast_path does not move, and a
+# cell that builds or fails with an error). A failing input is saved under
+# the package's testdata/fuzz/ and replays as a regular test from then on.
+# FuzzResolve caps the minimization of each new input at 100 runs: the JSON
+# decoder finds new coverage so often that the default 60 s minimization
+# budget per input would spend the whole 15 s on the first few.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLU$$' -fuzztime 15s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/netlist
+	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime 15s -fuzzminimizetime 100x ./internal/serve/jobcore
 
 ci: build lint perfbenchcheck vulncheck race tracesmoke delaysmoke batchsmoke servesmoke clustersmoke mcsmoke fuzzsmoke benchsmoke
 

@@ -777,11 +777,11 @@ func x7BlockSweep(tspc *latchchar.Cell) {
 	fmt.Println("Surface rows sweep τh at fixed τs, so every lane shares the prefix up")
 	fmt.Println("to the earliest trailing data edge — the bulk of the transient — and")
 	fmt.Println("the per-point cost collapses toward one shared integration plus a")
-	fmt.Println("short per-lane tail. Every run whose data ramps start after the")
-	fmt.Println("evaluator's rest-stimulus checkpoint, at every block size, resumes")
-	fmt.Println("there instead of integrating the stretch before it (resumed steps;")
-	fmt.Println("DESIGN.md §5). The block result is gated against the scalar path by")
-	fmt.Println("blockpath_test.go bit for bit.")
+	fmt.Println("short per-lane tail. Every run, at every block size, resumes from")
+	fmt.Println("the evaluator's rest trail at the deepest stored state before its")
+	fmt.Println("lanes' earliest data ramp instead of integrating the stretch before")
+	fmt.Println("it (resumed steps; DESIGN.md §5). The block result is gated against")
+	fmt.Println("the scalar path by blockpath_test.go bit for bit.")
 	fmt.Println()
 }
 

@@ -62,7 +62,7 @@ const (
 	CtrLURefactor     = "lu_refactorizations"
 	CtrSensSolves     = "sens_solves"
 	// CtrResumedSteps counts the lane-steps transients took from the
-	// rest-stimulus checkpoint instead of integrating them
+	// evaluator's rest trail instead of integrating them
 	// (transient.Stats.ResumedSteps).
 	CtrResumedSteps   = "resumed_steps"
 	CtrPoints         = "contour_points"

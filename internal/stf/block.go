@@ -42,25 +42,20 @@ func minMax(v []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// blockEngine returns (building on first use) the k-lane block engine for
-// plain or gradient-carrying transients. Engines are cached per lane count;
-// every lane aliases lane 0's symbolic analysis.
-func (e *Evaluator) blockEngine(k int, skews bool) *transient.BlockEngine {
-	cache := &e.blkPlain
+// blockEngine returns (building on first use) the block engine for plain or
+// gradient-carrying transients: one per kind, whose lanes serve every block
+// size and alias lane 0's symbolic analysis.
+func (e *Evaluator) blockEngine(skews bool) *transient.BlockEngine {
+	be := &e.blkPlain
 	if skews {
-		cache = &e.blkGrad
+		be = &e.blkGrad
 	}
-	if *cache == nil {
-		*cache = make(map[int]*transient.BlockEngine)
+	if *be == nil {
+		*be = transient.NewBlockEngine(e.inst.Circuit, e.cfg.transientOptions(skews), func(lane int) {
+			e.inst.Data.SetSkews(e.blkS[lane], e.blkH[lane])
+		})
 	}
-	if be := (*cache)[k]; be != nil {
-		return be
-	}
-	be := transient.NewBlockEngine(e.inst.Circuit, e.cfg.transientOptions(skews), k, func(lane int) {
-		e.inst.Data.SetSkews(e.blkS[lane], e.blkH[lane])
-	})
-	(*cache)[k] = be
-	return be
+	return *be
 }
 
 // EvalBlock computes h(τs, τh) for a block of skew pairs with one lockstep
@@ -84,10 +79,9 @@ func (e *Evaluator) EvalBlock(tauS, tauH []float64) ([]float64, error) {
 		}
 		return []float64{h}, nil
 	}
-	be := e.blockEngine(k, false)
 	e.blkS = append(e.blkS[:0], tauS...)
 	e.blkH = append(e.blkH[:0], tauH...)
-	res, err := be.RunCtx(e.ctx, e.run, e.x0, e.grid, e.blockSplit(tauS, tauH), e.checkpoint(tauS, tauH))
+	res, err := e.blockEngine(false).RunCtx(e.ctx, e.run, k, e.x0, e.grid, e.blockSplit(tauS, tauH), e.trail, e.restUntil(tauS, tauH))
 	if err != nil {
 		return nil, err
 	}
@@ -126,10 +120,9 @@ func (e *Evaluator) EvalGradBlock(tauS, tauH []float64) (h, dhdS, dhdH []float64
 		h[0], dhdS[0], dhdH[0], err = e.EvalGrad(tauS[0], tauH[0])
 		return h, dhdS, dhdH, errs, err
 	}
-	be := e.blockEngine(k, true)
 	e.blkS = append(e.blkS[:0], tauS...)
 	e.blkH = append(e.blkH[:0], tauH...)
-	res, rerr := be.RunCtx(e.ctx, e.run, e.x0, e.grid, e.blockSplit(tauS, tauH), e.checkpoint(tauS, tauH))
+	res, rerr := e.blockEngine(true).RunCtx(e.ctx, e.run, k, e.x0, e.grid, e.blockSplit(tauS, tauH), e.trail, e.restUntil(tauS, tauH))
 	if rerr != nil {
 		return nil, nil, nil, nil, rerr
 	}

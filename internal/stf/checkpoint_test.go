@@ -3,6 +3,7 @@ package stf
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -53,18 +54,34 @@ func TestFineWindowFollowsTheDataRamp(t *testing.T) {
 	}
 }
 
-// checkpointIndex returns the grid index of e's checkpoint after checking
-// that it is the last grid point strictly before the leading data ramp at
-// τs = MaxSetupSkew.
-func checkpointIndex(t *testing.T, e *Evaluator) int {
+// trailStep is the spacing, in fine grid steps, of the rest trail's states.
+const trailStep = 4
+
+// trailStart returns the grid index of e's rest trail's first state after
+// checking that it is the fine window's first grid point: the last one a
+// coarse step reaches.
+func trailStart(t *testing.T, e *Evaluator) int {
 	t.Helper()
 	pts := e.grid.Points()
-	ramp := e.inst.Data.SupportStart(e.cfg.MaxSetupSkew)
-	k := sort.SearchFloat64s(pts, e.cpT)
-	if e.cp == nil || k < 1 || k+1 >= len(pts) || pts[k] != e.cpT || !(pts[k] < ramp) || pts[k+1] < ramp {
-		t.Fatalf("checkpoint at %g (grid index %d) is not the last grid point before the data ramp at %g", e.cpT, k, ramp)
+	k0 := sort.SearchFloat64s(pts, e.fineStart(e.cfg.MaxSetupSkew))
+	fine := func(i int) bool { return pts[i+1]-pts[i] <= e.cfg.FineStep*(1+1e-9) }
+	if k0 < 1 || k0+1 >= len(pts) || fine(k0-1) || !fine(k0) {
+		t.Fatalf("the trail starts at grid index %d, not at the fine window's first point", k0)
 	}
-	return k
+	return k0
+}
+
+// restDepth returns the grid index a run whose data ramps start at until
+// resumes at once the trail reaches it: the last grid point strictly before
+// until among the trail's, every trailStep-th from k0; 0, a run from x0,
+// when until comes no later than k0.
+func restDepth(e *Evaluator, k0 int, until float64) int {
+	pts := e.grid.Points()
+	r := sort.Search(len(pts), func(i int) bool { return !(pts[i] < until) }) - 1
+	if r < k0 {
+		return 0
+	}
+	return k0 + trailStep*((r-k0)/trailStep)
 }
 
 // checkLUAccounts requires the counters published to run to hold one LU
@@ -78,13 +95,23 @@ func checkLUAccounts(t *testing.T, run *obs.Run) {
 	}
 }
 
-// TestCheckpointEligibility walks the edges of resuming: the first eligible
-// run saves the checkpoint and later ones resume there, but a run whose
-// leading ramp starts before it (τs above MaxSetupSkew), or whose trailing
-// ramp does (τh far negative), integrates from x0, and so does a block with
-// one such lane. A canceled run saves nothing: the next run builds the
-// checkpoint. Every run, resumed or not, equals a bare engine's run from x0
-// bit for bit, and the published work keeps one LU per Newton iteration.
+// trailRun is an evaluation at skew pairs, run by fn.
+type trailRun struct {
+	tauS, tauH []float64
+	fn         func()
+}
+
+// TestCheckpointEligibility walks the edges of the rest trail on tspc. A
+// canceled first run saves nothing; the first run builds the trail up to
+// its own leading ramp. Every later run resumes at the deepest stored point
+// strictly before its own earliest ramp: a run whose ramp comes later than
+// the trail reaches resumes at its end and extends it, one whose ramp comes
+// earlier resumes inside it, and one whose ramp comes before the trail's
+// start — τs more than FineMargin above MaxSetupSkew, or τh so negative that
+// the trailing ramp comes first — integrates from x0, and so does a block
+// with one such lane. Every run, resumed or not, equals a bare engine's run
+// from x0 bit for bit, and the published work keeps one LU per Newton
+// iteration.
 func TestCheckpointEligibility(t *testing.T) {
 	for _, m := range []transient.Method{transient.BE, transient.TRAP} {
 		t.Run(m.String(), func(t *testing.T) {
@@ -102,7 +129,7 @@ func TestCheckpointEligibility(t *testing.T) {
 			}
 			run := obs.New()
 			e.SetObs(run)
-			k := checkpointIndex(t, e)
+			k0 := trailStart(t, e)
 			ref := transient.NewEngine(inst.Circuit, e.cfg.transientOptions(true))
 			want := func(tauS, tauH float64) [3]float64 {
 				t.Helper()
@@ -123,27 +150,34 @@ func TestCheckpointEligibility(t *testing.T) {
 					}
 				}
 			}
-			// resumed runs fn and requires it to have resumed lanes·k lane-steps.
-			resumed := func(what string, lanes int, fn func()) {
+			// end is the trail's deepest stored grid index, 0 while it is
+			// empty. resumes runs fn at the skew pairs, requires it to resume
+			// each of its lanes at the deepest stored point before their
+			// earliest ramp, and records how far the run extended the trail.
+			end := 0
+			resumes := func(what string, r trailRun) {
 				t.Helper()
+				d := restDepth(e, k0, e.restUntil(r.tauS, r.tauH))
 				before := e.Work.ResumedSteps
-				fn()
-				if got := e.Work.ResumedSteps - before; got != lanes*k {
-					t.Errorf("%s resumed %d lane-steps, want %d", what, got, lanes*k)
+				r.fn()
+				if got, want := e.Work.ResumedSteps-before, len(r.tauS)*min(d, end); got != want {
+					t.Errorf("%s resumed %d lane-steps, want %d", what, got, want)
 				}
+				t.Logf("%s: resumed at grid index %d of %d stored", what, min(d, end), end)
+				end = max(end, d)
 			}
-			grad := func(tauS, tauH float64) func() {
-				return func() {
+			grad := func(tauS, tauH float64) trailRun {
+				return trailRun{[]float64{tauS}, []float64{tauH}, func() {
 					t.Helper()
 					h, ds, dh, err := e.EvalGrad(tauS, tauH)
 					if err != nil {
 						t.Fatal(err)
 					}
 					same("EvalGrad", [3]float64{h, ds, dh}, want(tauS, tauH))
-				}
+				}}
 			}
-			block := func(tauS, tauH []float64) func() {
-				return func() {
+			block := func(tauS, tauH []float64) trailRun {
+				return trailRun{tauS, tauH, func() {
 					t.Helper()
 					h, ds, dh, errs, err := e.EvalGradBlock(tauS, tauH)
 					if err != nil {
@@ -155,36 +189,302 @@ func TestCheckpointEligibility(t *testing.T) {
 						}
 						same("EvalGradBlock lane", [3]float64{h[i], ds[i], dh[i]}, want(tauS[i], tauH[i]))
 					}
-				}
+				}}
 			}
 
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			e.SetContext(ctx)
-			resumed("a canceled run", 0, func() {
-				if _, err := e.Eval(400e-12, 300e-12); !errors.Is(err, transient.ErrCanceled) {
-					t.Fatalf("err = %v, want ErrCanceled", err)
-				}
-			})
-			e.SetContext(nil)
-			resumed("the first run", 0, grad(400e-12, 300e-12))
-			resumed("the second run", 1, grad(300e-12, 250e-12))
-
-			early := e.cfg.MaxSetupSkew + 2*e.cfg.FineStep
-			if !(e.inst.Data.SupportStart(early) < e.cpT) {
-				t.Fatalf("τs = %g starts its ramp at %g, not before the checkpoint %g", early, e.inst.Data.SupportStart(early), e.cpT)
+			before := e.Work.ResumedSteps
+			if _, err := e.Eval(400e-12, 300e-12); !errors.Is(err, transient.ErrCanceled) {
+				t.Fatalf("err = %v, want ErrCanceled", err)
 			}
-			resumed("an early leading ramp", 0, grad(early, 300e-12))
-			trail := e.cpT - inst.Edge50
-			resumed("an early trailing ramp", 0, grad(400e-12, trail))
-			resumed("a block with an early lane", 0, block([]float64{400e-12, early, 300e-12}, []float64{300e-12, 250e-12, 200e-12}))
-			resumed("a block of eligible lanes", 3, block([]float64{400e-12, 350e-12, 300e-12}, []float64{300e-12, 250e-12, 200e-12}))
-			resumed("a one-lane block", 1, block([]float64{330e-12}, []float64{280e-12}))
+			if e.Work.ResumedSteps != before {
+				t.Errorf("a run canceled before its first step resumed %d lane-steps", e.Work.ResumedSteps-before)
+			}
+			e.SetContext(nil)
+
+			resumes("the first run", grad(400e-12, 300e-12))
+			resumes("a later ramp", grad(300e-12, 250e-12))
+			resumes("an earlier ramp", grad(500e-12, 300e-12))
+			pts, d := e.grid.Points(), inst.Data
+			inside := pts[k0+22] - d.Edge50 + d.Fall/2 // the trailing ramp starts at grid index k0+22
+			if got := restDepth(e, k0, d.RestUntil(300e-12, inside)); got != k0+5*trailStep {
+				t.Fatalf("τh = %g resumes at grid index %d, want %d", inside, got, k0+5*trailStep)
+			}
+			resumes("a trailing ramp inside the trail", grad(300e-12, inside))
+
+			early := e.cfg.MaxSetupSkew + e.cfg.FineMargin + 2*e.cfg.FineStep
+			if d := restDepth(e, k0, inst.Data.RestUntil(early, 300e-12)); d != 0 {
+				t.Fatalf("τs = %g resumes at grid index %d, not before the trail", early, d)
+			}
+			resumes("an early leading ramp", grad(early, 300e-12))
+			resumes("an early trailing ramp", grad(400e-12, pts[k0]-d.Edge50))
+			resumes("a block with an early lane", block([]float64{400e-12, early, 300e-12}, []float64{300e-12, 250e-12, 200e-12}))
+			resumes("a block of eligible lanes", block([]float64{400e-12, 350e-12, 300e-12}, []float64{300e-12, 250e-12, 200e-12}))
+			resumes("a block extending the trail", block([]float64{200e-12, 150e-12, 250e-12}, []float64{300e-12, 250e-12, 200e-12}))
+			resumes("a one-lane block", block([]float64{330e-12}, []float64{280e-12}))
+			if end <= k0 {
+				t.Errorf("the trail never grew past its first state at grid index %d", k0)
+			}
 
 			if got := run.Counter(obs.CtrResumedSteps); got != int64(e.Work.ResumedSteps) {
 				t.Errorf("published %d resumed steps, the evaluator counted %d", got, e.Work.ResumedSteps)
 			}
 			checkLUAccounts(t, run)
 		})
+	}
+}
+
+// TestRestTrailIsSharedBitForBit builds a rest trail with one kind of run
+// and resumes the other kind from it, on every built-in cell and
+// examples/netlists deck, in BE and TRAP, through scalar runs and 4-lane
+// blocks:
+//
+//   - plain runs extend the trail and gradient runs resume from it;
+//   - gradient runs extend the trail and plain runs resume from it;
+//   - a run that fails, or is canceled, partway through the rest phase keeps
+//     the states it saved: the next run resumes at the deepest of them and
+//     extends the trail, and the run after that resumes at its end.
+//
+// Every run resumes at the deepest stored point before its earliest ramp,
+// and every h, ∂h/∂τs and ∂h/∂τh equals a bare engine's run from x0 bit for
+// bit.
+func TestRestTrailIsSharedBitForBit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transient simulations in -short mode")
+	}
+	type subject struct {
+		name  string
+		build func() (*registers.Instance, error)
+	}
+	var subjects []subject
+	for _, name := range []string{"tspc", "c2mos", "tgate"} {
+		cell, err := registers.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subjects = append(subjects, subject{name, cell.Build})
+	}
+	decks, err := filepath.Glob(filepath.Join("..", "..", "examples", "netlists", "*.cir"))
+	if err != nil || len(decks) == 0 {
+		t.Fatalf("no example decks found: %v", err)
+	}
+	for _, path := range decks {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deck, err := netlist.ParseString(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subjects = append(subjects, subject{filepath.Base(path), deck.Build})
+	}
+	// The deep runs' data ramps start latest, so they take the trail
+	// furthest; the back runs' ramps all start before the deep ones'.
+	deepS, deepH := []float64{60e-12, 90e-12, 120e-12, 150e-12}, []float64{700e-12, 650e-12, 600e-12, 550e-12}
+	backS, backH := []float64{300e-12, 450e-12, 200e-12, 600e-12}, []float64{250e-12, 150e-12, 400e-12, 300e-12}
+
+	for _, s := range subjects {
+		for _, m := range []transient.Method{transient.BE, transient.TRAP} {
+			t.Run(s.name+"/"+m.String(), func(t *testing.T) {
+				inst, err := s.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, err := NewEvaluator(inst, Config{Method: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cal := first.Calibration()
+				fresh := func() *Evaluator {
+					t.Helper()
+					e, err := NewEvaluatorWithCalibration(inst, Config{Method: m}, cal)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return e
+				}
+				k0 := trailStart(t, first)
+				ref := transient.NewEngine(inst.Circuit, first.cfg.transientOptions(true))
+				refs := map[[2]float64][3]float64{}
+				want := func(tauS, tauH float64) [3]float64 {
+					t.Helper()
+					key := [2]float64{tauS, tauH}
+					if w, ok := refs[key]; ok {
+						return w
+					}
+					inst.Data.SetSkews(tauS, tauH)
+					res, err := ref.Run(first.x0, first.grid)
+					if err != nil {
+						t.Fatalf("from x0 at (%g, %g): %v", tauS, tauH, err)
+					}
+					out := inst.Out
+					refs[key] = [3]float64{res.X[out] - cal.R, res.Ms[out], res.Mh[out]}
+					return refs[key]
+				}
+
+				for _, lanes := range []int{1, 4} {
+					// eval runs the pairs as scalar runs or one block, of the
+					// kind grad, checks every result against the run from x0
+					// and every resume depth against the trail's end, which
+					// it advances.
+					eval := func(what string, e *Evaluator, end *int, grad bool, tauS, tauH []float64) {
+						t.Helper()
+						what = fmt.Sprintf("%d-lane %s", lanes, what)
+						check := func(i int, h, ds, dh float64) {
+							t.Helper()
+							w := want(tauS[i], tauH[i])
+							got := [3]float64{h, ds, dh}
+							if !grad {
+								got[1], got[2] = w[1], w[2]
+							}
+							for j := range got {
+								if math.Float64bits(got[j]) != math.Float64bits(w[j]) {
+									t.Fatalf("%s at (%g, %g): (%v, %v, %v), from x0 (%v, %v, %v)",
+										what, tauS[i], tauH[i], got[0], got[1], got[2], w[0], w[1], w[2])
+								}
+							}
+						}
+						resumed := func(pairs int, until float64, fn func()) {
+							t.Helper()
+							d := restDepth(e, k0, until)
+							before := e.Work.ResumedSteps
+							fn()
+							if got, want := e.Work.ResumedSteps-before, pairs*min(d, *end); got != want {
+								t.Errorf("%s resumed %d lane-steps, want %d", what, got, want)
+							}
+							*end = max(*end, d)
+						}
+						if lanes == 1 {
+							for i := range tauS {
+								resumed(1, e.restUntil(tauS[i:i+1], tauH[i:i+1]), func() {
+									if grad {
+										h, ds, dh, err := e.EvalGrad(tauS[i], tauH[i])
+										if err != nil {
+											t.Fatal(err)
+										}
+										check(i, h, ds, dh)
+										return
+									}
+									h, err := e.Eval(tauS[i], tauH[i])
+									if err != nil {
+										t.Fatal(err)
+									}
+									check(i, h, 0, 0)
+								})
+							}
+							return
+						}
+						resumed(len(tauS), e.restUntil(tauS, tauH), func() {
+							if grad {
+								h, ds, dh, errs, err := e.EvalGradBlock(tauS, tauH)
+								if err != nil {
+									t.Fatal(err)
+								}
+								for i := range tauS {
+									if errs[i] != nil {
+										t.Fatalf("%s lane %d: %v", what, i, errs[i])
+									}
+									check(i, h[i], ds[i], dh[i])
+								}
+								return
+							}
+							h, err := e.EvalBlock(tauS, tauH)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for i := range tauS {
+								check(i, h[i], 0, 0)
+							}
+						})
+					}
+					for _, gradFirst := range []bool{false, true} {
+						e, end := fresh(), 0
+						eval("extending run", e, &end, gradFirst, deepS, deepH)
+						before := e.Work.ResumedSteps
+						eval("resuming run", e, &end, !gradFirst, backS, backH)
+						if e.Work.ResumedSteps == before {
+							t.Errorf("%d-lane runs resumed nothing from a trail built by runs with gradients %v", lanes, gradFirst)
+						}
+					}
+
+					// Cut a deep run off at step kc, a trail point halfway
+					// along the trail it would build: fail it by poisoning
+					// the skews before step kc, so that step's Newton
+					// iteration fails and the trail ends at the point before
+					// it, or cancel it once step kc is done, so the trail
+					// ends at kc.
+					pts := first.grid.Points()
+					kc := k0 + trailStep*max(2, (restDepth(first, k0, first.restUntil(deepS[:lanes], deepH[:lanes]))-k0)/trailStep/2)
+					for _, cancels := range []bool{false, true} {
+						e := fresh()
+						ctx, cancel := context.WithCancel(context.Background())
+						cut := func() {
+							if cancels {
+								cancel()
+							} else {
+								inst.Data.SetSkews(math.NaN(), math.NaN())
+							}
+						}
+						var err error
+						if lanes == 1 {
+							// A stop condition that never stops makes the
+							// cut after step kc−1 (fail) or kc (cancel).
+							at := pts[kc-1]
+							if cancels {
+								at = pts[kc]
+							}
+							opts := e.cfg.transientOptions(false)
+							opts.Stop = func(_, tb float64, _, _ []float64) bool {
+								if tb == at {
+									cut()
+								}
+								return false
+							}
+							e.engPlain = transient.NewEngine(inst.Circuit, opts)
+							e.SetContext(ctx)
+							_, err = e.Eval(deepS[0], deepH[0])
+						} else {
+							// Before the lanes fork, the block calls setLane
+							// once before its first step and once before each
+							// step: call kc+1 comes before step kc. The
+							// context is checked before a step, so a cancel
+							// there still lets step kc finish.
+							calls := 0
+							e.blkPlain = transient.NewBlockEngine(inst.Circuit, e.cfg.transientOptions(false), func(lane int) {
+								inst.Data.SetSkews(e.blkS[lane], e.blkH[lane])
+								if calls++; calls == kc+1 {
+									cut()
+								}
+							})
+							e.SetContext(ctx)
+							_, err = e.EvalBlock(deepS, deepH)
+						}
+						cancel()
+						e.SetContext(nil)
+						e.engPlain = transient.NewEngine(inst.Circuit, e.cfg.transientOptions(false))
+						e.blkPlain = nil
+						switch {
+						case cancels && !errors.Is(err, transient.ErrCanceled):
+							t.Fatalf("%d-lane run canceled at grid index %d: err = %v, want ErrCanceled", lanes, kc, err)
+						case !cancels && !errors.Is(err, transient.ErrNewtonFailure):
+							t.Fatalf("%d-lane run failing at grid index %d: err = %v, want a Newton failure", lanes, kc, err)
+						}
+						end := kc - trailStep
+						if cancels {
+							end = kc
+						}
+						what := "failed"
+						if cancels {
+							what = "canceled"
+						}
+						eval("run after a "+what+" one", e, &end, true, deepS[:lanes], deepH[:lanes])
+						eval("second run after a "+what+" one", e, &end, false, deepS[:lanes], deepH[:lanes])
+					}
+				}
+			})
+		}
 	}
 }

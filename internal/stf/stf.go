@@ -13,6 +13,7 @@ package stf
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"latchchar/internal/circuit"
@@ -127,17 +128,21 @@ type Evaluator struct {
 
 	engPlain *transient.Engine
 	engGrad  *transient.Engine
+	// engCross runs ClockToQ's stopped transients, built on first use; its
+	// stop condition reads and fills cross.
+	engCross *transient.Engine
+	cross    crossing
 
-	// cp is the rest-stimulus checkpoint at grid point cpT, the last one
-	// before the data line can leave rest for τs ≤ MaxSetupSkew (DESIGN §5);
-	// nil when no grid point after the first precedes that time.
-	cp  *transient.Checkpoint
-	cpT float64
+	// trail is the rest trail on the measurement grid: the state at the
+	// fine window's start and at every 4th fine grid point after it, on the
+	// trajectory every run follows until its data line leaves rest
+	// (DESIGN §5).
+	trail *transient.Checkpoint
 
-	// Block-transient lanes (EvalBlock/EvalGradBlock): engines cached per
-	// lane count, plus the current block's skews for the setLane hook.
-	blkPlain   map[int]*transient.BlockEngine
-	blkGrad    map[int]*transient.BlockEngine
+	// Block-transient engines (EvalBlock/EvalGradBlock), one per kind, plus
+	// the current block's skews for the setLane hook.
+	blkPlain   *transient.BlockEngine
+	blkGrad    *transient.BlockEngine
 	blkS, blkH []float64
 
 	// PlainEvals and GradEvals count transient simulations by kind; the
@@ -189,10 +194,7 @@ func newEvaluator(inst *registers.Instance, cfg Config, cal *Calibration) (*Eval
 		return nil, fmt.Errorf("stf: measurement grid: %w", err)
 	}
 	e.grid = grid
-	pts := grid.Points()
-	if k := sort.SearchFloat64s(pts, inst.Data.SupportStart(c.MaxSetupSkew)) - 1; k >= 1 {
-		e.cp, e.cpT = transient.NewCheckpoint(k), pts[k]
-	}
+	e.trail = transient.NewCheckpoint(grid, sort.SearchFloat64s(grid.Points(), fineStart))
 	e.engPlain = transient.NewEngine(inst.Circuit, c.transientOptions(false))
 	e.engGrad = transient.NewEngine(inst.Circuit, c.transientOptions(true))
 	return e, nil
@@ -205,18 +207,16 @@ func (e *Evaluator) fineStart(maxTauS float64) float64 {
 	return e.inst.Data.SupportStart(maxTauS) - e.cfg.FineMargin
 }
 
-// checkpoint returns the checkpoint for a run at the skew pairs, or nil for
-// a run from x0. A run may save into or resume from it only when every
-// pair's data ramps start strictly after cpT: its stimulus then rests, with
-// zero skew derivatives, at every grid point up to cpT, as every other
-// such run's does, so all of them integrate the same trajectory there.
-func (e *Evaluator) checkpoint(tauS, tauH []float64) *transient.Checkpoint {
+// restUntil is the until a run at the skew pairs hands the rest trail: the
+// earliest start of any pair's data ramps. Strictly before it every pair's
+// stimulus rests, with zero skew derivatives, as every other run's does, so
+// all of them integrate the trail's trajectory at the grid points there.
+func (e *Evaluator) restUntil(tauS, tauH []float64) float64 {
+	until := math.Inf(1)
 	for i := range tauS {
-		if !(e.cpT < e.inst.Data.RestUntil(tauS[i], tauH[i])) {
-			return nil
-		}
+		until = math.Min(until, e.inst.Data.RestUntil(tauS[i], tauH[i]))
 	}
-	return e.cp
+	return until
 }
 
 // SetObs re-points the evaluator's observability handle; solvers use this
@@ -278,30 +278,51 @@ func (e *Evaluator) calibrate() error {
 	return nil
 }
 
+// crossing is the stop condition of a transient that hunts for the output's
+// first crossing of level in direction dir at or after tMin, and what it
+// found.
+type crossing struct {
+	out   circuit.UnknownID
+	level float64
+	dir   int
+	tMin  float64
+	tc    float64
+	ok    bool
+}
+
+// stop applies num.Crossing to the interval a step just completed, as
+// num.CrossingTime does to a recorded waveform, interval by interval: the
+// run stops at the interval CrossingTime would report, and tc equals
+// CrossingTime's over the whole grid bit for bit. The steps after it, whose
+// result the measurement would discard, never run.
+func (c *crossing) stop(ta, tb float64, xa, xb []float64) bool {
+	c.tc, c.ok = num.Crossing(ta, tb, xa[c.out], xb[c.out], c.level, c.dir, c.tMin)
+	return c.ok
+}
+
 // firstCrossing runs a plain transient from x0 over grid at the current
-// skews, under run, and returns the time tc at which the output first
-// crosses level in direction dir at or after tMin. The run stops at the step
-// that completes the crossing: the stop condition applies num.Crossing to
-// each step's interval as num.CrossingTime does to a recorded waveform, so
-// tc equals CrossingTime over the whole grid bit for bit, and the steps after
-// it — whose result the measurement would discard — never run. An output
-// that never crosses runs the whole grid and returns ok = false.
+// skews, under run, on an engine of its own, and returns the time tc at
+// which the output first crosses level in direction dir at or after tMin.
+// The run stops at the step that completes the crossing (crossing.stop). An
+// output that never crosses runs the whole grid and returns ok = false.
 func (e *Evaluator) firstCrossing(run *obs.Run, grid transient.Grid, level float64, dir int, tMin float64) (tc float64, ok bool, err error) {
-	out := e.inst.Out
-	tPrev, vPrev := grid.Start(), e.x0[out]
+	c := &crossing{out: e.inst.Out, level: level, dir: dir, tMin: tMin}
 	opts := e.cfg.transientOptions(false)
-	opts.Stop = func(t float64, x []float64) bool {
-		tc, ok = num.Crossing(tPrev, t, vPrev, x[out], level, dir, tMin)
-		tPrev, vPrev = t, x[out]
-		return ok
-	}
-	res, err := transient.NewEngine(e.inst.Circuit, opts).RunCtx(e.ctx, run, e.x0, grid, nil)
+	opts.Stop = c.stop
+	return e.runCrossing(transient.NewEngine(e.inst.Circuit, opts), c, run, grid, nil, 0)
+}
+
+// runCrossing runs eng, whose stop condition is c.stop, over grid under run,
+// from x0 or from cp's states before until, and returns what c found.
+func (e *Evaluator) runCrossing(eng *transient.Engine, c *crossing, run *obs.Run, grid transient.Grid, cp *transient.Checkpoint, until float64) (tc float64, ok bool, err error) {
+	c.tc, c.ok = 0, false
+	res, err := eng.RunCtx(e.ctx, run, e.x0, grid, cp, until)
 	if err != nil {
 		return 0, false, err
 	}
 	run.Count(obs.CtrTransients, 1)
 	e.Work.Add(res.Stats)
-	return tc, ok, nil
+	return c.tc, c.ok, nil
 }
 
 // Calibration returns the measured characteristic timing.
@@ -316,7 +337,7 @@ func (e *Evaluator) Instance() *registers.Instance { return e.inst }
 // Eval computes h(τs, τh) = cᵀx(tf) − r with one transient simulation.
 func (e *Evaluator) Eval(tauS, tauH float64) (float64, error) {
 	e.inst.Data.SetSkews(tauS, tauH)
-	res, err := e.engPlain.RunCtx(e.ctx, e.run, e.x0, e.grid, e.checkpoint([]float64{tauS}, []float64{tauH}))
+	res, err := e.engPlain.RunCtx(e.ctx, e.run, e.x0, e.grid, e.trail, e.inst.Data.RestUntil(tauS, tauH))
 	if err != nil {
 		return 0, err
 	}
@@ -330,7 +351,7 @@ func (e *Evaluator) Eval(tauS, tauH float64) (float64, error) {
 // simulation carrying forward sensitivities.
 func (e *Evaluator) EvalGrad(tauS, tauH float64) (h, dhdS, dhdH float64, err error) {
 	e.inst.Data.SetSkews(tauS, tauH)
-	res, err := e.engGrad.RunCtx(e.ctx, e.run, e.x0, e.grid, e.checkpoint([]float64{tauS}, []float64{tauH}))
+	res, err := e.engGrad.RunCtx(e.ctx, e.run, e.x0, e.grid, e.trail, e.inst.Data.RestUntil(tauS, tauH))
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -356,7 +377,7 @@ func (e *Evaluator) Waveforms(tauS, tauH, tEnd float64, probes ...circuit.Unknow
 	}
 	e.inst.Data.SetSkews(tauS, tauH)
 	eng := transient.NewEngine(e.inst.Circuit, e.cfg.transientOptions(false, probes...))
-	res, err := eng.RunCtx(e.ctx, e.run, e.x0, grid, nil)
+	res, err := eng.RunCtx(e.ctx, e.run, e.x0, grid, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -389,8 +410,10 @@ func (e *Evaluator) OutputUntil(tauS, tauH, tEnd float64) (times, out []float64,
 // calibrated level r (the "pushout curve" data of the paper's Figs. 3 and 7).
 // The transient runs on OutputUntil's grid to PostWindow past the edge and
 // stops at the crossing, so the delay equals the one found on OutputUntil's
-// waveform bit for bit. ok is false when the register fails to latch within
-// that window.
+// waveform bit for bit. That grid is the measurement grid up to the fine
+// window's start and no further, so the run shares the rest trail's first
+// state only. ok is false when the register fails to latch within that
+// window.
 func (e *Evaluator) ClockToQ(tauS, tauH float64) (delay float64, ok bool, err error) {
 	edge := e.inst.Edge50
 	grid, err := e.gridTo(edge + e.cfg.PostWindow)
@@ -402,7 +425,13 @@ func (e *Evaluator) ClockToQ(tauS, tauH float64) (delay float64, ok bool, err er
 		dir = +1
 	}
 	e.inst.Data.SetSkews(tauS, tauH)
-	tc, ok, err := e.firstCrossing(e.run, grid, e.cal.R, dir, edge)
+	if e.engCross == nil {
+		opts := e.cfg.transientOptions(false)
+		opts.Stop = e.cross.stop
+		e.engCross = transient.NewEngine(e.inst.Circuit, opts)
+	}
+	e.cross = crossing{out: e.inst.Out, level: e.cal.R, dir: dir, tMin: edge}
+	tc, ok, err := e.runCrossing(e.engCross, &e.cross, e.run, grid, e.trail, e.inst.Data.RestUntil(tauS, tauH))
 	if err != nil {
 		return 0, false, err
 	}

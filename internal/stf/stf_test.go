@@ -349,21 +349,22 @@ func TestCrossingStopHonorsTMin(t *testing.T) {
 
 // TestUncrossedOutputRunsTheWholeWindow: a crossing measurement stops at the
 // crossing, so one whose output never crosses runs its whole window. A
-// starved-hold ClockToQ integrates every step to PostWindow past the edge and
-// returns ok = false; a calibration whose level the output cannot reach
-// integrates its whole grid and fails with the calibration error.
+// starved-hold ClockToQ accounts for every step to PostWindow past the edge,
+// integrated or resumed from the rest trail, and returns ok = false; a
+// calibration whose level the output cannot reach integrates its whole grid
+// and fails with the calibration error.
 func TestUncrossedOutputRunsTheWholeWindow(t *testing.T) {
 	e := evaluatorFor(t, "tspc")
 	grid, err := e.gridTo(e.inst.Edge50 + e.cfg.PostWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := e.Work.Steps
+	before := e.Work
 	if _, ok, err := e.ClockToQ(600e-12, 5e-12); err != nil || ok {
 		t.Fatalf("starved hold: ok = %v, err = %v; want a failed latch", ok, err)
 	}
-	if got := e.Work.Steps - before; got != grid.Len()-1 {
-		t.Errorf("ClockToQ ran %d steps without a crossing, want the window's %d", got, grid.Len()-1)
+	if got := (e.Work.Steps - before.Steps) + (e.Work.ResumedSteps - before.ResumedSteps); got != grid.Len()-1 {
+		t.Errorf("ClockToQ ran and resumed %d steps without a crossing, want the window's %d", got, grid.Len()-1)
 	}
 
 	cell, err := registers.ByName("tspc")
@@ -441,7 +442,7 @@ func TestEvaluatorDeterministic(t *testing.T) {
 // the lane, as Eval does at its skews, and the failed lanes must cost no
 // transient beyond the block's: every step and Newton iteration the
 // evaluator published belongs to the two block runs. The failures come
-// before the rest-stimulus checkpoint, so no run saves it: Eval then fails
+// before the rest trail's first state, so no run saves one: Eval then fails
 // the same way twice, and no run ever resumes.
 func TestBlockPeelOffIsTheLaneResult(t *testing.T) {
 	cell, err := registers.ByName("tspc")
@@ -488,7 +489,7 @@ func TestBlockPeelOffIsTheLaneResult(t *testing.T) {
 		t.Errorf("repeated Eval: err = %v, the first failed with %v", err2, err1)
 	}
 	if e.Work.ResumedSteps != 0 || run.Counter(obs.CtrResumedSteps) != 0 {
-		t.Errorf("resumed %d lane-steps (%d published) after failures before the checkpoint, want 0",
+		t.Errorf("resumed %d lane-steps (%d published) after failures before the rest trail, want 0",
 			e.Work.ResumedSteps, run.Counter(obs.CtrResumedSteps))
 	}
 	checkLUAccounts(t, run)

@@ -96,7 +96,7 @@ func TestCanceledRunPublishesItsWork(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := obs.New()
-		_, err = NewEngine(ckt, Options{Skews: true}).RunCtx(ctx, run, make([]float64, ckt.N()), g, nil)
+		_, err = NewEngine(ckt, Options{Skews: true}).RunCtx(ctx, run, make([]float64, ckt.N()), g, nil, 0)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
@@ -108,13 +108,13 @@ func TestCanceledRunPublishesItsWork(t *testing.T) {
 		defer cancel()
 		ckt, x0 := buildClockedInverter(t)
 		calls := 0
-		b := NewBlockEngine(ckt, Options{Method: TRAP, Skews: true}, 4, func(int) {
+		b := NewBlockEngine(ckt, Options{Method: TRAP, Skews: true}, func(int) {
 			if calls++; calls == 600 {
 				cancel()
 			}
 		})
 		run := obs.New()
-		_, err := b.RunCtx(ctx, run, x0, g, 0, nil)
+		_, err := b.RunCtx(ctx, run, 4, x0, g, 0, nil, 0)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
@@ -126,16 +126,17 @@ func TestCanceledRunPublishesItsWork(t *testing.T) {
 }
 
 // TestCompletedRunsAccountForTheirGrid runs scalar and block transients from
-// x0, into an empty checkpoint and from a saved one, in BE and TRAP with
+// x0, along an empty rest trail and from a built one, in BE and TRAP with
 // Skews off and on, with shared prefixes ending before, at and after the
-// checkpoint. Every completed run must account for each lane's grid steps
-// exactly once, Steps + BlockSharedSteps + ResumedSteps == lanes × grid
+// trail's first state. Every completed run must account for each lane's grid
+// steps exactly once, Steps + BlockSharedSteps + ResumedSteps == lanes × grid
 // steps, and every lane must equal a scalar run from x0 bit for bit.
 func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 	const (
 		t0   = 2e-9
 		rise = 0.5e-9
-		k    = 15 // the checkpoint, at 1.5 ns: before any lane's stimulus moves
+		k0   = 15 // the trail's full state, at 1.5 ns
+		kr   = 19 // its deepest state before any lane's stimulus moves at t0
 	)
 	g, err := UniformGrid(0, 4e-9, 40)
 	if err != nil {
@@ -160,7 +161,7 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 				}
 				want := 0
 				if resumed {
-					want = lanes * k
+					want = lanes * kr
 				}
 				if st.ResumedSteps != want {
 					t.Errorf("%s: %s: resumed %d lane-steps, want %d", name, what, st.ResumedSteps, want)
@@ -178,19 +179,19 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 			}
 			block := func(tSplit float64, cp *Checkpoint) *BlockResult {
 				t.Helper()
-				b := NewBlockEngine(ckt, opts, len(amps), func(lane int) { *amp = amps[lane] })
-				res, err := b.RunCtx(context.Background(), nil, x0, g, tSplit, cp)
+				b := NewBlockEngine(ckt, opts, func(lane int) { *amp = amps[lane] })
+				res, err := b.RunCtx(context.Background(), nil, len(amps), x0, g, tSplit, cp, t0)
 				if err != nil || !res.Ok() {
 					t.Fatalf("%s: block run: %v %v", name, err, res.Errs)
 				}
 				return res
 			}
 
-			cp := NewCheckpoint(k)
+			cp := NewCheckpoint(g, k0)
 			eng := NewEngine(ckt, opts)
 			for i, a := range amps[:2] {
 				*amp = a
-				res, err := eng.RunCtx(context.Background(), nil, x0, g, cp)
+				res, err := eng.RunCtx(context.Background(), nil, x0, g, cp, t0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +201,7 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 			for _, tSplit := range []float64{0, 1e-9, 1.5e-9, 1.7e-9, t0} {
 				for _, c := range []*Checkpoint{nil, cp} {
 					res := block(tSplit, c)
-					what := fmt.Sprintf("block split at %g, checkpoint %v", tSplit, c != nil)
+					what := fmt.Sprintf("block split at %g, trail %v", tSplit, c != nil)
 					check(what, len(amps), res.Stats, c != nil)
 					for lane, a := range amps {
 						same(what, res.X[lane], a)
@@ -208,31 +209,56 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 				}
 			}
 
-			// A block saves a checkpoint through lane 0, and a fresh scalar
+			// A block builds a trail through lane 0, and a fresh scalar
 			// engine resumes from it.
-			bcp := NewCheckpoint(k)
+			bcp := NewCheckpoint(g, k0)
 			check("saving block", len(amps), block(t0, bcp).Stats, false)
 			*amp = amps[1]
-			res, err := NewEngine(ckt, opts).RunCtx(context.Background(), nil, x0, g, bcp)
+			res, err := NewEngine(ckt, opts).RunCtx(context.Background(), nil, x0, g, bcp, t0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("scalar run from a block's checkpoint", 1, res.Stats, true)
-			same("scalar run from a block's checkpoint", res.X, amps[1])
+			check("scalar run from a block's trail", 1, res.Stats, true)
+			same("scalar run from a block's trail", res.X, amps[1])
 		}
 	}
 }
 
-// TestCanceledRunSavesNoCheckpoint cancels a scalar run and a block run
-// halfway to their checkpoint: neither saves it, so the next run integrates
-// from x0 and builds it, and the run after that resumes. Every run, the
-// canceled ones included, publishes one LU per Newton iteration.
-func TestCanceledRunSavesNoCheckpoint(t *testing.T) {
+// TestCanceledRunLeavesTheTrailValid cancels a scalar run and a block run
+// near 1.5 ns, halfway along their rest trail, which starts at 1 ns and
+// reaches 2.96 ns: each keeps the states it saved, the next run resumes at
+// the deepest of them and extends the trail, and the run after that resumes
+// at its end. Every resumed run equals a run from x0 bit for bit, and every
+// run, the canceled ones included, publishes one LU per Newton iteration.
+func TestCanceledRunLeavesTheTrailValid(t *testing.T) {
 	g, err := UniformGrid(0, 4e-9, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 300 // 3 ns; the runs are canceled near 1.5 ns
+	const (
+		k0    = 100      // the trail's full state, at 1 ns
+		until = 2.995e-9 // the runs share the grid points before it
+		kEnd  = 296      // the trail's deepest state before until
+	)
+	// resumes checks the runs after the canceled one: the first resumes at
+	// the deepest state the canceled run saved, past k0 and before 1.5 ns.
+	resumes := func(t *testing.T, i, lanes, resumed int) {
+		t.Helper()
+		if i == 0 && (resumed <= lanes*k0 || resumed >= lanes*150 || resumed%lanes != 0) {
+			t.Errorf("the run after the canceled one resumed %d lane-steps, want a state the canceled run saved", resumed)
+		}
+		if i == 1 && resumed != lanes*kEnd {
+			t.Errorf("the second run after the canceled one resumed %d lane-steps, want %d", resumed, lanes*kEnd)
+		}
+	}
+	same := func(t *testing.T, what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: node %d = %v, from x0 %v", what, i, got[i], want[i])
+			}
+		}
+	}
 
 	t.Run("scalar", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -260,21 +286,24 @@ func TestCanceledRunSavesNoCheckpoint(t *testing.T) {
 		}
 		x0 := make([]float64, ckt.N())
 		eng := NewEngine(ckt, Options{Skews: true})
-		cp := NewCheckpoint(k)
+		cp := NewCheckpoint(g, k0)
 		run := obs.New()
-		if _, err := eng.RunCtx(ctx, run, x0, g, cp); !errors.Is(err, ErrCanceled) {
+		if _, err := eng.RunCtx(ctx, run, x0, g, cp, until); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 		checkAccounts(t, run)
-		for i, want := range []int{0, k} {
+		want, err := NewEngine(ckt, Options{Skews: true}).Run(x0, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
 			run := obs.New()
-			res, err := eng.RunCtx(context.Background(), run, x0, g, cp)
+			res, err := eng.RunCtx(context.Background(), run, x0, g, cp, until)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Stats.ResumedSteps != want {
-				t.Errorf("run %d after the canceled one resumed %d steps, want %d", i+1, res.Stats.ResumedSteps, want)
-			}
+			resumes(t, i, 1, res.Stats.ResumedSteps)
+			same(t, fmt.Sprintf("run %d after the canceled one", i+1), res.X, want.X)
 			checkAccounts(t, run)
 		}
 	})
@@ -283,26 +312,33 @@ func TestCanceledRunSavesNoCheckpoint(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		ckt, x0 := buildClockedInverter(t)
+		want, err := NewEngine(ckt, Options{Method: TRAP, Skews: true}).Run(x0, g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		calls := 0
-		b := NewBlockEngine(ckt, Options{Method: TRAP, Skews: true}, 4, func(int) {
+		b := NewBlockEngine(ckt, Options{Method: TRAP, Skews: true}, func(int) {
 			if calls++; calls == 600 {
 				cancel()
 			}
 		})
-		cp := NewCheckpoint(k)
+		cp := NewCheckpoint(g, k0)
 		run := obs.New()
-		if _, err := b.RunCtx(ctx, run, x0, g, 0, cp); !errors.Is(err, ErrCanceled) {
+		if _, err := b.RunCtx(ctx, run, 4, x0, g, 0, cp, until); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 		checkAccounts(t, run)
-		for i, want := range []int{0, 4 * k} {
+		for i := 0; i < 2; i++ {
 			run := obs.New()
-			res, err := b.RunCtx(context.Background(), run, x0, g, 0, cp)
+			res, err := b.RunCtx(context.Background(), run, 4, x0, g, 0, cp, until)
 			if err != nil || !res.Ok() {
 				t.Fatalf("%v %v", err, res.Errs)
 			}
-			if res.Stats.ResumedSteps != want {
-				t.Errorf("block run %d after the canceled one resumed %d lane-steps, want %d", i+1, res.Stats.ResumedSteps, want)
+			resumes(t, i, 4, res.Stats.ResumedSteps)
+			for lane := range res.X {
+				same(t, fmt.Sprintf("block run %d lane %d", i+1, lane), res.X[lane], want.X)
+				same(t, fmt.Sprintf("block run %d lane %d ∂x/∂τs", i+1, lane), res.Ms[lane], want.Ms)
+				same(t, fmt.Sprintf("block run %d lane %d ∂x/∂τh", i+1, lane), res.Mh[lane], want.Mh)
 			}
 			checkAccounts(t, run)
 		}
@@ -310,12 +346,12 @@ func TestCanceledRunSavesNoCheckpoint(t *testing.T) {
 }
 
 // TestStoppedRunEndsAtItsStep stops the clocked inverter's run at the step
-// where its output first falls below half the supply, from x0 and through a
-// checkpoint, in BE and TRAP. The result ends at that step: Times, every
-// probe and X equal the full run's up to it bit for bit, Steps +
-// ResumedSteps counts the steps up to it, and the published counters keep
-// one LU per Newton iteration. A checkpoint past the stop is never saved,
-// and NewBlockEngine refuses a stop condition.
+// where its output first falls below half the supply, from x0 and along a
+// rest trail shared before that step, in BE and TRAP. The result ends at
+// that step: Times, every probe and X equal the full run's up to it bit for
+// bit, Steps + ResumedSteps counts the steps up to it, and the published
+// counters keep one LU per Newton iteration. A trail that starts past the
+// stop is never saved, and NewBlockEngine refuses a stop condition.
 func TestStoppedRunEndsAtItsStep(t *testing.T) {
 	ckt, x0 := buildClockedInverter(t)
 	out, err := ckt.LookupNode("out")
@@ -331,7 +367,7 @@ func TestStoppedRunEndsAtItsStep(t *testing.T) {
 		all[i] = circuit.UnknownID(i)
 	}
 	var tLast float64
-	stop := func(t float64, x []float64) bool {
+	stop := func(_, t float64, _, x []float64) bool {
 		tLast = t
 		return x[out] < 1.25
 	}
@@ -379,20 +415,22 @@ func TestStoppedRunEndsAtItsStep(t *testing.T) {
 		}
 		checkAccounts(t, run)
 
-		// The first run through an empty checkpoint before the stop saves
-		// it, the next resumes there; one past the stop stays empty.
+		// The first run along an empty trail that starts before the stop
+		// saves its states up to the step before it, the next resumes at the
+		// deepest of them; a trail that starts past the stop stays empty.
+		until := g.Points()[k]
 		for _, cpk := range []int{k / 2, k + 1} {
-			cp := NewCheckpoint(cpk)
+			cp := NewCheckpoint(g, cpk)
 			eng := NewEngine(ckt, Options{Method: m, Stop: stop})
 			for i := 0; i < 2; i++ {
 				run := obs.New()
-				res, err := eng.RunCtx(context.Background(), run, x0, g, cp)
+				res, err := eng.RunCtx(context.Background(), run, x0, g, cp, until)
 				if err != nil {
 					t.Fatal(err)
 				}
 				resumed := 0
 				if i == 1 && cpk < k {
-					resumed = cpk
+					resumed = cpk + trailEvery*((k-1-cpk)/trailEvery)
 				}
 				if st := res.Stats; st.Steps+st.ResumedSteps != k || st.ResumedSteps != resumed {
 					t.Errorf("%v checkpoint %d run %d: %d executed + %d resumed steps, want %d with %d resumed",
@@ -409,5 +447,5 @@ func TestStoppedRunEndsAtItsStep(t *testing.T) {
 			t.Error("NewBlockEngine accepted a stop condition")
 		}
 	}()
-	NewBlockEngine(ckt, Options{Stop: stop}, 2, nil)
+	NewBlockEngine(ckt, Options{Stop: stop}, nil)
 }

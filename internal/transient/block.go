@@ -27,10 +27,12 @@ import (
 //     drops out; the remaining lanes continue unharmed. The error is the
 //     lane's result: the scalar engine would fail the same way.
 //
-// A block run resumes at a Checkpoint and saves into one as a scalar run
-// does, through lane 0: every lane's stimulus agrees up to the checkpoint.
+// A block run resumes from a Checkpoint and appends to it as a scalar run
+// does, through lane 0: every lane's stimulus agrees with the trail's before
+// the run's until.
 //
-// A BlockEngine is not safe for concurrent use.
+// The lanes are built on first use: a K-lane run steps the first K, and
+// keeps them for the next run. A BlockEngine is not safe for concurrent use.
 type BlockEngine struct {
 	c     *circuit.Circuit
 	opts  Options
@@ -42,30 +44,33 @@ type BlockEngine struct {
 	setLane func(lane int)
 }
 
-// NewBlockEngine prepares a k-lane block engine. setLane is invoked with a
-// lane index before that lane evaluates any device; it must reconfigure the
+// NewBlockEngine prepares a block engine. setLane is invoked with a lane
+// index before that lane evaluates any device; it must reconfigure the
 // shared circuit's stimulus for that lane (and may be nil when all lanes
 // share one stimulus). Lane 0's engine performs the symbolic analysis; the
 // others alias its sparsity structure. Options.Probes and Options.Stop are
 // not supported on the block path (both are scalar-run concerns) and must be
 // unset.
-func NewBlockEngine(c *circuit.Circuit, opts Options, k int, setLane func(lane int)) *BlockEngine {
-	if k <= 0 {
-		panic("transient: NewBlockEngine requires at least one lane")
-	}
+func NewBlockEngine(c *circuit.Circuit, opts Options, setLane func(lane int)) *BlockEngine {
 	if len(opts.Probes) != 0 {
 		panic("transient: BlockEngine does not support Probes")
 	}
 	if opts.Stop != nil {
 		panic("transient: BlockEngine does not support Stop")
 	}
-	b := &BlockEngine{c: c, opts: opts.withDefaults(), setLane: setLane}
-	b.lanes = make([]*Engine, k)
-	b.lanes[0] = newEngine(c, opts, nil)
-	for i := 1; i < k; i++ {
-		b.lanes[i] = newEngine(c, opts, b.lanes[0])
+	return &BlockEngine{c: c, opts: opts.withDefaults(), setLane: setLane}
+}
+
+// lanesFor returns the first k lanes, building the missing ones.
+func (b *BlockEngine) lanesFor(k int) []*Engine {
+	for len(b.lanes) < k {
+		var proto *Engine
+		if len(b.lanes) > 0 {
+			proto = b.lanes[0]
+		}
+		b.lanes = append(b.lanes, newEngine(b.c, b.opts, proto))
 	}
-	return b
+	return b.lanes[:k]
 }
 
 // BlockResult holds the per-lane outcomes of a block run plus the aggregate
@@ -83,7 +88,7 @@ type BlockResult struct {
 	Errs []error
 	// Stats aggregates the work of all lanes. Steps, NewtonIters and
 	// Factorizations count executed work only; BlockSharedSteps counts the
-	// lane-steps the prefix saved and ResumedSteps those the checkpoint did.
+	// lane-steps the prefix saved and ResumedSteps those the trail did.
 	Stats Stats
 }
 
@@ -97,51 +102,55 @@ func (r *BlockResult) Ok() bool {
 	return true
 }
 
-// Run integrates every lane from x0 at grid.Start() to grid.End(). tSplit is
-// the earliest time any lane's stimulus can differ from lane 0's: steps
-// ending strictly before tSplit integrate lane 0 only (pass
+// Run integrates k lanes (k ≥ 1) from x0 at grid.Start() to grid.End().
+// tSplit is the earliest time any lane's stimulus can differ from lane 0's:
+// steps ending strictly before tSplit integrate lane 0 only (pass
 // math.Inf(1) when all lanes are identical, 0 — or any t ≤ grid.Start() — to
 // disable sharing). Lane Newton failures are reported per-lane in
 // BlockResult.Errs; the returned error is non-nil only for invalid options,
-// a bad x0, or cancellation.
-func (b *BlockEngine) Run(x0 []float64, grid Grid, tSplit float64) (*BlockResult, error) {
-	return b.RunCtx(context.Background(), nil, x0, grid, tSplit, nil)
+// a lane count below 1, a bad x0, or cancellation.
+func (b *BlockEngine) Run(k int, x0 []float64, grid Grid, tSplit float64) (*BlockResult, error) {
+	return b.RunCtx(context.Background(), nil, k, x0, grid, tSplit, nil, 0)
 }
 
-// RunCtx is Run with cancellation, observability and a checkpoint: the block
-// runs inside a "transient" span of run with block counters and the
+// RunCtx is Run with cancellation, observability and a rest trail: the
+// block runs inside a "transient" span of run with block counters and the
 // per-lane iteration histograms merged in, and a canceled ctx stops the
 // lockstep loop between steps. A canceled run still publishes the work it
-// did to run. A non-nil cp resumes or saves every lane as Engine.RunCtx
-// does.
-func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, tSplit float64, cp *Checkpoint) (*BlockResult, error) {
+// did to run. A non-nil cp is shared before until, the earliest time any
+// lane's stimulus may leave the trail's, as Engine.RunCtx shares it.
+func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, k int, x0 []float64, grid Grid, tSplit float64, cp *Checkpoint, until float64) (*BlockResult, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("transient: a block run needs at least one lane, got %d", k)
+	}
 	if err := b.opts.Validate(); err != nil {
 		return nil, err
 	}
-	if attach(run, b.lanes...) {
+	lanes := b.lanesFor(k)
+	if attach(run, lanes...) {
 		defer pprof.SetGoroutineLabels(context.Background())
 	}
-	luF0, luR0 := luCounts(b.lanes...)
+	luF0, luR0 := luCounts(lanes...)
 	sp := run.StartSpan(obs.SpanTransient)
-	res, st, err := b.run(ctx, x0, grid, tSplit, cp)
-	publish(sp, luF0, luR0, st, b.lanes...)
+	res, st, err := b.run(ctx, lanes, x0, grid, tSplit, cp, until)
+	publish(sp, luF0, luR0, st, lanes...)
 	sp.Count(obs.CtrBlockRuns, 1)
-	sp.Observe(obs.HistBlockSize, len(b.lanes))
+	sp.Observe(obs.HistBlockSize, k)
 	sp.Count(obs.CtrBlockPeelOffs, int64(st.BlockPeelOffs))
 	sp.Count(obs.CtrBlockSharedSteps, int64(st.BlockSharedSteps))
 	sp.End()
 	return res, err
 }
 
-// run integrates the lanes over grid, from x0 or from cp's state, and
+// run integrates lanes over grid, from x0 or from a state of cp, and
 // returns, besides the result, the lanes' aggregate work, which a canceled
 // run reports too.
-func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit float64, cp *Checkpoint) (*BlockResult, Stats, error) {
+func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, grid Grid, tSplit float64, cp *Checkpoint, until float64) (*BlockResult, Stats, error) {
 	n := b.c.N()
 	if len(x0) != n {
 		return nil, Stats{}, fmt.Errorf("transient: x0 length %d, want %d", len(x0), n)
 	}
-	K := len(b.lanes)
+	K := len(lanes)
 	pts := grid.Points()
 	res := &BlockResult{
 		X:    make([][]float64, K),
@@ -153,7 +162,7 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 	}
 	wall0 := time.Now()
 	luF0 := make([]int, K)
-	for j, e := range b.lanes {
+	for j, e := range lanes {
 		e.stats = Stats{}
 		luF0[j] = e.lu.Factorizations + e.lu.Refactorizations
 	}
@@ -165,10 +174,11 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 	stepsRun := 0
 
 	b.lane(0)
-	k0 := b.lanes[0].start(x0, pts, cp)
+	reach := cp.reach(pts, until)
+	k0 := lanes[0].start(x0, pts[0], cp, reach)
 
 	// fork brings lanes 1…K−1 to lane 0's state. After a shared prefix or a
-	// checkpoint the lanes were bit-identical up to here, so copying the
+	// trail state the lanes were bit-identical up to here, so copying the
 	// integrator state (and the sensitivities, exactly zero until the
 	// stimulus support begins) is exact. With neither the lanes may already
 	// differ at t0, so each initializes independently from x0 instead.
@@ -176,9 +186,9 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 		for j := 1; j < K; j++ {
 			if k == 1 {
 				b.lane(j)
-				b.lanes[j].initAt(x0, pts[0])
+				lanes[j].initAt(x0, pts[0])
 			} else {
-				b.lanes[j].forkFrom(b.lanes[0])
+				lanes[j].forkFrom(lanes[0])
 			}
 		}
 		forked = true
@@ -197,7 +207,7 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 			// stimulus cannot differ before tSplit; the strict comparison
 			// protects the step that lands exactly on the divergence time.
 			b.lane(0)
-			if err := b.lanes[0].step(t0, t1); err != nil {
+			if err := lanes[0].step(t0, t1); err != nil {
 				werr := fmt.Errorf("%w at t=%.6g s (step %d, shared prefix)", err, t1, k)
 				for j := range dead {
 					dead[j] = true
@@ -208,14 +218,14 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 			}
 			stepsRun++
 			sharedSteps += K - 1
-			cp.saveAt(k, b.lanes[0])
+			cp.save(k, reach, lanes[0])
 			continue
 		}
 		if !forked {
 			fork(k)
 		}
 		// Lockstep: every live lane takes the step, in index order.
-		for j, e := range b.lanes {
+		for j, e := range lanes {
 			if dead[j] {
 				continue
 			}
@@ -233,7 +243,7 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 			break
 		}
 		if !dead[0] {
-			cp.saveAt(k, b.lanes[0])
+			cp.save(k, reach, lanes[0])
 		}
 	}
 	if cancelErr == nil && !forked && alive > 0 {
@@ -241,7 +251,7 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 	}
 
 	var st Stats
-	for j, e := range b.lanes {
+	for j, e := range lanes {
 		st.Add(e.stats)
 		st.Factorizations += e.lu.Factorizations + e.lu.Refactorizations - luF0[j]
 	}
@@ -255,7 +265,7 @@ func (b *BlockEngine) run(ctx context.Context, x0 []float64, grid Grid, tSplit f
 	if cancelErr != nil {
 		return nil, st, cancelErr
 	}
-	for j, e := range b.lanes {
+	for j, e := range lanes {
 		if !dead[j] {
 			res.X[j] = append([]float64(nil), e.x...)
 			if b.opts.Skews {

@@ -96,9 +96,9 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBlockEngine(ckt, opts, len(amps), func(lane int) { *amp = amps[lane] })
+	b := NewBlockEngine(ckt, opts, func(lane int) { *amp = amps[lane] })
 	run := obs.New()
-	res, err := b.RunCtx(context.Background(), run, x0, g, t0, nil)
+	res, err := b.RunCtx(context.Background(), run, len(amps), x0, g, t0, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +125,59 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 	t.Logf("shared steps %d, factorizations %d", res.Stats.BlockSharedSteps, res.Stats.Factorizations)
 }
 
+// TestBlockEngineServesEveryLaneCount runs one block engine at 2, 4, 3 and
+// 1 lanes: a K-lane run steps the first K lanes, built on first use, and
+// every lane equals a scalar run from x0 bit for bit whatever the engine ran
+// before. The whole sequence makes one pivot analysis, lane 0's.
+func TestBlockEngineServesEveryLaneCount(t *testing.T) {
+	const (
+		t0   = 2e-9
+		rise = 0.5e-9
+	)
+	amps := []float64{1.0, 1.5, 2.0, 2.5}
+	opts := Options{Skews: true}
+	ckt, _, amp := buildLaneRC(t, t0, rise)
+	x0, _, err := solver.DCOperatingPoint(ckt, 0, nil, solver.DCOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := UniformGrid(0, 4e-9, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBlockEngine(ckt, opts, func(lane int) { *amp = amps[lane] })
+	if _, err := b.Run(0, x0, g, t0); err == nil {
+		t.Error("a zero-lane block run succeeded")
+	}
+	built := 0
+	for _, k := range []int{2, 4, 3, 1} {
+		res, err := b.Run(k, x0, g, t0)
+		if err != nil || !res.Ok() {
+			t.Fatalf("%d lanes: %v %v", k, err, res.Errs)
+		}
+		if len(res.X) != k {
+			t.Fatalf("%d-lane run returned %d lanes", k, len(res.X))
+		}
+		built = max(built, k)
+		if len(b.lanes) != built {
+			t.Errorf("after a %d-lane run the engine holds %d lanes, want %d", k, len(b.lanes), built)
+		}
+		for lane := 0; lane < k; lane++ {
+			want := runScalarLane(t, opts, t0, rise, amps[lane], x0, g)
+			for i := range want.X {
+				if math.Float64bits(res.X[lane][i]) != math.Float64bits(want.X[i]) ||
+					math.Float64bits(res.Ms[lane][i]) != math.Float64bits(want.Ms[i]) ||
+					math.Float64bits(res.Mh[lane][i]) != math.Float64bits(want.Mh[i]) {
+					t.Fatalf("%d lanes: lane %d node %d differs from the scalar run", k, lane, i)
+				}
+			}
+		}
+	}
+	if fresh, _ := luCounts(b.lanes...); fresh != 1 {
+		t.Errorf("%d pivot analyses over the sequence, want 1", fresh)
+	}
+}
+
 // TestBlockPeelOff poisons one lane's stimulus with NaN: that lane must fail
 // with a per-lane error (counted as a peel-off) while the remaining lanes
 // converge to their scalar references' states bit for bit. Poisoning lane 0
@@ -149,8 +202,8 @@ func TestBlockPeelOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBlockEngine(ckt, opts, len(amps), func(lane int) { *amp = amps[lane] })
-		res, err := b.Run(x0, g, t0)
+		b := NewBlockEngine(ckt, opts, func(lane int) { *amp = amps[lane] })
+		res, err := b.Run(len(amps), x0, g, t0)
 		if err != nil {
 			t.Fatalf("poisoned lane %d must not fail the block: %v", poisoned, err)
 		}
@@ -194,8 +247,8 @@ func TestBlockDegenerateFullyShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBlockEngine(ckt, Options{}, 3, func(int) { *amp = 1.0 })
-	res, err := b.Run(x0, g, math.Inf(1))
+	b := NewBlockEngine(ckt, Options{}, func(int) { *amp = 1.0 })
+	res, err := b.Run(3, x0, g, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +287,14 @@ func TestBlockRunAllocsIndependentOfGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBlockEngine(ckt, Options{Skews: true}, lanes, func(lane int) { *amp = amps[lane] })
+	b := NewBlockEngine(ckt, Options{Skews: true}, func(lane int) { *amp = amps[lane] })
 	allocs := func(steps int) float64 {
 		g, err := UniformGrid(0, 3e-9, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		run := func() {
-			res, err := b.Run(x0, g, t0)
+			res, err := b.Run(lanes, x0, g, t0)
 			if err != nil || !res.Ok() {
 				t.Fatalf("block run on %d steps: %v %v", steps, err, res.Errs)
 			}

@@ -55,12 +55,14 @@ type Options struct {
 	// point.
 	Probes []circuit.UnknownID
 	// Stop, when set, can end a run before the grid does: it is called after
-	// each accepted step with the step's end time and state (read-only, valid
-	// for the call), and the step for which it returns true is the run's
-	// last. The Result of a stopped run ends at that step — Times, Probes and
-	// X — and its Stats count the work done up to it. Scalar runs only:
-	// NewBlockEngine rejects it.
-	Stop func(t float64, x []float64) bool
+	// each accepted step with the step's start and end times and the states
+	// there (read-only, valid for the call), and the step for which it
+	// returns true is the run's last. The Result of a stopped run ends at
+	// that step — Times, Probes and X — and its Stats count the work done up
+	// to it. A run resumed from a Checkpoint calls it for the steps it takes
+	// only, so the caller shares no state past a step Stop could end the run
+	// at. Scalar runs only: NewBlockEngine rejects it.
+	Stop func(ta, tb float64, xa, xb []float64) bool
 }
 
 // Validate rejects option values the defaulting pass cannot repair:
@@ -120,7 +122,8 @@ type Stats struct {
 	SensSolves     int
 
 	// ResumedSteps counts the lane-steps a run took from a Checkpoint
-	// instead of integrating them: the checkpoint's grid index per lane.
+	// instead of integrating them: per lane, the grid index of the trail
+	// state the run resumed at, the deepest stored one before its until.
 	ResumedSteps int
 
 	// Block-transient accounting (BlockEngine; zero for scalar runs).
@@ -194,6 +197,7 @@ type Engine struct {
 	lu         sparse.Reusable
 
 	x, r, dx           []float64
+	xPrev              []float64 // the state before the step; Stop runs only
 	qPrev              []float64
 	cPrev              *sparse.CSR
 	qdotPrev           []float64 // TRAP only
@@ -266,12 +270,15 @@ func newEngine(c *circuit.Circuit, opts Options, proto *Engine) *Engine {
 	e.rhsS = make([]float64, n)
 	e.scrA = make([]float64, n)
 	e.scrB = make([]float64, n)
+	if o.Stop != nil {
+		e.xPrev = make([]float64, n)
+	}
 	return e
 }
 
 // Run integrates from x0 at grid.Start() to grid.End(). x0 is copied.
 func (e *Engine) Run(x0 []float64, grid Grid) (*Result, error) {
-	return e.RunCtx(context.Background(), nil, x0, grid, nil)
+	return e.RunCtx(context.Background(), nil, x0, grid, nil, 0)
 }
 
 // RunObs is Run with observability attached: the simulation runs inside a
@@ -281,7 +288,7 @@ func (e *Engine) Run(x0 []float64, grid Grid) (*Result, error) {
 // attribute time to the transient vs. LU phases. A nil run behaves exactly
 // like Run and adds no allocations.
 func (e *Engine) RunObs(run *obs.Run, x0 []float64, grid Grid) (*Result, error) {
-	return e.RunCtx(context.Background(), run, x0, grid, nil)
+	return e.RunCtx(context.Background(), run, x0, grid, nil, 0)
 }
 
 // RunCtx is RunObs with a cancellation context: the step loop checks ctx
@@ -293,10 +300,11 @@ func (e *Engine) RunObs(run *obs.Run, x0 []float64, grid Grid) (*Result, error) 
 // internal/core). A Background context adds one channel-poll per step. A
 // failed or canceled run still publishes the work it did to run.
 //
-// A non-nil cp makes the run resume at cp's grid point when cp holds a
-// state, and save its state there when cp is empty (see Checkpoint); a nil
-// cp integrates from x0.
-func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, cp *Checkpoint) (*Result, error) {
+// A non-nil cp is a rest trail the run shares at grid points strictly
+// before until, the earliest time its stimulus may leave the trail's: the
+// run resumes at the deepest state cp holds there and appends the ones it
+// lacks (see Checkpoint). A nil cp integrates from x0 and ignores until.
+func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, cp *Checkpoint, until float64) (*Result, error) {
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -305,7 +313,7 @@ func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Gr
 	}
 	luF0, luR0 := luCounts(e)
 	sp := run.StartSpan(obs.SpanTransient)
-	res, err := e.run(ctx, x0, grid, cp)
+	res, err := e.run(ctx, x0, grid, cp, until)
 	publish(sp, luF0, luR0, e.stats, e)
 	sp.End()
 	return res, err
@@ -378,10 +386,10 @@ func canceled(ctx context.Context, done <-chan struct{}, t float64, k, steps int
 	}
 }
 
-// run integrates over grid, from x0 or from cp's state. e.stats holds the
-// run's work on every return, a failed or canceled run included, for RunCtx
-// to publish.
-func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoint) (*Result, error) {
+// run integrates over grid, from x0 or from a state of cp. e.stats holds
+// the run's work on every return, a failed or canceled run included, for
+// RunCtx to publish.
+func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoint, until float64) (*Result, error) {
 	e.stats = Stats{}
 	n := e.c.N()
 	if len(x0) != n {
@@ -405,7 +413,8 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoin
 		}
 	}
 	wall0 := time.Now()
-	k0 := e.start(x0, pts, cp)
+	reach := cp.reach(pts, until)
+	k0 := e.start(x0, pts[0], cp, reach)
 	e.stats.ResumedSteps = k0
 	record(k0)
 	luF0, luR0 := e.lu.Factorizations, e.lu.Refactorizations
@@ -417,13 +426,16 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoin
 			break
 		}
 		e.stats.Steps++
+		if e.opts.Stop != nil {
+			copy(e.xPrev, e.x)
+		}
 		if err = e.step(pts[k-1], pts[k]); err != nil {
 			err = fmt.Errorf("%w at t=%.6g s (step %d)", err, pts[k], k)
 			break
 		}
 		record(k)
-		cp.saveAt(k, e)
-		if e.opts.Stop != nil && e.opts.Stop(pts[k], e.x) {
+		cp.save(k, reach, e)
+		if e.opts.Stop != nil && e.opts.Stop(pts[k-1], pts[k], e.xPrev, e.x) {
 			last = k
 			break
 		}
@@ -447,15 +459,16 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoin
 }
 
 // start brings e to the run's first grid point and returns its index: the
-// checkpoint's when cp holds a state, else 0 with the state at x0. A run
-// that records probes needs every grid point, so it always starts at x0.
-func (e *Engine) start(x0, pts []float64, cp *Checkpoint) int {
-	if cp == nil || cp.st == nil || len(e.opts.Probes) > 0 {
-		e.initAt(x0, pts[0])
-		return 0
+// deepest state cp holds at or before the run's reach, else 0 with the state
+// x0 at t0. A run that records probes needs every grid point, so it always
+// starts at x0.
+func (e *Engine) start(x0 []float64, t0 float64, cp *Checkpoint, reach int) int {
+	if k := cp.depth(reach); k > 0 && len(e.opts.Probes) == 0 {
+		cp.restore(k, e)
+		return k
 	}
-	e.forkFrom(cp.st)
-	return cp.k
+	e.initAt(x0, t0)
+	return 0
 }
 
 // initAt seeds the integrator state at t0: the initial assembly fills qPrev,
@@ -495,8 +508,8 @@ func (e *Engine) initAt(x0 []float64, t0 float64) {
 // forkFrom copies src's integrator state into e: the state, the charge and
 // capacitance history, the sensitivities and their TRAP derivative memory.
 // Block lanes 1…K−1 fork from lane 0 where the shared prefix ends, while
-// every lane is still bit-identical, so the copy is exact; a checkpoint
-// saves and restores a run through it the same way. e also takes src's
+// every lane is still bit-identical, so the copy is exact; a rest trail
+// saves and restores its full state through it the same way. e also takes src's
 // pivot analysis unless it keeps one, made on the first Newton matrix from
 // x0 as a scalar engine's is (no skew enters it), so e factorizes as a
 // scalar engine would.

@@ -496,8 +496,8 @@ func TestOneFactorizationPerNewtonIteration(t *testing.T) {
 			}
 		}
 
-		b := NewBlockEngine(ckt, Options{Method: m, Skews: true}, 4, nil)
-		res, err := b.Run(x0, g, 0) // no shared prefix: all four lanes integrate
+		b := NewBlockEngine(ckt, Options{Method: m, Skews: true}, nil)
+		res, err := b.Run(4, x0, g, 0) // no shared prefix: all four lanes integrate
 		if err != nil {
 			t.Fatal(err)
 		}
