@@ -10,7 +10,7 @@ BENCHOUT ?= BENCH_core.json
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race fmtcheck vet lint latchlint vulncheck charvet perfbenchcheck tracesmoke delaysmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke fuzzsmoke ci clean
+.PHONY: all build test race fmtcheck vet lint latchlint vulncheck charvet perfbenchcheck tracesmoke delaysmoke surfsmoke batchsmoke servesmoke clustersmoke benchserve bench benchsmoke mcsmoke fuzzsmoke ci clean
 
 all: build
 
@@ -75,7 +75,7 @@ charvet:
 perfbenchcheck:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# SMOKE_OUTDIR receives the tracesmoke, delaysmoke and mcsmoke outputs:
+# SMOKE_OUTDIR receives the tracesmoke, delaysmoke, surfsmoke and mcsmoke outputs:
 # event traces, contours, surfaces and the captured -v summaries (CI points
 # it at artifacts/ and uploads them).
 SMOKE_OUTDIR ?= /tmp/latchchar-smoke
@@ -101,6 +101,24 @@ delaysmoke:
 		-contour $(SMOKE_OUTDIR)/delay-contour.csv 2> $(SMOKE_OUTDIR)/delay-summary.txt
 	cat $(SMOKE_OUTDIR)/delay-summary.txt
 	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/delay-trace.jsonl
+
+# surfsmoke runs a 12×12 output-level surface (BruteForce) in 4-lane blocks
+# with event tracing on, writes the surface and its extracted contour,
+# prints the -v summary (its "checkpoint" line counts the steps the rows
+# resumed from the evaluators' rest trails) and validates the JSONL stream
+# with tracecheck; the same surface at -block 0 must be byte-identical.
+surfsmoke:
+	mkdir -p $(SMOKE_OUTDIR)
+	$(GO) run ./cmd/surfgen -cell tspc -n 12 -block 4 -v \
+		-trace $(SMOKE_OUTDIR)/surf-trace.jsonl -surface $(SMOKE_OUTDIR)/surf-surface.csv \
+		-contour $(SMOKE_OUTDIR)/surf-contour.csv 2> $(SMOKE_OUTDIR)/surf-summary.txt
+	$(GO) run ./cmd/surfgen -cell tspc -n 12 -block 0 -v \
+		-trace $(SMOKE_OUTDIR)/surf0-trace.jsonl -surface $(SMOKE_OUTDIR)/surf0-surface.csv \
+		-contour $(SMOKE_OUTDIR)/surf0-contour.csv 2> $(SMOKE_OUTDIR)/surf0-summary.txt
+	cmp $(SMOKE_OUTDIR)/surf-surface.csv $(SMOKE_OUTDIR)/surf0-surface.csv
+	cat $(SMOKE_OUTDIR)/surf-summary.txt
+	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/surf-trace.jsonl
+	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/surf0-trace.jsonl
 
 # batchsmoke exercises the batch engine end to end on a reduced grid: a
 # 4-corner warm-started sweep that must spend fewer seed transients than
@@ -201,7 +219,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime 15s -fuzzminimizetime 100x ./internal/serve/jobcore
 
-ci: build lint perfbenchcheck vulncheck race tracesmoke delaysmoke batchsmoke servesmoke clustersmoke mcsmoke fuzzsmoke benchsmoke
+ci: build lint perfbenchcheck vulncheck race tracesmoke delaysmoke surfsmoke batchsmoke servesmoke clustersmoke mcsmoke fuzzsmoke benchsmoke
 
 clean:
 	$(GO) clean ./...

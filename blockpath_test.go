@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"latchchar/internal/transient"
 )
 
 // TestBlockEvalMatchesScalarOnDecks is the block-transient exactness table:
@@ -221,12 +223,18 @@ func TestBlockTraceAccuracyGate(t *testing.T) {
 		len(res.Contour.Points), worst, res.Stats.BlockSharedSteps, res.Stats.BlockPeelOffs)
 }
 
-// TestBlockBruteForceIsReproducible runs parallel 8-lane block surfaces again
-// and again. Rows land on the four workers' evaluators in a different order
-// each run, so every run equals the Block: 0 surface in every cell only if
-// no lane's result depends on what its evaluator ran before.
+// TestBlockBruteForceIsReproducible runs a Block: 0 surface once and
+// parallel 8-lane block surfaces again and again, in BE and TRAP. Each row,
+// a scalar run per cell or an 8-lane and a 4-lane block, shares its leading
+// ramp on its evaluator's rest trail, and rows land on the four workers'
+// evaluators in a different order each run, so every cell equals a bare
+// engine's run from x0 on the evaluator's grid only if no run's result
+// depends on what its evaluator ran before.
 func TestBlockBruteForceIsReproducible(t *testing.T) {
-	const runs = 20
+	const (
+		n    = 12
+		runs = 12
+	)
 	eng, err := NewEngine(EngineOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -239,26 +247,53 @@ func TestBlockBruteForceIsReproducible(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := eng.BruteForce(ctx, cell, SurfaceOptions{N: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for run := 0; run < runs; run++ {
-				got, err := eng.BruteForce(ctx, cell, SurfaceOptions{N: 8, Block: 8, Parallelism: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				differ := 0
-				for i, row := range got.Surface.V {
-					for j, v := range row {
-						if math.Float64bits(v) != math.Float64bits(ref.Surface.V[i][j]) {
-							differ++
+			for _, m := range []transient.Method{BE, TRAP} {
+				t.Run(m.String(), func(t *testing.T) {
+					cfg := EvalConfig{Method: m}
+					ev, err := NewEvaluator(cell, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want [][3]float64
+					same := func(what string, got *SurfaceResult) {
+						t.Helper()
+						if got.Calibration != ev.Calibration() {
+							t.Fatalf("%s: calibration %+v, the reference evaluator's %+v", what, got.Calibration, ev.Calibration())
+						}
+						if want == nil {
+							var pts []ContourPoint
+							for _, s := range got.Surface.S {
+								for _, h := range got.Surface.H {
+									pts = append(pts, ContourPoint{TauS: s, TauH: h})
+								}
+							}
+							want = fromX0(t, ev, m, pts)
+						}
+						differ := 0
+						for i, row := range got.Surface.V {
+							for j, v := range row {
+								if math.Float64bits(v) != math.Float64bits(want[i*len(row)+j][0]) {
+									differ++
+								}
+							}
+						}
+						if differ > 0 {
+							t.Errorf("%s: %d of %d cells differ from the runs from x0", what, differ, got.Sims)
 						}
 					}
-				}
-				if differ > 0 {
-					t.Errorf("run %d: %d of %d cells differ from the Block: 0 surface", run, differ, got.Sims)
-				}
+					ref, err := eng.BruteForce(ctx, cell, SurfaceOptions{N: n, Eval: cfg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					same("Block: 0 surface", ref)
+					for run := 0; run < runs; run++ {
+						got, err := eng.BruteForce(ctx, cell, SurfaceOptions{N: n, Block: 8, Parallelism: 4, Eval: cfg})
+						if err != nil {
+							t.Fatal(err)
+						}
+						same(fmt.Sprintf("Block: 8 run %d", run), got)
+					}
+				})
 			}
 		})
 	}

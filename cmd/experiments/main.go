@@ -540,6 +540,15 @@ func e10(tspc *latchchar.Cell, surfT *latchchar.SurfaceResult) {
 	fmt.Println("constant (≈2–3 corrector simulations) while the surface costs n per")
 	fmt.Println("contour point.")
 	fmt.Println()
+	fmt.Println("The surface sims stay n², the paper's cost model, in which every")
+	fmt.Println("transient costs the same. On this substrate they do not: a grid row")
+	fmt.Println("fixes τs, and the evaluator's rest trail (DESIGN.md §5) lets each plain")
+	fmt.Println("run of the row resume just before its own trailing data ramp, so the")
+	fmt.Println("row integrates its shared stretch once, and a surface sim costs a")
+	fmt.Println("fraction of an EN gradient transient, which resumes only before its")
+	fmt.Println("leading ramp. The wall-clock ratio therefore falls far below the sims")
+	fmt.Println("ratio; the paper's SPICE runs shared nothing.")
+	fmt.Println()
 	_ = surfT
 }
 
@@ -746,7 +755,9 @@ func x7BlockSweep(tspc *latchchar.Cell) {
 	fmt.Println()
 	fmt.Println("| block size | wall-clock | speedup | LU factorizations | shared steps | resumed steps | peel-offs |")
 	fmt.Println("|---|---|---|---|---|---|---|")
-	eng, err := latchchar.NewEngine(latchchar.EngineOptions{})
+	// One worker: the rows then share one evaluator and its rest trail, so
+	// the counts do not depend on the host's CPU count.
+	eng, err := latchchar.NewEngine(latchchar.EngineOptions{Parallelism: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -774,14 +785,20 @@ func x7BlockSweep(tspc *latchchar.Cell) {
 			sum.Counters[obs.CtrBlockPeelOffs])
 	}
 	fmt.Println()
-	fmt.Println("Surface rows sweep τh at fixed τs, so every lane shares the prefix up")
-	fmt.Println("to the earliest trailing data edge — the bulk of the transient — and")
-	fmt.Println("the per-point cost collapses toward one shared integration plus a")
-	fmt.Println("short per-lane tail. Every run, at every block size, resumes from")
-	fmt.Println("the evaluator's rest trail at the deepest stored state before its")
-	fmt.Println("lanes' earliest data ramp instead of integrating the stretch before")
-	fmt.Println("it (resumed steps; DESIGN.md §5). The block result is gated against")
-	fmt.Println("the scalar path by blockpath_test.go bit for bit.")
+	fmt.Println("Surface rows sweep τh at fixed τs, so every run in a row follows one")
+	fmt.Println("trajectory from its leading data edge to its own trailing one. The")
+	fmt.Println("evaluator's rest trail shares that stretch across the row (resumed")
+	fmt.Println("steps; DESIGN.md §5): every run resumes at the deepest stored state")
+	fmt.Println("before its lanes' earliest data ramp, and a plain run whose lanes")
+	fmt.Println("share one τs resumes on the trail's branch, at the deepest state the")
+	fmt.Println("row's earlier runs saved before its lanes' earliest trailing ramp. So")
+	fmt.Println("a row integrates its shared stretch about once at every block size.")
+	fmt.Println("What a block adds on top is the lockstep over its lanes' tails, and")
+	fmt.Println("it pays for it: all K lanes step from the block's earliest trailing")
+	fmt.Println("ramp on, while one-lane runs each start at the trailing ramp of the")
+	fmt.Println("run before them, so larger blocks integrate more lane-steps (LU")
+	fmt.Println("factorizations) than K = 1 on this sweep. Every lane equals the")
+	fmt.Println("scalar path bit for bit (blockpath_test.go).")
 	fmt.Println()
 }
 

@@ -37,7 +37,7 @@ func TestSIGINTMidTraceFlightDump(t *testing.T) {
 	run := NewObsRun(WithObsCorr(corr))
 	rec := NewFlightRecorder(256)
 	run.AddSink(rec)
-	p := &sigintAfterGrads{Problem: ev, after: 8, t: t}
+	p := &sigintAfterGrads{Problem: ev, ctx: ctx, after: 8, t: t}
 	_, err = TraceContourCtx(ctx, p, seed.TauS, seed.TauH, TraceOptions{
 		Step: 5e-12, MaxPoints: 40,
 		Bounds: Rect{MinS: 1e-12, MaxS: 1e-9, MinH: 1e-12, MaxH: 1e-9},

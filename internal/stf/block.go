@@ -10,21 +10,21 @@ import (
 
 // blockSplit returns the earliest time the lanes' stimuli can differ — the
 // shared-prefix horizon handed to the block engine. The data pulse (and its
-// skew derivatives) depends on τs only within the leading ramp starting at
-// Edge50 − τs − Rise/2 and on τh only within the trailing ramp starting at
-// Edge50 + τh − Fall/2, so lanes agreeing on an axis share that axis's
-// waveform; axes with spread diverge at the earliest ramp start among the
-// lanes. Identical lanes share everything (+Inf).
+// skew derivatives) depends on τs only from the leading ramp's start
+// (SupportStart) and on τh only from the trailing ramp's (LeadOnlyUntil), so
+// lanes agreeing on an axis share that axis's waveform; axes with spread
+// diverge at the earliest ramp start among the lanes. Identical lanes share
+// everything (+Inf).
 func (e *Evaluator) blockSplit(tauS, tauH []float64) float64 {
 	d := e.inst.Data
 	split := math.Inf(1)
 	sMin, sMax := minMax(tauS)
 	if sMax > sMin {
-		split = math.Min(split, d.Edge50-sMax-d.Rise/2)
+		split = d.SupportStart(sMax)
 	}
 	hMin, hMax := minMax(tauH)
 	if hMax > hMin {
-		split = math.Min(split, d.Edge50+hMin-d.Fall/2)
+		split = math.Min(split, d.LeadOnlyUntil(hMin))
 	}
 	return split
 }
@@ -81,7 +81,7 @@ func (e *Evaluator) EvalBlock(tauS, tauH []float64) ([]float64, error) {
 	}
 	e.blkS = append(e.blkS[:0], tauS...)
 	e.blkH = append(e.blkH[:0], tauH...)
-	res, err := e.blockEngine(false).RunCtx(e.ctx, e.run, k, e.x0, e.grid, e.blockSplit(tauS, tauH), e.trail, e.restUntil(tauS, tauH))
+	res, err := e.blockEngine(false).RunCtx(e.ctx, e.run, k, e.x0, e.grid, e.blockSplit(tauS, tauH), e.trail, e.share(tauS, tauH, true))
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func (e *Evaluator) EvalGradBlock(tauS, tauH []float64) (h, dhdS, dhdH []float64
 	}
 	e.blkS = append(e.blkS[:0], tauS...)
 	e.blkH = append(e.blkH[:0], tauH...)
-	res, rerr := e.blockEngine(true).RunCtx(e.ctx, e.run, k, e.x0, e.grid, e.blockSplit(tauS, tauH), e.trail, e.restUntil(tauS, tauH))
+	res, rerr := e.blockEngine(true).RunCtx(e.ctx, e.run, k, e.x0, e.grid, e.blockSplit(tauS, tauH), e.trail, e.share(tauS, tauH, false))
 	if rerr != nil {
 		return nil, nil, nil, nil, rerr
 	}

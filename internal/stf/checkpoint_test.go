@@ -157,7 +157,7 @@ func TestCheckpointEligibility(t *testing.T) {
 			end := 0
 			resumes := func(what string, r trailRun) {
 				t.Helper()
-				d := restDepth(e, k0, e.restUntil(r.tauS, r.tauH))
+				d := restDepth(e, k0, e.share(r.tauS, r.tauH, false).Rest)
 				before := e.Work.ResumedSteps
 				r.fn()
 				if got, want := e.Work.ResumedSteps-before, len(r.tauS)*min(d, end); got != want {
@@ -359,7 +359,7 @@ func TestRestTrailIsSharedBitForBit(t *testing.T) {
 						}
 						if lanes == 1 {
 							for i := range tauS {
-								resumed(1, e.restUntil(tauS[i:i+1], tauH[i:i+1]), func() {
+								resumed(1, e.share(tauS[i:i+1], tauH[i:i+1], false).Rest, func() {
 									if grad {
 										h, ds, dh, err := e.EvalGrad(tauS[i], tauH[i])
 										if err != nil {
@@ -377,7 +377,7 @@ func TestRestTrailIsSharedBitForBit(t *testing.T) {
 							}
 							return
 						}
-						resumed(len(tauS), e.restUntil(tauS, tauH), func() {
+						resumed(len(tauS), e.share(tauS, tauH, false).Rest, func() {
 							if grad {
 								h, ds, dh, errs, err := e.EvalGradBlock(tauS, tauH)
 								if err != nil {
@@ -417,7 +417,7 @@ func TestRestTrailIsSharedBitForBit(t *testing.T) {
 					// it, or cancel it once step kc is done, so the trail
 					// ends at kc.
 					pts := first.grid.Points()
-					kc := k0 + trailStep*max(2, (restDepth(first, k0, first.restUntil(deepS[:lanes], deepH[:lanes]))-k0)/trailStep/2)
+					kc := k0 + trailStep*max(2, (restDepth(first, k0, first.share(deepS[:lanes], deepH[:lanes], false).Rest)-k0)/trailStep/2)
 					for _, cancels := range []bool{false, true} {
 						e := fresh()
 						ctx, cancel := context.WithCancel(context.Background())
@@ -482,6 +482,299 @@ func TestRestTrailIsSharedBitForBit(t *testing.T) {
 						}
 						eval("run after a "+what+" one", e, &end, true, deepS[:lanes], deepH[:lanes])
 						eval("second run after a "+what+" one", e, &end, false, deepS[:lanes], deepH[:lanes])
+					}
+				}
+			})
+		}
+	}
+}
+
+// trailModel is what a test expects an evaluator's rest trail to hold: the
+// rest part's deepest state, and the branch's τs and the grid indices of
+// its first and deepest states (end < first while it is empty).
+type trailModel struct {
+	k0, restEnd int
+	key         float64
+	first, end  int
+}
+
+// expect returns the grid index a run at the skew pairs resumes at, plain
+// or with gradients, on a trail the model describes, and updates the model
+// with what the run saves when it completes.
+func (m *trailModel) expect(e *Evaluator, tauS, tauH []float64, plain bool) int {
+	sh := e.share(tauS, tauH, plain)
+	rd := restDepth(e, m.k0, sh.Rest)
+	resume := min(rd, m.restEnd)
+	bd := 0
+	if sh.Branch > 0 && rd > 0 {
+		bd = restDepth(e, m.k0, sh.Branch)
+	}
+	if bd > rd && m.key == tauS[0] && m.end >= m.first {
+		resume = max(resume, min(bd, m.end))
+	}
+	m.restEnd = max(m.restEnd, rd)
+	if bd > rd {
+		if m.key != tauS[0] || m.end < m.first {
+			m.key, m.first, m.end = tauS[0], rd+trailStep, rd
+		}
+		m.end = max(m.end, bd)
+	}
+	return resume
+}
+
+// TestRestTrailBranchIsSharedBitForBit runs rows of plain runs that share
+// one τs, as a brute-force surface's rows do, on every built-in cell and
+// examples/netlists deck, in BE and TRAP, through scalar runs and 4-lane
+// blocks:
+//
+//   - τh ascending, then past tf, then descending: every run resumes at the
+//     deepest state the rows before it saved strictly before its own
+//     earliest trailing ramp, on the branch past the rest part;
+//   - a gradient run at the row's τs and one at a new τs resume from the
+//     rest part only and leave the branch alone, and a plain run at a new τs
+//     drops it: the old τs then resumes from the rest part;
+//   - a run that fails, or is canceled, partway through the branch keeps
+//     the states it saved: the next run resumes at the deepest of them and
+//     extends the branch, and the run after that resumes at its end.
+//
+// Every run's ResumedSteps equals that depth, and every h, ∂h/∂τs and
+// ∂h/∂τh equals a bare engine's run from x0 bit for bit.
+func TestRestTrailBranchIsSharedBitForBit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transient simulations in -short mode")
+	}
+	type subject struct {
+		name  string
+		build func() (*registers.Instance, error)
+	}
+	var subjects []subject
+	for _, name := range []string{"tspc", "c2mos", "tgate"} {
+		cell, err := registers.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subjects = append(subjects, subject{name, cell.Build})
+	}
+	decks, err := filepath.Glob(filepath.Join("..", "..", "examples", "netlists", "*.cir"))
+	if err != nil || len(decks) == 0 {
+		t.Fatalf("no example decks found: %v", err)
+	}
+	for _, path := range decks {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deck, err := netlist.ParseString(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subjects = append(subjects, subject{filepath.Base(path), deck.Build})
+	}
+	const rowS, newS = 300e-12, 250e-12
+	ascH := []float64{10e-12, 60e-12, 120e-12, 200e-12, 300e-12, 450e-12, 600e-12, 800e-12}
+
+	for _, s := range subjects {
+		for _, m := range []transient.Method{transient.BE, transient.TRAP} {
+			t.Run(s.name+"/"+m.String(), func(t *testing.T) {
+				inst, err := s.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, err := NewEvaluator(inst, Config{Method: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cal := first.Calibration()
+				fresh := func() *Evaluator {
+					t.Helper()
+					e, err := NewEvaluatorWithCalibration(inst, Config{Method: m}, cal)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return e
+				}
+				k0 := trailStart(t, first)
+				d := inst.Data
+				// Trailing ramps that start past tf: the row's runs there
+				// share the whole grid.
+				pastH := cal.Tf - d.Edge50 + d.Fall
+				if d.LeadOnlyUntil(pastH) <= cal.Tf {
+					t.Fatalf("τh = %g starts its trailing ramp before tf", pastH)
+				}
+				ref := transient.NewEngine(inst.Circuit, first.cfg.transientOptions(true))
+				refs := map[[2]float64][3]float64{}
+				want := func(tauS, tauH float64) [3]float64 {
+					t.Helper()
+					key := [2]float64{tauS, tauH}
+					if w, ok := refs[key]; ok {
+						return w
+					}
+					inst.Data.SetSkews(tauS, tauH)
+					res, err := ref.Run(first.x0, first.grid)
+					if err != nil {
+						t.Fatalf("from x0 at (%g, %g): %v", tauS, tauH, err)
+					}
+					out := inst.Out
+					refs[key] = [3]float64{res.X[out] - cal.R, res.Ms[out], res.Mh[out]}
+					return refs[key]
+				}
+
+				for _, lanes := range []int{1, 4} {
+					// eval runs the pairs, lanes at a time, as plain or
+					// gradient runs, and checks each run's resume depth
+					// against the model and every result against the run
+					// from x0.
+					eval := func(what string, e *Evaluator, tm *trailModel, plain bool, tauS, tauH []float64) {
+						t.Helper()
+						for lo := 0; lo < len(tauS); lo += lanes {
+							ss, hs := tauS[lo:lo+lanes], tauH[lo:lo+lanes]
+							what := fmt.Sprintf("%d-lane %s at τs = %g, τh = %g", lanes, what, ss[0], hs)
+							depth := tm.expect(e, ss, hs, plain)
+							before := e.Work.ResumedSteps
+							var h, ds, dh []float64
+							if plain {
+								var err error
+								if h, err = e.EvalBlock(ss, hs); err != nil {
+									t.Fatalf("%s: %v", what, err)
+								}
+							} else {
+								var errs []error
+								var err error
+								if h, ds, dh, errs, err = e.EvalGradBlock(ss, hs); err != nil {
+									t.Fatalf("%s: %v", what, err)
+								}
+								for i := range errs {
+									if errs[i] != nil {
+										t.Fatalf("%s lane %d: %v", what, i, errs[i])
+									}
+								}
+							}
+							if got := e.Work.ResumedSteps - before; got != lanes*depth {
+								t.Errorf("%s resumed %d lane-steps, want %d × %d", what, got, lanes, depth)
+							}
+							for i := range ss {
+								w := want(ss[i], hs[i])
+								got := [3]float64{h[i], w[1], w[2]}
+								if !plain {
+									got[1], got[2] = ds[i], dh[i]
+								}
+								for j := range got {
+									if math.Float64bits(got[j]) != math.Float64bits(w[j]) {
+										t.Fatalf("%s lane %d: (%v, %v, %v), from x0 (%v, %v, %v)",
+											what, i, got[0], got[1], got[2], w[0], w[1], w[2])
+									}
+								}
+							}
+						}
+					}
+					row := func(h ...float64) ([]float64, []float64) {
+						s := make([]float64, len(h))
+						for i := range s {
+							s[i] = rowS
+						}
+						return s, h
+					}
+					past := []float64{pastH, pastH + 10e-12, pastH + 20e-12, pastH + 30e-12}
+					desc := make([]float64, len(ascH))
+					for i, h := range ascH {
+						desc[len(ascH)-1-i] = h
+					}
+
+					e, tm := fresh(), &trailModel{k0: k0}
+					rs, rh := row(ascH...)
+					eval("ascending row", e, tm, true, rs, rh)
+					rs, rh = row(past...)
+					eval("row past tf", e, tm, true, rs, rh)
+					if tm.end < first.grid.Len()-1-trailStep {
+						t.Errorf("the branch ends at grid index %d, not at the grid's end %d", tm.end, first.grid.Len()-1)
+					}
+					rs, rh = row(desc...)
+					eval("descending row", e, tm, true, rs, rh)
+					before := e.Work.ResumedSteps
+					eval("gradient run at the row's τs", e, tm, false, rs[:lanes], rh[:lanes])
+					eval("gradient run at a new τs", e, tm, false, []float64{newS, newS, newS, newS}[:lanes], rh[:lanes])
+					eval("run at the row's τs after gradient runs", e, tm, true, rs[:lanes], rh[:lanes])
+					eval("plain run at a new τs", e, tm, true, []float64{newS, newS, newS, newS}[:lanes], rh[:lanes])
+					eval("run at the row's old τs", e, tm, true, rs[:lanes], rh[:lanes])
+					if e.Work.ResumedSteps == before {
+						t.Errorf("%d-lane runs resumed nothing", lanes)
+					}
+
+					// Cut a row's first run off at step kc, a trail point
+					// halfway along the branch it would build: fail it by
+					// poisoning the skews before step kc, so the branch ends
+					// at the point before it, or cancel it once step kc is
+					// done, so the branch ends at kc.
+					cutH := []float64{800e-12, 750e-12, 700e-12, 650e-12}[:lanes]
+					cs, ch := row(cutH...)
+					probe := &trailModel{k0: k0}
+					probe.expect(first, cs, ch, true)
+					if probe.end < probe.first+2*trailStep {
+						t.Fatalf("the cut run's branch holds grid indices %d to %d only", probe.first, probe.end)
+					}
+					pts := first.grid.Points()
+					kc := probe.first + trailStep*((probe.end-probe.first)/trailStep/2)
+					for _, cancels := range []bool{false, true} {
+						e := fresh()
+						ctx, cancel := context.WithCancel(context.Background())
+						cut := func() {
+							if cancels {
+								cancel()
+							} else {
+								inst.Data.SetSkews(math.NaN(), math.NaN())
+							}
+						}
+						var err error
+						if lanes == 1 {
+							at := pts[kc-1]
+							if cancels {
+								at = pts[kc]
+							}
+							opts := e.cfg.transientOptions(false)
+							opts.Stop = func(_, tb float64, _, _ []float64) bool {
+								if tb == at {
+									cut()
+								}
+								return false
+							}
+							e.engPlain = transient.NewEngine(inst.Circuit, opts)
+							e.SetContext(ctx)
+							_, err = e.Eval(cs[0], ch[0])
+						} else {
+							// The run starts from x0 and its lanes share
+							// every step up to their earliest trailing ramp,
+							// past kc: setLane call kc+1 comes before step kc.
+							calls := 0
+							e.blkPlain = transient.NewBlockEngine(inst.Circuit, e.cfg.transientOptions(false), func(lane int) {
+								inst.Data.SetSkews(e.blkS[lane], e.blkH[lane])
+								if calls++; calls == kc+1 {
+									cut()
+								}
+							})
+							e.SetContext(ctx)
+							_, err = e.EvalBlock(cs, ch)
+						}
+						cancel()
+						e.SetContext(nil)
+						e.engPlain = transient.NewEngine(inst.Circuit, e.cfg.transientOptions(false))
+						e.blkPlain = nil
+						what := "failed"
+						if cancels {
+							what = "canceled"
+						}
+						switch {
+						case cancels && !errors.Is(err, transient.ErrCanceled):
+							t.Fatalf("%d-lane run canceled at grid index %d: err = %v, want ErrCanceled", lanes, kc, err)
+						case !cancels && !errors.Is(err, transient.ErrNewtonFailure):
+							t.Fatalf("%d-lane run failing at grid index %d: err = %v, want a Newton failure", lanes, kc, err)
+						}
+						tm := *probe
+						tm.end = kc - trailStep
+						if cancels {
+							tm.end = kc
+						}
+						eval("run after a "+what+" one", e, &tm, true, cs, ch)
+						eval("second run after a "+what+" one", e, &tm, true, cs, ch)
 					}
 				}
 			})

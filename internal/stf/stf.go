@@ -207,16 +207,28 @@ func (e *Evaluator) fineStart(maxTauS float64) float64 {
 	return e.inst.Data.SupportStart(maxTauS) - e.cfg.FineMargin
 }
 
-// restUntil is the until a run at the skew pairs hands the rest trail: the
-// earliest start of any pair's data ramps. Strictly before it every pair's
-// stimulus rests, with zero skew derivatives, as every other run's does, so
-// all of them integrate the trail's trajectory at the grid points there.
-func (e *Evaluator) restUntil(tauS, tauH []float64) float64 {
-	until := math.Inf(1)
+// share is what a run at the skew pairs shares on the rest trail. Its rest
+// part holds strictly before the earliest start of any pair's data ramps:
+// there every pair's stimulus rests, with zero skew derivatives, as every
+// other run's does. A plain run whose pairs all have one τs also takes that
+// τs's branch strictly before the earliest trailing ramp: there every
+// pair's stimulus is the leading ramp alone, as every other plain run's at
+// that τs is. A gradient run takes no branch, since its ∂x/∂τs moves with
+// the leading ramp (DESIGN §5).
+func (e *Evaluator) share(tauS, tauH []float64, plain bool) transient.Share {
+	d := e.inst.Data
+	sh := transient.Share{Rest: math.Inf(1), Key: math.Float64bits(tauS[0]), Branch: math.Inf(1)}
 	for i := range tauS {
-		until = math.Min(until, e.inst.Data.RestUntil(tauS[i], tauH[i]))
+		sh.Rest = math.Min(sh.Rest, d.RestUntil(tauS[i], tauH[i]))
+		sh.Branch = math.Min(sh.Branch, d.LeadOnlyUntil(tauH[i]))
+		if math.Float64bits(tauS[i]) != sh.Key {
+			plain = false
+		}
 	}
-	return until
+	if !plain {
+		sh.Branch = 0
+	}
+	return sh
 }
 
 // SetObs re-points the evaluator's observability handle; solvers use this
@@ -309,14 +321,14 @@ func (e *Evaluator) firstCrossing(run *obs.Run, grid transient.Grid, level float
 	c := &crossing{out: e.inst.Out, level: level, dir: dir, tMin: tMin}
 	opts := e.cfg.transientOptions(false)
 	opts.Stop = c.stop
-	return e.runCrossing(transient.NewEngine(e.inst.Circuit, opts), c, run, grid, nil, 0)
+	return e.runCrossing(transient.NewEngine(e.inst.Circuit, opts), c, run, grid, nil, transient.Share{})
 }
 
 // runCrossing runs eng, whose stop condition is c.stop, over grid under run,
-// from x0 or from cp's states before until, and returns what c found.
-func (e *Evaluator) runCrossing(eng *transient.Engine, c *crossing, run *obs.Run, grid transient.Grid, cp *transient.Checkpoint, until float64) (tc float64, ok bool, err error) {
+// from x0 or from cp's states the run shares, and returns what c found.
+func (e *Evaluator) runCrossing(eng *transient.Engine, c *crossing, run *obs.Run, grid transient.Grid, cp *transient.Checkpoint, sh transient.Share) (tc float64, ok bool, err error) {
 	c.tc, c.ok = 0, false
-	res, err := eng.RunCtx(e.ctx, run, e.x0, grid, cp, until)
+	res, err := eng.RunCtx(e.ctx, run, e.x0, grid, cp, sh)
 	if err != nil {
 		return 0, false, err
 	}
@@ -337,7 +349,8 @@ func (e *Evaluator) Instance() *registers.Instance { return e.inst }
 // Eval computes h(τs, τh) = cᵀx(tf) − r with one transient simulation.
 func (e *Evaluator) Eval(tauS, tauH float64) (float64, error) {
 	e.inst.Data.SetSkews(tauS, tauH)
-	res, err := e.engPlain.RunCtx(e.ctx, e.run, e.x0, e.grid, e.trail, e.inst.Data.RestUntil(tauS, tauH))
+	s, h := [1]float64{tauS}, [1]float64{tauH}
+	res, err := e.engPlain.RunCtx(e.ctx, e.run, e.x0, e.grid, e.trail, e.share(s[:], h[:], true))
 	if err != nil {
 		return 0, err
 	}
@@ -351,7 +364,7 @@ func (e *Evaluator) Eval(tauS, tauH float64) (float64, error) {
 // simulation carrying forward sensitivities.
 func (e *Evaluator) EvalGrad(tauS, tauH float64) (h, dhdS, dhdH float64, err error) {
 	e.inst.Data.SetSkews(tauS, tauH)
-	res, err := e.engGrad.RunCtx(e.ctx, e.run, e.x0, e.grid, e.trail, e.inst.Data.RestUntil(tauS, tauH))
+	res, err := e.engGrad.RunCtx(e.ctx, e.run, e.x0, e.grid, e.trail, transient.Share{Rest: e.inst.Data.RestUntil(tauS, tauH)})
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -377,7 +390,7 @@ func (e *Evaluator) Waveforms(tauS, tauH, tEnd float64, probes ...circuit.Unknow
 	}
 	e.inst.Data.SetSkews(tauS, tauH)
 	eng := transient.NewEngine(e.inst.Circuit, e.cfg.transientOptions(false, probes...))
-	res, err := eng.RunCtx(e.ctx, e.run, e.x0, grid, nil, 0)
+	res, err := eng.RunCtx(e.ctx, e.run, e.x0, grid, nil, transient.Share{})
 	if err != nil {
 		return nil, err
 	}
@@ -431,7 +444,7 @@ func (e *Evaluator) ClockToQ(tauS, tauH float64) (delay float64, ok bool, err er
 		e.engCross = transient.NewEngine(e.inst.Circuit, opts)
 	}
 	e.cross = crossing{out: e.inst.Out, level: e.cal.R, dir: dir, tMin: edge}
-	tc, ok, err := e.runCrossing(e.engCross, &e.cross, e.run, grid, e.trail, e.inst.Data.RestUntil(tauS, tauH))
+	tc, ok, err := e.runCrossing(e.engCross, &e.cross, e.run, grid, e.trail, transient.Share{Rest: e.inst.Data.RestUntil(tauS, tauH)})
 	if err != nil {
 		return 0, false, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"latchchar/internal/circuit"
@@ -96,7 +97,7 @@ func TestCanceledRunPublishesItsWork(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := obs.New()
-		_, err = NewEngine(ckt, Options{Skews: true}).RunCtx(ctx, run, make([]float64, ckt.N()), g, nil, 0)
+		_, err = NewEngine(ckt, Options{Skews: true}).RunCtx(ctx, run, make([]float64, ckt.N()), g, nil, Share{})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
@@ -114,7 +115,7 @@ func TestCanceledRunPublishesItsWork(t *testing.T) {
 			}
 		})
 		run := obs.New()
-		_, err := b.RunCtx(ctx, run, 4, x0, g, 0, nil, 0)
+		_, err := b.RunCtx(ctx, run, 4, x0, g, 0, nil, Share{})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
@@ -125,12 +126,30 @@ func TestCanceledRunPublishesItsWork(t *testing.T) {
 	})
 }
 
+// keyWave is a laneWave that rises by a further 0.5 V, over rise, from *t1:
+// before *t1 it depends on the amplitude alone, so runs at one amplitude
+// share a trail branch there whatever their *t1.
+type keyWave struct {
+	laneWave
+	t1 *float64
+}
+
+func (w keyWave) V(t float64) float64 {
+	v := w.laneWave.V(t)
+	if t >= *w.t1 {
+		v += 0.5 * math.Min((t-*w.t1)/w.rise, 1)
+	}
+	return v
+}
+
 // TestCompletedRunsAccountForTheirGrid runs scalar and block transients from
 // x0, along an empty rest trail and from a built one, in BE and TRAP with
 // Skews off and on, with shared prefixes ending before, at and after the
-// trail's first state. Every completed run must account for each lane's grid
-// steps exactly once, Steps + BlockSharedSteps + ResumedSteps == lanes × grid
-// steps, and every lane must equal a scalar run from x0 bit for bit.
+// trail's first state, and runs at one amplitude whose second ramps start at
+// different times, which share the trail's branch when plain. Every
+// completed run must account for each lane's grid steps exactly once, Steps
+// + BlockSharedSteps + ResumedSteps == lanes × grid steps, and every lane
+// must equal a scalar run from x0 bit for bit.
 func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 	const (
 		t0   = 2e-9
@@ -153,19 +172,23 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("%v skews=%v", m, skews)
-			check := func(what string, lanes int, st Stats, resumed bool) {
+			// check requires a run to account for its grid and to resume
+			// each lane at grid index depth.
+			check := func(what string, lanes int, st Stats, depth int) {
 				t.Helper()
 				if got := st.Steps + st.BlockSharedSteps + st.ResumedSteps; got != lanes*steps {
 					t.Errorf("%s: %s: %d executed + %d shared + %d resumed lane-steps, want %d × %d",
 						name, what, st.Steps, st.BlockSharedSteps, st.ResumedSteps, lanes, steps)
 				}
-				want := 0
+				if st.ResumedSteps != lanes*depth {
+					t.Errorf("%s: %s: resumed %d lane-steps, want %d × %d", name, what, st.ResumedSteps, lanes, depth)
+				}
+			}
+			restAt := func(resumed bool) int {
 				if resumed {
-					want = lanes * kr
+					return kr
 				}
-				if st.ResumedSteps != want {
-					t.Errorf("%s: %s: resumed %d lane-steps, want %d", name, what, st.ResumedSteps, want)
-				}
+				return 0
 			}
 			same := func(what string, x []float64, a float64) {
 				t.Helper()
@@ -180,7 +203,7 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 			block := func(tSplit float64, cp *Checkpoint) *BlockResult {
 				t.Helper()
 				b := NewBlockEngine(ckt, opts, func(lane int) { *amp = amps[lane] })
-				res, err := b.RunCtx(context.Background(), nil, len(amps), x0, g, tSplit, cp, t0)
+				res, err := b.RunCtx(context.Background(), nil, len(amps), x0, g, tSplit, cp, Share{Rest: t0})
 				if err != nil || !res.Ok() {
 					t.Fatalf("%s: block run: %v %v", name, err, res.Errs)
 				}
@@ -191,18 +214,18 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 			eng := NewEngine(ckt, opts)
 			for i, a := range amps[:2] {
 				*amp = a
-				res, err := eng.RunCtx(context.Background(), nil, x0, g, cp, t0)
+				res, err := eng.RunCtx(context.Background(), nil, x0, g, cp, Share{Rest: t0})
 				if err != nil {
 					t.Fatal(err)
 				}
-				check("scalar run", 1, res.Stats, i > 0)
+				check("scalar run", 1, res.Stats, restAt(i > 0))
 				same("scalar run", res.X, a)
 			}
 			for _, tSplit := range []float64{0, 1e-9, 1.5e-9, 1.7e-9, t0} {
 				for _, c := range []*Checkpoint{nil, cp} {
 					res := block(tSplit, c)
 					what := fmt.Sprintf("block split at %g, trail %v", tSplit, c != nil)
-					check(what, len(amps), res.Stats, c != nil)
+					check(what, len(amps), res.Stats, restAt(c != nil))
 					for lane, a := range amps {
 						same(what, res.X[lane], a)
 					}
@@ -212,14 +235,84 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 			// A block builds a trail through lane 0, and a fresh scalar
 			// engine resumes from it.
 			bcp := NewCheckpoint(g, k0)
-			check("saving block", len(amps), block(t0, bcp).Stats, false)
+			check("saving block", len(amps), block(t0, bcp).Stats, 0)
 			*amp = amps[1]
-			res, err := NewEngine(ckt, opts).RunCtx(context.Background(), nil, x0, g, bcp, t0)
+			res, err := NewEngine(ckt, opts).RunCtx(context.Background(), nil, x0, g, bcp, Share{Rest: t0})
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("scalar run from a block's trail", 1, res.Stats, true)
+			check("scalar run from a block's trail", 1, res.Stats, kr)
 			same("scalar run from a block's trail", res.X, amps[1])
+
+			// Runs at one amplitude follow one trajectory until their second
+			// ramps, which start at t1s: plain ones take the trail's branch,
+			// on the lattice 23, 27, … past kr, up to the last grid point
+			// before their earliest t1; gradient ones resume at kr.
+			t1 := new(float64)
+			kckt, _ := buildRC(t, keyWave{laneWave{v: amp, t0: t0, rise: rise}, t1}, device.RoleSupply, 1e3, 1e-12)
+			keyed := func(t1s ...float64) Share {
+				return Share{Rest: t0, Key: math.Float64bits(*amp), Branch: slices.Min(t1s)}
+			}
+			fromX0 := func(what string, x []float64, t1v float64) {
+				t.Helper()
+				*t1 = t1v
+				want, err := NewEngine(kckt, opts).Run(x0, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.X {
+					if math.Float64bits(x[i]) != math.Float64bits(want.X[i]) {
+						t.Errorf("%s: %s at t1 = %g: node %d = %v, from x0 %v", name, what, t1v, i, x[i], want.X[i])
+						return
+					}
+				}
+			}
+			branchAt := func(depth int) int {
+				if skews {
+					return kr
+				}
+				return depth
+			}
+			kcp := NewCheckpoint(g, k0)
+			keng := NewEngine(kckt, opts)
+			*amp = amps[0]
+			for i, r := range []struct{ t1, depth int }{{30, 0}, {35, 27}, {33, 31}, {40, 31}, {40, 39}} {
+				*t1 = g.Points()[r.t1]
+				res, err := keng.RunCtx(context.Background(), nil, x0, g, kcp, keyed(*t1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("keyed scalar run %d", i)
+				if i == 0 {
+					check(what, 1, res.Stats, 0)
+				} else {
+					check(what, 1, res.Stats, branchAt(r.depth))
+				}
+				fromX0(what, res.X, *t1)
+			}
+			t1s := []float64{3.65e-9, 3.45e-9, 3.85e-9}
+			kb := NewBlockEngine(kckt, opts, func(lane int) { *t1 = t1s[lane] })
+			bres, err := kb.RunCtx(context.Background(), nil, len(t1s), x0, g, slices.Min(t1s), kcp, keyed(t1s...))
+			if err != nil || !bres.Ok() {
+				t.Fatalf("%s: keyed block run: %v %v", name, err, bres.Errs)
+			}
+			check("keyed block run", len(t1s), bres.Stats, branchAt(31))
+			for lane, t1v := range t1s {
+				fromX0(fmt.Sprintf("keyed block lane %d", lane), bres.X[lane], t1v)
+			}
+			// A run at another amplitude drops the branch.
+			*amp = amps[1]
+			*t1 = 3.5e-9
+			if _, err := keng.RunCtx(context.Background(), nil, x0, g, kcp, keyed(*t1)); err != nil {
+				t.Fatal(err)
+			}
+			*amp = amps[0]
+			res, err = keng.RunCtx(context.Background(), nil, x0, g, kcp, keyed(*t1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("keyed scalar run after another key", 1, res.Stats, kr)
+			fromX0("keyed scalar run after another key", res.X, *t1)
 		}
 	}
 }
@@ -288,7 +381,7 @@ func TestCanceledRunLeavesTheTrailValid(t *testing.T) {
 		eng := NewEngine(ckt, Options{Skews: true})
 		cp := NewCheckpoint(g, k0)
 		run := obs.New()
-		if _, err := eng.RunCtx(ctx, run, x0, g, cp, until); !errors.Is(err, ErrCanceled) {
+		if _, err := eng.RunCtx(ctx, run, x0, g, cp, Share{Rest: until}); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 		checkAccounts(t, run)
@@ -298,7 +391,7 @@ func TestCanceledRunLeavesTheTrailValid(t *testing.T) {
 		}
 		for i := 0; i < 2; i++ {
 			run := obs.New()
-			res, err := eng.RunCtx(context.Background(), run, x0, g, cp, until)
+			res, err := eng.RunCtx(context.Background(), run, x0, g, cp, Share{Rest: until})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,13 +417,13 @@ func TestCanceledRunLeavesTheTrailValid(t *testing.T) {
 		})
 		cp := NewCheckpoint(g, k0)
 		run := obs.New()
-		if _, err := b.RunCtx(ctx, run, 4, x0, g, 0, cp, until); !errors.Is(err, ErrCanceled) {
+		if _, err := b.RunCtx(ctx, run, 4, x0, g, 0, cp, Share{Rest: until}); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("err = %v, want ErrCanceled", err)
 		}
 		checkAccounts(t, run)
 		for i := 0; i < 2; i++ {
 			run := obs.New()
-			res, err := b.RunCtx(context.Background(), run, 4, x0, g, 0, cp, until)
+			res, err := b.RunCtx(context.Background(), run, 4, x0, g, 0, cp, Share{Rest: until})
 			if err != nil || !res.Ok() {
 				t.Fatalf("%v %v", err, res.Errs)
 			}
@@ -424,7 +517,7 @@ func TestStoppedRunEndsAtItsStep(t *testing.T) {
 			eng := NewEngine(ckt, Options{Method: m, Stop: stop})
 			for i := 0; i < 2; i++ {
 				run := obs.New()
-				res, err := eng.RunCtx(context.Background(), run, x0, g, cp, until)
+				res, err := eng.RunCtx(context.Background(), run, x0, g, cp, Share{Rest: until})
 				if err != nil {
 					t.Fatal(err)
 				}

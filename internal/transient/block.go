@@ -29,7 +29,7 @@ import (
 //
 // A block run resumes from a Checkpoint and appends to it as a scalar run
 // does, through lane 0: every lane's stimulus agrees with the trail's before
-// the run's until.
+// the times of the run's Share.
 //
 // The lanes are built on first use: a K-lane run steps the first K, and
 // keeps them for the next run. A BlockEngine is not safe for concurrent use.
@@ -110,16 +110,16 @@ func (r *BlockResult) Ok() bool {
 // BlockResult.Errs; the returned error is non-nil only for invalid options,
 // a lane count below 1, a bad x0, or cancellation.
 func (b *BlockEngine) Run(k int, x0 []float64, grid Grid, tSplit float64) (*BlockResult, error) {
-	return b.RunCtx(context.Background(), nil, k, x0, grid, tSplit, nil, 0)
+	return b.RunCtx(context.Background(), nil, k, x0, grid, tSplit, nil, Share{})
 }
 
 // RunCtx is Run with cancellation, observability and a rest trail: the
 // block runs inside a "transient" span of run with block counters and the
 // per-lane iteration histograms merged in, and a canceled ctx stops the
 // lockstep loop between steps. A canceled run still publishes the work it
-// did to run. A non-nil cp is shared before until, the earliest time any
-// lane's stimulus may leave the trail's, as Engine.RunCtx shares it.
-func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, k int, x0 []float64, grid Grid, tSplit float64, cp *Checkpoint, until float64) (*BlockResult, error) {
+// did to run. A non-nil cp is shared before the times sh gives, which hold
+// for every lane, as Engine.RunCtx shares it.
+func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, k int, x0 []float64, grid Grid, tSplit float64, cp *Checkpoint, sh Share) (*BlockResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("transient: a block run needs at least one lane, got %d", k)
 	}
@@ -132,7 +132,7 @@ func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, k int, x0 []floa
 	}
 	luF0, luR0 := luCounts(lanes...)
 	sp := run.StartSpan(obs.SpanTransient)
-	res, st, err := b.run(ctx, lanes, x0, grid, tSplit, cp, until)
+	res, st, err := b.run(ctx, lanes, x0, grid, tSplit, cp.open(grid.Points(), sh, !b.opts.Skews))
 	publish(sp, luF0, luR0, st, lanes...)
 	sp.Count(obs.CtrBlockRuns, 1)
 	sp.Observe(obs.HistBlockSize, k)
@@ -142,10 +142,10 @@ func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, k int, x0 []floa
 	return res, err
 }
 
-// run integrates lanes over grid, from x0 or from a state of cp, and
-// returns, besides the result, the lanes' aggregate work, which a canceled
-// run reports too.
-func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, grid Grid, tSplit float64, cp *Checkpoint, until float64) (*BlockResult, Stats, error) {
+// run integrates lanes over grid, from x0 or from a state of the run's
+// trail tr, and returns, besides the result, the lanes' aggregate work,
+// which a canceled run reports too.
+func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, grid Grid, tSplit float64, tr trailRun) (*BlockResult, Stats, error) {
 	n := b.c.N()
 	if len(x0) != n {
 		return nil, Stats{}, fmt.Errorf("transient: x0 length %d, want %d", len(x0), n)
@@ -174,8 +174,7 @@ func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, gr
 	stepsRun := 0
 
 	b.lane(0)
-	reach := cp.reach(pts, until)
-	k0 := lanes[0].start(x0, pts[0], cp, reach)
+	k0 := lanes[0].start(x0, pts[0], &tr)
 
 	// fork brings lanes 1…K−1 to lane 0's state. After a shared prefix or a
 	// trail state the lanes were bit-identical up to here, so copying the
@@ -218,7 +217,9 @@ func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, gr
 			}
 			stepsRun++
 			sharedSteps += K - 1
-			cp.save(k, reach, lanes[0])
+			if k == tr.next {
+				tr.save(k, lanes[0])
+			}
 			continue
 		}
 		if !forked {
@@ -242,8 +243,8 @@ func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, gr
 		if alive == 0 {
 			break
 		}
-		if !dead[0] {
-			cp.save(k, reach, lanes[0])
+		if k == tr.next && !dead[0] {
+			tr.save(k, lanes[0])
 		}
 	}
 	if cancelErr == nil && !forked && alive > 0 {

@@ -37,27 +37,7 @@ func (w laneWave) V(t float64) float64 {
 func buildLaneRC(t *testing.T, t0, rise float64) (*circuit.Circuit, circuit.UnknownID, *float64) {
 	t.Helper()
 	amp := new(float64)
-	ckt := circuit.New()
-	in := ckt.Node("in")
-	out := ckt.Node("out")
-	vs, err := device.NewVSource("vin", in, circuit.Ground, laneWave{v: amp, t0: t0, rise: rise}, device.RoleSupply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt.AddDevice(vs)
-	res, err := device.NewResistor("r1", in, out, 1e3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt.AddDevice(res)
-	cap, err := device.NewCapacitor("c1", out, circuit.Ground, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt.AddDevice(cap)
-	if err := ckt.Finalize(); err != nil {
-		t.Fatal(err)
-	}
+	ckt, out := buildRC(t, laneWave{v: amp, t0: t0, rise: rise}, device.RoleSupply, 1e3, 1e-12)
 	return ckt, out, amp
 }
 
@@ -98,7 +78,7 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 	}
 	b := NewBlockEngine(ckt, opts, func(lane int) { *amp = amps[lane] })
 	run := obs.New()
-	res, err := b.RunCtx(context.Background(), run, len(amps), x0, g, t0, nil, 0)
+	res, err := b.RunCtx(context.Background(), run, len(amps), x0, g, t0, nil, Share{})
 	if err != nil {
 		t.Fatal(err)
 	}

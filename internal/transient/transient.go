@@ -123,7 +123,9 @@ type Stats struct {
 
 	// ResumedSteps counts the lane-steps a run took from a Checkpoint
 	// instead of integrating them: per lane, the grid index of the trail
-	// state the run resumed at, the deepest stored one before its until.
+	// state the run resumed at, the deepest stored one it shares — on the
+	// rest part before its Share.Rest, or, for a plain run with the
+	// branch's key, on the branch before its Share.Branch.
 	ResumedSteps int
 
 	// Block-transient accounting (BlockEngine; zero for scalar runs).
@@ -278,7 +280,7 @@ func newEngine(c *circuit.Circuit, opts Options, proto *Engine) *Engine {
 
 // Run integrates from x0 at grid.Start() to grid.End(). x0 is copied.
 func (e *Engine) Run(x0 []float64, grid Grid) (*Result, error) {
-	return e.RunCtx(context.Background(), nil, x0, grid, nil, 0)
+	return e.RunCtx(context.Background(), nil, x0, grid, nil, Share{})
 }
 
 // RunObs is Run with observability attached: the simulation runs inside a
@@ -288,7 +290,7 @@ func (e *Engine) Run(x0 []float64, grid Grid) (*Result, error) {
 // attribute time to the transient vs. LU phases. A nil run behaves exactly
 // like Run and adds no allocations.
 func (e *Engine) RunObs(run *obs.Run, x0 []float64, grid Grid) (*Result, error) {
-	return e.RunCtx(context.Background(), run, x0, grid, nil, 0)
+	return e.RunCtx(context.Background(), run, x0, grid, nil, Share{})
 }
 
 // RunCtx is RunObs with a cancellation context: the step loop checks ctx
@@ -301,10 +303,10 @@ func (e *Engine) RunObs(run *obs.Run, x0 []float64, grid Grid) (*Result, error) 
 // failed or canceled run still publishes the work it did to run.
 //
 // A non-nil cp is a rest trail the run shares at grid points strictly
-// before until, the earliest time its stimulus may leave the trail's: the
-// run resumes at the deepest state cp holds there and appends the ones it
-// lacks (see Checkpoint). A nil cp integrates from x0 and ignores until.
-func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, cp *Checkpoint, until float64) (*Result, error) {
+// before the times sh gives: the run resumes at the deepest state cp holds
+// there and appends the ones it lacks (see Checkpoint). A nil cp integrates
+// from x0 and ignores sh.
+func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, cp *Checkpoint, sh Share) (*Result, error) {
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -313,7 +315,7 @@ func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Gr
 	}
 	luF0, luR0 := luCounts(e)
 	sp := run.StartSpan(obs.SpanTransient)
-	res, err := e.run(ctx, x0, grid, cp, until)
+	res, err := e.run(ctx, x0, grid, cp.open(grid.Points(), sh, !e.opts.Skews))
 	publish(sp, luF0, luR0, e.stats, e)
 	sp.End()
 	return res, err
@@ -386,10 +388,10 @@ func canceled(ctx context.Context, done <-chan struct{}, t float64, k, steps int
 	}
 }
 
-// run integrates over grid, from x0 or from a state of cp. e.stats holds
-// the run's work on every return, a failed or canceled run included, for
-// RunCtx to publish.
-func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoint, until float64) (*Result, error) {
+// run integrates over grid, from x0 or from a state of the run's trail tr.
+// e.stats holds the run's work on every return, a failed or canceled run
+// included, for RunCtx to publish.
+func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, tr trailRun) (*Result, error) {
 	e.stats = Stats{}
 	n := e.c.N()
 	if len(x0) != n {
@@ -413,8 +415,7 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoin
 		}
 	}
 	wall0 := time.Now()
-	reach := cp.reach(pts, until)
-	k0 := e.start(x0, pts[0], cp, reach)
+	k0 := e.start(x0, pts[0], &tr)
 	e.stats.ResumedSteps = k0
 	record(k0)
 	luF0, luR0 := e.lu.Factorizations, e.lu.Refactorizations
@@ -434,7 +435,9 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoin
 			break
 		}
 		record(k)
-		cp.save(k, reach, e)
+		if k == tr.next {
+			tr.save(k, e)
+		}
 		if e.opts.Stop != nil && e.opts.Stop(pts[k-1], pts[k], e.xPrev, e.x) {
 			last = k
 			break
@@ -459,16 +462,19 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, cp *Checkpoin
 }
 
 // start brings e to the run's first grid point and returns its index: the
-// deepest state cp holds at or before the run's reach, else 0 with the state
-// x0 at t0. A run that records probes needs every grid point, so it always
-// starts at x0.
-func (e *Engine) start(x0 []float64, t0 float64, cp *Checkpoint, reach int) int {
-	if k := cp.depth(reach); k > 0 && len(e.opts.Probes) == 0 {
-		cp.restore(k, e)
-		return k
+// deepest state the run shares on its trail tr, else 0 with the state x0 at
+// t0. A run that records probes needs every grid point, so it always starts
+// at x0. It sets the grid index at which the run saves its first state.
+func (e *Engine) start(x0 []float64, t0 float64, tr *trailRun) int {
+	k, onBranch := tr.depth()
+	if k > 0 && len(e.opts.Probes) == 0 {
+		tr.restore(k, onBranch, e)
+	} else {
+		k = 0
+		e.initAt(x0, t0)
 	}
-	e.initAt(x0, t0)
-	return 0
+	tr.next = tr.following(k)
+	return k
 }
 
 // initAt seeds the integrator state at t0: the initial assembly fills qPrev,

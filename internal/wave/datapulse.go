@@ -98,3 +98,12 @@ func (d *DataPulse) SupportStart(maxTauS float64) float64 {
 func (d *DataPulse) RestUntil(tauS, tauH float64) float64 {
 	return math.Min(d.leadStart(tauS), d.trailStart(tauH))
 }
+
+// LeadOnlyUntil returns the start of the pulse's trailing ramp at hold skew
+// tauH, computed as V computes it. Strictly before it the trailing ramp is
+// exactly 0, so V is Rest plus the leading ramp alone: two pulses with the
+// same τs agree there bit for bit, whatever their τh. A NaN tauH gives NaN,
+// before which nothing agrees.
+func (d *DataPulse) LeadOnlyUntil(tauH float64) float64 {
+	return d.trailStart(tauH)
+}

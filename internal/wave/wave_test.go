@@ -297,6 +297,39 @@ func TestDataPulseRestUntil(t *testing.T) {
 	}
 }
 
+// TestDataPulseLeadOnlyUntil pins the bound a trail branch rests on: at
+// every time strictly before LeadOnlyUntil(τh) a pulse is its leading ramp
+// alone, so V and DTauS equal those of the same τs at a τh whose trailing
+// ramp never starts, bit for bit, and DTauH is zero; at the bound the
+// linear ramp's derivative is already live. Both ramp shapes, τh past and
+// before the leading ramp; a NaN τh gives NaN.
+func TestDataPulseLeadOnlyUntil(t *testing.T) {
+	for _, shape := range []RampShape{RampSmooth, RampLinear} {
+		for _, sk := range [][2]float64{{200e-12, 150e-12}, {900e-12, 400e-12}, {300e-12, 2e-9}, {300e-12, -1.5e-9}} {
+			d, far := mkPulse(t, shape), mkPulse(t, shape)
+			d.SetSkews(sk[0], sk[1])
+			far.SetSkews(sk[0], 1)
+			tq := d.LeadOnlyUntil(sk[1])
+			for _, tb := range []float64{0, d.Edge50 - sk[0], tq - 1e-9, tq - 1e-12, math.Nextafter(tq, math.Inf(-1))} {
+				if tb >= tq {
+					continue
+				}
+				v, zs, zh := d.V(tb), d.DTauS(tb), d.DTauH(tb)
+				if math.Float64bits(v) != math.Float64bits(far.V(tb)) || math.Float64bits(zs) != math.Float64bits(far.DTauS(tb)) || zh != 0 {
+					t.Errorf("%v skews %v: at %g, before LeadOnlyUntil %g: V = %v, zs = %v, zh = %v; without a trailing ramp V = %v, zs = %v",
+						shape, sk, tb, tq, v, zs, zh, far.V(tb), far.DTauS(tb))
+				}
+			}
+			if shape == RampLinear && d.DTauH(tq) == 0 {
+				t.Errorf("skews %v: trailing linear ramp not live at LeadOnlyUntil %g", sk, tq)
+			}
+		}
+	}
+	if got := mkPulse(t, RampSmooth).LeadOnlyUntil(math.NaN()); !math.IsNaN(got) {
+		t.Errorf("LeadOnlyUntil(NaN) = %v, want NaN", got)
+	}
+}
+
 func TestDataPulseSkewsAccessor(t *testing.T) {
 	d := mkPulse(t, RampSmooth)
 	s, h := d.Skews()

@@ -1,21 +1,27 @@
 package latchchar
 
 import (
+	"context"
 	"errors"
 	"os"
 	"runtime"
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"latchchar/internal/cli"
 )
 
 // sigintAfterGrads wraps a Problem and raises SIGINT at this process after a
 // fixed number of gradient evaluations — the deterministic stand-in for a
-// user pressing ^C mid-trace.
+// user pressing ^C mid-trace. It then waits until the signal has canceled
+// ctx, the cli.SignalContext the trace runs under: os/signal delivers on a
+// goroutine of its own, which on one CPU the trace could otherwise outrun to
+// its last point.
 type sigintAfterGrads struct {
 	Problem
+	ctx   context.Context
 	after int32
 	count atomic.Int32
 	t     *testing.T
@@ -25,6 +31,11 @@ func (s *sigintAfterGrads) EvalGrad(tauS, tauH float64) (h, dhdS, dhdH float64, 
 	if s.count.Add(1) == s.after {
 		if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
 			s.t.Errorf("raising SIGINT: %v", err)
+		}
+		select {
+		case <-s.ctx.Done():
+		case <-time.After(10 * time.Second):
+			s.t.Errorf("SIGINT did not cancel the signal context within 10 s")
 		}
 	}
 	return s.Problem.EvalGrad(tauS, tauH)
@@ -53,7 +64,7 @@ func TestSIGINTMidTracePartialContour(t *testing.T) {
 	// the registration synchronously, so the in-trace SIGINT below is caught.
 	ctx, stop := cli.SignalContext()
 	defer stop()
-	p := &sigintAfterGrads{Problem: ev, after: 8, t: t}
+	p := &sigintAfterGrads{Problem: ev, ctx: ctx, after: 8, t: t}
 	ct, err := TraceContourCtx(ctx, p, seed.TauS, seed.TauH, TraceOptions{
 		Step: 5e-12, MaxPoints: 40,
 		Bounds: Rect{MinS: 1e-12, MaxS: 1e-9, MinH: 1e-12, MaxH: 1e-9},
