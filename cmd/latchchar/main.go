@@ -148,6 +148,9 @@ func run(args []string) error {
 		cell.Name, cli.Ps(cal.CharDelay), cal.TC*1e9, cal.Tf*1e9, cal.R)
 	fmt.Fprintf(os.Stderr, "traced %d contour points with %d simulations (%d plain + %d gradient) in %v\n",
 		len(res.Contour.Points), res.TotalSims(), res.PlainSims, res.GradSims, res.Elapsed.Round(1e6))
+	if obsFlags.Verbose {
+		cli.WriteLayerSplit(os.Stderr, res.Stats)
+	}
 
 	w, closeFn, err := cli.OpenOutput(*outPath)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"latchchar/internal/core"
 	"latchchar/internal/obs"
+	"latchchar/internal/transient"
 )
 
 // ObsFlags is the observability flag set shared by the command-line tools:
@@ -210,6 +211,23 @@ func (f *ObsFlags) Build(errw io.Writer) (*obs.Run, func() error, error) {
 		return err
 	}
 	return run, closer, nil
+}
+
+// WriteLayerSplit renders a run's transient layer split (Result.Stats) as
+// one line: the shares of the transients' wall time spent assembling the
+// devices, in LU, in the sensitivity solves and in the rest of the
+// integrator. The split is measured only under an obs run, on a sample of
+// the steps (transient.LayerSampleStride); a split with no layer time
+// prints nothing.
+func WriteLayerSplit(w io.Writer, st transient.Stats) {
+	layers := st.DeviceEval + st.LU + st.Sens
+	if st.Wall <= 0 || layers == 0 {
+		return
+	}
+	pct := func(d time.Duration) float64 { return 100 * float64(d) / float64(st.Wall) }
+	fmt.Fprintf(w, "transient layers (%v wall, split by timing 1 step in %d): assembly/device %.1f%%, LU %.1f%%, sensitivities %.1f%%, other %.1f%%\n",
+		st.Wall.Round(time.Microsecond), transient.LayerSampleStride,
+		pct(st.DeviceEval), pct(st.LU), pct(st.Sens), pct(st.Wall-layers))
 }
 
 // writeProgress renders one live progress report as a single stderr line.

@@ -13,6 +13,7 @@ import (
 
 	"latchchar/internal/core"
 	"latchchar/internal/obs"
+	"latchchar/internal/transient"
 )
 
 func TestObsFlagsDisabledByDefault(t *testing.T) {
@@ -85,6 +86,27 @@ func TestWriteProgress(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Fatalf("progress line missing %q: %s", want, got)
 		}
+	}
+}
+
+// TestWriteLayerSplit renders a layer split as shares of the wall time,
+// with the rest of the wall as "other" and the sampling stride stated, and
+// prints nothing for a run with no layer time.
+func TestWriteLayerSplit(t *testing.T) {
+	var buf bytes.Buffer
+	WriteLayerSplit(&buf, transient.Stats{
+		Wall: 80 * time.Millisecond, DeviceEval: 24 * time.Millisecond,
+		LU: 32 * time.Millisecond, Sens: 8 * time.Millisecond,
+	})
+	want := fmt.Sprintf("transient layers (80ms wall, split by timing 1 step in %d): assembly/device 30.0%%, LU 40.0%%, sensitivities 10.0%%, other 20.0%%\n",
+		transient.LayerSampleStride)
+	if got := buf.String(); got != want {
+		t.Errorf("got  %q\nwant %q", got, want)
+	}
+	buf.Reset()
+	WriteLayerSplit(&buf, transient.Stats{Wall: time.Second})
+	if buf.Len() != 0 {
+		t.Errorf("an untimed run printed %q", buf.String())
 	}
 }
 

@@ -9,20 +9,23 @@ import (
 
 // Recorder is a flight recorder: a bounded ring buffer over the most recent
 // events of a run, attached as an always-on Sink. When the run is healthy it
-// costs one struct copy per event (O(1), no per-event allocation after the
-// ring fills); when a job fails, times out, or is cancelled, the recorded
-// window is dumped with WriteDump as a JSONL post-mortem that
-// ValidateDump / `tracecheck -dump` accepts.
+// costs one struct copy per event; when a job fails, times out, or is
+// cancelled, the recorded window is dumped with WriteDump as a JSONL
+// post-mortem that ValidateDump / `tracecheck -dump` accepts.
+//
+// The ring grows as events arrive, doubling up to its capacity, so a run
+// that records a few dozen events never allocates the whole ring; once
+// full, it allocates no more, and each event evicts the oldest.
 //
 // Event is invoked under the collector lock (all sinks are), so it never
 // blocks and never calls back into the run. Snapshot and WriteDump may be
 // called concurrently from the serving layer after the job dies.
 type Recorder struct {
 	mu      sync.Mutex
-	buf     []Event
-	next    int   // index of the next write
-	full    bool  // ring has wrapped at least once
-	dropped int64 // events evicted by the wrap
+	size    int     // capacity in events; 0 once released
+	buf     []Event // the window, oldest first until it reaches size
+	next    int     // once full: the index of the oldest event, overwritten next
+	dropped int64   // events evicted by the wrap
 }
 
 // DefaultRecorderCapacity is the ring size used when NewRecorder is given a
@@ -30,30 +33,39 @@ type Recorder struct {
 // correctors, points) without holding a whole surface sweep in memory.
 const DefaultRecorderCapacity = 4096
 
+// recorderFirstGrowth is the ring's first allocation in events: a served
+// cold request records about 77, which three allocations (32, 64 and 128
+// events) hold.
+const recorderFirstGrowth = 32
+
 // NewRecorder creates a flight recorder holding the last capacity events.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultRecorderCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{size: capacity}
 }
 
-// Event records e into the ring, evicting the oldest event once full. A
-// released recorder drops e.
+// Event records e into the ring, growing it while it is below capacity and
+// evicting the oldest event once full. A released recorder drops e.
 func (r *Recorder) Event(e *Event) {
 	r.mu.Lock()
-	if r.buf == nil {
-		r.mu.Unlock()
-		return
-	}
-	if r.full {
+	switch {
+	case r.size == 0: // released
+	case len(r.buf) < r.size:
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Event, len(r.buf), min(max(2*cap(r.buf), recorderFirstGrowth), r.size))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, *e)
+	default:
+		r.buf[r.next] = *e
+		r.next++
+		if r.next == r.size {
+			r.next = 0
+		}
 		r.dropped++
-	}
-	r.buf[r.next] = *e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
 	}
 	r.mu.Unlock()
 }
@@ -68,7 +80,7 @@ func (r *Recorder) Close(*Summary) error { return nil }
 // recorder drops later events, and its window is empty.
 func (r *Recorder) Release() {
 	r.mu.Lock()
-	r.buf, r.next, r.full = nil, 0, false
+	r.buf, r.next, r.size = nil, 0, 0
 	r.mu.Unlock()
 }
 
@@ -77,14 +89,9 @@ func (r *Recorder) Release() {
 func (r *Recorder) Snapshot() ([]Event, int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Event
-	if r.full {
-		out = make([]Event, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf[:r.next]...)
-	}
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	out = append(out, r.buf[:r.next]...)
 	return out, r.dropped
 }
 
@@ -92,10 +99,7 @@ func (r *Recorder) Snapshot() ([]Event, int64) {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
+	return len(r.buf)
 }
 
 // DumpMeta identifies a post-mortem dump: which request (Corr) and job it

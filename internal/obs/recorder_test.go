@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestRecorderRingEviction(t *testing.T) {
@@ -57,10 +59,81 @@ func TestRecorderRelease(t *testing.T) {
 	}
 }
 
+// TestRecorderDefaultCapacity fills a recorder built with no capacity past
+// DefaultRecorderCapacity: it keeps exactly that many events, the newest,
+// and counts the rest as dropped.
 func TestRecorderDefaultCapacity(t *testing.T) {
+	const extra = 5
 	rec := NewRecorder(0)
-	if got := len(rec.buf); got != DefaultRecorderCapacity {
-		t.Fatalf("default capacity = %d, want %d", got, DefaultRecorderCapacity)
+	for i := 1; i <= DefaultRecorderCapacity+extra; i++ {
+		rec.Event(&Event{V: SchemaVersion, Kind: KindPoint, TNs: int64(i)})
+	}
+	events, dropped := rec.Snapshot()
+	if len(events) != DefaultRecorderCapacity || rec.Len() != DefaultRecorderCapacity || dropped != extra {
+		t.Fatalf("holds %d events (Len %d), dropped %d; want %d held, %d dropped",
+			len(events), rec.Len(), dropped, DefaultRecorderCapacity, extra)
+	}
+	if events[0].TNs != extra+1 {
+		t.Fatalf("oldest event has t_ns %d, want %d", events[0].TNs, extra+1)
+	}
+}
+
+// TestRecorderGrowsAsItFills: a default-capacity recorder that holds a few
+// events allocates a small fraction of its ring, and a recorder's buffer
+// never outgrows its capacity.
+func TestRecorderGrowsAsItFills(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rec := NewRecorder(0)
+	for i := 0; i < 10; i++ {
+		rec.Event(&Event{V: SchemaVersion, Kind: KindPoint, TNs: int64(i)})
+	}
+	runtime.ReadMemStats(&m1)
+	ring := uint64(DefaultRecorderCapacity) * uint64(unsafe.Sizeof(Event{}))
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > ring/32 {
+		t.Errorf("a recorder holding 10 events allocated %d bytes, want at most %d (1/32 of its %d-byte ring)", got, ring/32, ring)
+	}
+	for _, capacity := range []int{5, 100, DefaultRecorderCapacity} {
+		rec := NewRecorder(capacity)
+		for i := 0; i < 2*capacity; i++ {
+			rec.Event(&Event{V: SchemaVersion, Kind: KindPoint})
+			if cap(rec.buf) > capacity {
+				t.Fatalf("capacity %d: the ring grew to %d events", capacity, cap(rec.buf))
+			}
+		}
+	}
+}
+
+// TestRecorderWindowAtTheBoundaries fills recorders of several capacities —
+// below, at and above the ring's first allocation — with 1, cap−1, cap,
+// cap+1 and 3·cap events: each holds the newest min(n, cap) in emission
+// order and counts the rest as dropped, and after Release holds none and
+// drops later events.
+func TestRecorderWindowAtTheBoundaries(t *testing.T) {
+	for _, capacity := range []int{5, 100, DefaultRecorderCapacity} {
+		for _, n := range []int{1, capacity - 1, capacity, capacity + 1, 3 * capacity} {
+			rec := NewRecorder(capacity)
+			for i := 1; i <= n; i++ {
+				rec.Event(&Event{V: SchemaVersion, Kind: KindPoint, TNs: int64(i)})
+			}
+			held := min(n, capacity)
+			events, dropped := rec.Snapshot()
+			if len(events) != held || rec.Len() != held || dropped != int64(n-held) {
+				t.Fatalf("capacity %d, %d events: holds %d (Len %d), dropped %d; want %d, dropped %d",
+					capacity, n, len(events), rec.Len(), dropped, held, n-held)
+			}
+			for i, e := range events {
+				if want := int64(n - held + 1 + i); e.TNs != want {
+					t.Fatalf("capacity %d, %d events: event %d has t_ns %d, want %d", capacity, n, i, e.TNs, want)
+				}
+			}
+			rec.Release()
+			rec.Event(&Event{V: SchemaVersion, Kind: KindPoint, TNs: int64(n + 1)})
+			if events, d := rec.Snapshot(); len(events) != 0 || rec.Len() != 0 || d != dropped {
+				t.Fatalf("capacity %d, %d events: released recorder holds %d (Len %d), dropped %d; want none, dropped %d",
+					capacity, n, len(events), rec.Len(), d, dropped)
+			}
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -459,10 +460,14 @@ func (c *Core) runJob(j *Job) {
 			c.cfg.Logger.Info("flight dump written", "corr", j.corr, "job", j.id, "path", path)
 		}
 	}
-	// The dump was the ring's only reader; a kept record must not hold it.
+	// The dump was the ring's only reader; a kept record must not hold it,
+	// nor the spare capacity append-doubling left in its replay buffer.
 	if j.rec != nil {
 		j.rec.Release()
 	}
+	j.mu.Lock()
+	j.events = slices.Clone(j.events)
+	j.mu.Unlock()
 	close(j.done)
 }
 

@@ -3,6 +3,8 @@ package jobcore
 import (
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"testing"
@@ -196,5 +198,55 @@ func TestFinishedJobsReleaseTheirRings(t *testing.T) {
 	t.Logf("live heap grew %.0f bytes per finished job", perJob)
 	if perJob >= ring/10 {
 		t.Errorf("live heap grew %.0f bytes per finished job, want under a tenth of a %.0f-byte ring", perJob, ring)
+	}
+}
+
+// TestWorkerHeapFlatPastTheRecordBound runs sequential mock jobs through a
+// core with the default record bound until it keeps MaxJobs records, then
+// 2,000 more: each new record evicts the oldest, so the live heap must stay
+// flat, and every finished record keeps its event log at its length, not
+// at the capacity append-doubling left.
+func TestWorkerHeapFlatPastTheRecordBound(t *testing.T) {
+	const more = 2000
+	c := newTestCore(t, Config{Workers: 1, MockJobTime: time.Microsecond,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	cell, err := latchchar.CellByName("tspc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *Job
+	run := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			j, _, err := c.Submit(fmt.Sprintf("flat-%d", i), "", cell, latchchar.Options{}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+			last = j
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	bound := c.Cfg().MaxJobs
+	run(0, bound)
+	atBound := liveHeap()
+	run(bound, more)
+	grew := float64(liveHeap()) - float64(atBound)
+	t.Logf("live heap %.0f KB at the bound of %d records, then grew %.0f bytes over %d more jobs",
+		float64(atBound)/1024, bound, grew, more)
+	if perJob := grew / more; perJob >= 64 {
+		t.Errorf("live heap grew %.0f bytes per job past the record bound, want it flat (under 64)", perJob)
+	}
+	last.mu.Lock()
+	n, spare := len(last.events), cap(last.events)-len(last.events)
+	last.mu.Unlock()
+	// A copy at its length keeps only the allocator's size-class rounding,
+	// at most an eighth of the allocation.
+	if n == 0 || 8*spare > n+spare {
+		t.Errorf("a finished record keeps %d events in room for %d", n, n+spare)
 	}
 }

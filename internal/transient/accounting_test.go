@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"latchchar/internal/circuit"
 	"latchchar/internal/device"
@@ -541,4 +542,155 @@ func TestStoppedRunEndsAtItsStep(t *testing.T) {
 		}
 	}()
 	NewBlockEngine(ckt, Options{Stop: stop}, nil)
+}
+
+// checkSplit requires a run's sampled layer times to lie within its wall
+// time, and to read zero when the run was not timed. A timed run that
+// executed a step sampled its first, so its device and LU times are
+// positive, and its sensitivity time is positive exactly when it computed
+// sensitivities on that step.
+func checkSplit(t *testing.T, what string, st Stats, timed, sens bool) {
+	t.Helper()
+	if st.LU < 0 || st.DeviceEval < 0 || st.Sens < 0 || st.LU+st.DeviceEval+st.Sens > st.Wall {
+		t.Errorf("%s: LU %v + device %v + sensitivities %v exceed wall %v", what, st.LU, st.DeviceEval, st.Sens, st.Wall)
+	}
+	switch {
+	case !timed:
+		if st.LU != 0 || st.DeviceEval != 0 || st.Sens != 0 {
+			t.Errorf("%s: untimed run reports LU %v, device %v, sensitivities %v", what, st.LU, st.DeviceEval, st.Sens)
+		}
+	case st.Steps > 0:
+		if st.LU <= 0 || st.DeviceEval <= 0 || (st.Sens > 0) != sens {
+			t.Errorf("%s: %d steps timed as LU %v, device %v, sensitivities %v (sensitivities computed: %v)",
+				what, st.Steps, st.LU, st.DeviceEval, st.Sens, sens)
+		}
+	}
+}
+
+// TestSampledLayerTimesStayWithinWall runs scalar and block transients in BE
+// and TRAP, with Skews off and on, over a grid shorter than the sampling
+// stride and one many strides long, with and without an obs run, and a
+// failed and a canceled run of each kind: every run's LU + DeviceEval + Sens
+// stays within its Wall, and without an obs run all three read zero.
+func TestSampledLayerTimesStayWithinWall(t *testing.T) {
+	ckt, x0 := buildClockedInverter(t)
+	short, err := UniformGrid(0, 0.8e-9, LayerSampleStride/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := UniformGrid(0, 4e-9, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, g := range []Grid{short, long} {
+		for _, m := range []Method{BE, TRAP} {
+			for _, skews := range []bool{false, true} {
+				opts := Options{Method: m, Skews: skews}
+				for _, timed := range []bool{false, true} {
+					var run *obs.Run
+					if timed {
+						run = obs.New()
+					}
+					what := fmt.Sprintf("%d steps, %v, skews=%v, timed=%v", g.Len()-1, m, skews, timed)
+					res, err := NewEngine(ckt, opts).RunObs(run, x0, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkSplit(t, "scalar run, "+what, res.Stats, timed, skews)
+					bres, err := NewBlockEngine(ckt, opts, nil).RunCtx(ctx, run, 3, x0, g, 0.5e-9, nil, Share{})
+					if err != nil || !bres.Ok() {
+						t.Fatalf("block run, %s: %v %v", what, err, bres.Errs)
+					}
+					checkSplit(t, "block run, "+what, bres.Stats, timed, skews)
+				}
+			}
+		}
+	}
+
+	// Failed runs: a one-iteration Newton budget gives out at the clock
+	// edge, after steps that succeeded with their sensitivities, or on the
+	// only step of a grid that crosses the edge in one step, which is then
+	// the whole sample.
+	edge, err := UniformGrid(0.9e-9, 1.3e-9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, timed := range []bool{false, true} {
+		var run *obs.Run
+		if timed {
+			run = obs.New()
+		}
+		opts := Options{Skews: true, MaxNewtonIter: 1}
+		for _, c := range []struct {
+			what string
+			g    Grid
+			sens bool
+		}{{"failed", long, true}, {"only step failed", edge, false}} {
+			what := fmt.Sprintf("%s, timed=%v", c.what, timed)
+			eng := NewEngine(ckt, opts)
+			if _, err := eng.RunObs(run, x0, c.g); !errors.Is(err, ErrNewtonFailure) {
+				t.Fatalf("scalar run, %s: err = %v, want a Newton failure", what, err)
+			}
+			checkSplit(t, "scalar run, "+what, eng.stats, timed, c.sens)
+			bres, err := NewBlockEngine(ckt, opts, nil).RunCtx(ctx, run, 3, x0, c.g, 0, nil, Share{})
+			if err != nil || bres.Ok() {
+				t.Fatalf("block run, %s: err %v, lanes %v; want every lane failed", what, err, bres.Errs)
+			}
+			checkSplit(t, "block run, "+what, bres.Stats, timed, c.sens)
+		}
+	}
+
+	// Canceled runs: the scalar run's source cancels at 2 ns, the block's
+	// lane hook on its 600th call.
+	for _, timed := range []bool{false, true} {
+		var run *obs.Run
+		if timed {
+			run = obs.New()
+		}
+		cctx, cancel := context.WithCancel(ctx)
+		rc, _ := buildRC(t, cancelWave{at: 2e-9, cancel: cancel}, device.RoleSupply, 1e3, 1e-12)
+		eng := NewEngine(rc, Options{Method: TRAP, Skews: true})
+		if _, err := eng.RunCtx(cctx, run, make([]float64, rc.N()), long, nil, Share{}); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("err = %v, want ErrCanceled", err)
+		}
+		checkSplit(t, fmt.Sprintf("canceled scalar run, timed=%v", timed), eng.stats, timed, true)
+		cancel()
+
+		cctx, cancel = context.WithCancel(ctx)
+		calls := 0
+		b := NewBlockEngine(ckt, Options{Skews: true}, func(int) {
+			if calls++; calls == 600 {
+				cancel()
+			}
+		})
+		lanes := b.lanesFor(4)
+		attach(run, lanes...)
+		_, st, err := b.run(cctx, lanes, x0, long, 0, (*Checkpoint)(nil).open(long.Points(), Share{}, false))
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("err = %v, want ErrCanceled", err)
+		}
+		checkSplit(t, fmt.Sprintf("canceled block run, timed=%v", timed), st, timed, true)
+		cancel()
+	}
+}
+
+// TestShareNeverExceedsWall: the layer split rounds each part down, so
+// parts that fill their whole, at any magnitude, add up to at most Wall.
+func TestShareNeverExceedsWall(t *testing.T) {
+	for _, c := range []struct{ wall, a, b, c time.Duration }{
+		{1000, 1, 1, 1},
+		{999_999_999, 333_333_333, 333_333_333, 333_333_334},
+		{math.MaxInt64, math.MaxInt64 / 3, math.MaxInt64 / 3, math.MaxInt64 - 2*(math.MaxInt64/3)},
+		{7, 5, 0, 2},
+	} {
+		whole := c.a + c.b + c.c
+		sum := share(c.wall, c.a, whole) + share(c.wall, c.b, whole) + share(c.wall, c.c, whole)
+		if sum > c.wall || sum < c.wall-3 {
+			t.Errorf("shares of %v in parts %v, %v, %v add up to %v", c.wall, c.a, c.b, c.c, sum)
+		}
+	}
+	if got := share(time.Second, 0, 0); got != 0 {
+		t.Errorf("a sample of no step splits off %v", got)
+	}
 }

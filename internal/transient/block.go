@@ -163,7 +163,7 @@ func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, gr
 	wall0 := time.Now()
 	luF0 := make([]int, K)
 	for j, e := range lanes {
-		e.stats = Stats{}
+		e.stats, e.sample = Stats{}, layerSample{}
 		luF0[j] = e.lu.Factorizations + e.lu.Refactorizations
 	}
 
@@ -251,10 +251,14 @@ func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, gr
 		fork(len(pts)) // degenerate: the whole grid was shared
 	}
 
-	var st Stats
+	var (
+		st     Stats
+		sample layerSample
+	)
 	for j, e := range lanes {
 		st.Add(e.stats)
 		st.Factorizations += e.lu.Factorizations + e.lu.Refactorizations - luF0[j]
+		sample.add(e.sample)
 	}
 	st.Steps = stepsRun
 	st.ResumedSteps = K * k0
@@ -263,6 +267,7 @@ func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, gr
 		st.BlockPeelOffs = K - alive
 	}
 	st.Wall = time.Since(wall0)
+	sample.split(&st)
 	if cancelErr != nil {
 		return nil, st, cancelErr
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime/pprof"
 	"time"
 
@@ -146,10 +147,15 @@ type Stats struct {
 	// §13); it is always zero.
 	BlockDonorReplays int
 
-	// Wall-clock attribution. Wall is always measured; LU (factorize +
-	// solve), DeviceEval (model evaluation/assembly) and Sens (sensitivity
-	// back-substitutions) are collected only when an obs run is attached, so
-	// the default step loop stays clean.
+	// Wall-clock attribution. Wall is always measured, exactly. LU
+	// (factorize + solve), DeviceEval (device evaluation and assembly) and
+	// Sens (sensitivity back-substitutions) are set only when an obs run is
+	// attached, and are then a sample: the run clocks one executed step in
+	// LayerSampleStride, its first included, and splits Wall in the
+	// proportions those steps spent in each layer. The three are disjoint
+	// parts of the sampled steps, so LU + DeviceEval + Sens ≤ Wall; the rest
+	// of Wall is the integrator's own work. A run that executed no step
+	// reports zero. Without an obs run nothing is clocked but Wall.
 	Wall       time.Duration
 	LU         time.Duration
 	DeviceEval time.Duration
@@ -211,10 +217,62 @@ type Engine struct {
 	stats Stats
 
 	// Per-run observability state (set by RunObs, cleared by default Run).
-	timed      bool     // collect fine-grained wall-clock attribution
-	hist       bool     // accumulate the per-step Newton histogram
-	newtonHist obs.Hist // local accumulator, merged once per run
+	timed      bool        // sample the layer times
+	sample     layerSample // this run's sampled steps
+	hist       bool        // accumulate the per-step Newton histogram
+	newtonHist obs.Hist    // local accumulator, merged once per run
 	prof       profLabels
+}
+
+// LayerSampleStride is the stride of a timed run's layer-time sample: the
+// run clocks its executed steps 0, LayerSampleStride, 2·LayerSampleStride, …
+// (see Stats.Wall).
+const LayerSampleStride = 16
+
+// layerSample is a timed run's sample of its executed steps: how many it
+// has taken, and over the sampled ones their whole time and the parts spent
+// assembling the devices, in LU and in the sensitivity solves.
+type layerSample struct {
+	steps                int
+	whole, dev, lu, sens time.Duration
+	start                time.Time // the sampled step's start
+}
+
+// now reads the monotonic clock as the time since the sampled step's start:
+// one clock read, where time.Now takes two.
+func (s *layerSample) now() time.Duration { return time.Since(s.start) }
+
+// take counts an executed step and reports whether it is sampled.
+func (s *layerSample) take() bool {
+	s.steps++
+	return (s.steps-1)%LayerSampleStride == 0
+}
+
+// add accumulates another lane's sample into s.
+func (s *layerSample) add(o layerSample) {
+	s.whole += o.whole
+	s.dev += o.dev
+	s.lu += o.lu
+	s.sens += o.sens
+}
+
+// split sets st's DeviceEval, LU and Sens to st.Wall divided in the sampled
+// steps' proportions, each rounded down, so their sum never exceeds Wall.
+func (s *layerSample) split(st *Stats) {
+	st.DeviceEval = share(st.Wall, s.dev, s.whole)
+	st.LU = share(st.Wall, s.lu, s.whole)
+	st.Sens = share(st.Wall, s.sens, s.whole)
+}
+
+// share returns wall·part/whole rounded down, and 0 for an empty whole. It
+// needs 0 ≤ part ≤ whole, which bounds the quotient by wall.
+func share(wall, part, whole time.Duration) time.Duration {
+	if whole <= 0 || wall <= 0 || part <= 0 {
+		return 0
+	}
+	hi, lo := bits.Mul64(uint64(wall), uint64(part))
+	q, _ := bits.Div64(hi, lo, uint64(whole))
+	return time.Duration(q)
 }
 
 // profLabels holds the prebuilt pprof label contexts; switching goroutine
@@ -392,7 +450,7 @@ func canceled(ctx context.Context, done <-chan struct{}, t float64, k, steps int
 // e.stats holds the run's work on every return, a failed or canceled run
 // included, for RunCtx to publish.
 func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, tr trailRun) (*Result, error) {
-	e.stats = Stats{}
+	e.stats, e.sample = Stats{}, layerSample{}
 	n := e.c.N()
 	if len(x0) != n {
 		return nil, fmt.Errorf("transient: x0 length %d, want %d", len(x0), n)
@@ -445,6 +503,7 @@ func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, tr trailRun) 
 	}
 	e.stats.Factorizations = (e.lu.Factorizations - luF0) + (e.lu.Refactorizations - luR0)
 	e.stats.Wall = time.Since(wall0)
+	e.sample.split(&e.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +545,7 @@ func (e *Engine) start(x0 []float64, t0 float64, tr *trailRun) int {
 func (e *Engine) initAt(x0 []float64, t0 float64) {
 	n := e.c.N()
 	copy(e.x, x0)
-	e.evalAt(t0)
+	e.ev.At(e.x, t0)
 	copy(e.qPrev, e.ev.Q)
 	if e.opts.Skews {
 		// cPrev only feeds the sensitivity recursions (eqs. (11)–(14)).
@@ -537,49 +596,19 @@ func (e *Engine) forkFrom(src *Engine) {
 	}
 }
 
-// evalAt assembles the devices at e.x and time t, with optional wall-clock
-// attribution.
-func (e *Engine) evalAt(t float64) {
-	var t0 time.Time
-	if e.timed {
-		t0 = time.Now()
-	}
-	e.ev.At(e.x, t)
-	if e.timed {
-		e.stats.DeviceEval += time.Since(t0)
-	}
-}
-
-// factorize factorizes the assembled Jacobian into e.lu, with optional LU
-// wall-clock attribution and pprof phase labels.
-func (e *Engine) factorize() error {
+// solveNewton factorizes the assembled Jacobian into e.lu and
+// back-substitutes the residual for the Newton update, under the LU pprof
+// phase label when the run asks for labels.
+func (e *Engine) solveNewton() error {
 	if e.prof.active {
 		pprof.SetGoroutineLabels(e.prof.lu)
 		defer pprof.SetGoroutineLabels(e.prof.transient)
 	}
-	if !e.timed {
-		return e.lu.Factorize(e.j)
+	if err := e.lu.Factorize(e.j); err != nil {
+		return err
 	}
-	t0 := time.Now()
-	err := e.lu.Factorize(e.j)
-	e.stats.LU += time.Since(t0)
-	return err
-}
-
-// solveOnly back-substitutes the residual against e's factorization for
-// the Newton update, with the same attribution as factorize.
-func (e *Engine) solveOnly() {
-	if e.prof.active {
-		pprof.SetGoroutineLabels(e.prof.lu)
-		defer pprof.SetGoroutineLabels(e.prof.transient)
-	}
-	if !e.timed {
-		e.lu.Solve(e.r, e.dx)
-		return
-	}
-	t0 := time.Now()
 	e.lu.Solve(e.r, e.dx)
-	e.stats.LU += time.Since(t0)
+	return nil
 }
 
 func (e *Engine) zeroZ() {
@@ -594,8 +623,22 @@ func (e *Engine) zeroZ() {
 // equations, then the sensitivity solves against the last Newton
 // iteration's factorization (DESIGN §5). The scalar engine and every block
 // lane step through here, with Skews on or off, so a gradient run follows
-// the plain run's trajectory bit for bit.
+// the plain run's trajectory bit for bit. A timed run clocks its sampled
+// steps whole, failed ones included, and their layers inside advance.
 func (e *Engine) step(t0, t1 float64) error {
+	if !e.timed || !e.sample.take() {
+		return e.advance(t0, t1, false)
+	}
+	e.sample.start = time.Now()
+	err := e.advance(t0, t1, true)
+	e.sample.whole += e.sample.now()
+	return err
+}
+
+// advance is step's work; with clocked set it adds the time of each device
+// assembly, each LU factorize-and-solve and the sensitivity solves to the
+// run's sample, reading the clock only at those boundaries.
+func (e *Engine) advance(t0, t1 float64, clocked bool) error {
 	n := e.c.N()
 	dt := t1 - t0
 	var alpha float64 // J = alpha·C + G
@@ -607,8 +650,15 @@ func (e *Engine) step(t0, t1 float64) error {
 	numNodes := e.c.NumNodes()
 	converged := false
 	iters := 0
+	var mark time.Duration
 	for iter := 0; iter < e.opts.MaxNewtonIter; iter++ {
-		e.evalAt(t1)
+		if clocked {
+			mark = e.sample.now()
+		}
+		e.ev.At(e.x, t1)
+		if clocked {
+			e.sample.dev += e.sample.now() - mark
+		}
 		switch e.opts.Method {
 		case TRAP:
 			for i := 0; i < n; i++ {
@@ -620,10 +670,16 @@ func (e *Engine) step(t0, t1 float64) error {
 			}
 		}
 		sparse.Combine(e.j, alpha, e.ev.C, e.mapC, 1, e.ev.G, e.mapG)
-		if err := e.factorize(); err != nil {
+		if clocked {
+			mark = e.sample.now()
+		}
+		err := e.solveNewton()
+		if clocked {
+			e.sample.lu += e.sample.now() - mark
+		}
+		if err != nil {
 			return fmt.Errorf("transient: Jacobian factorization failed: %w", err)
 		}
-		e.solveOnly()
 		e.stats.NewtonIters++
 		iters++
 		conv := true
@@ -662,9 +718,8 @@ func (e *Engine) step(t0, t1 float64) error {
 	if e.opts.Skews {
 		e.zeroZ()
 		e.ev.AddSkewSens(t1, e.zsVec, e.zhVec)
-		var tSens time.Time
-		if e.timed {
-			tSens = time.Now()
+		if clocked {
+			mark = e.sample.now()
 		}
 		switch e.opts.Method {
 		case TRAP:
@@ -672,8 +727,8 @@ func (e *Engine) step(t0, t1 float64) error {
 		default:
 			e.sensBE(alpha)
 		}
-		if e.timed {
-			e.stats.Sens += time.Since(tSens)
+		if clocked {
+			e.sample.sens += e.sample.now() - mark
 		}
 	}
 

@@ -207,6 +207,35 @@ func TestObsTimingGatedOffByDefault(t *testing.T) {
 	}
 }
 
+// TestObsLayerSplitWithinWall characterizes tspc under an obs run, scalar
+// and with 4-lane blocks: the sampled split gives every transient layer —
+// device evaluation, LU and the sensitivity solves — a positive share, and
+// the three add up to no more than the transients' wall time.
+func TestObsLayerSplitWithinWall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transient simulations in -short mode")
+	}
+	cell, err := CellByName("tspc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range []int{0, 4} {
+		run := NewObsRun()
+		opts := smallOpts(run)
+		opts.Block = block
+		res, err := Characterize(cell, opts)
+		run.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.LU <= 0 || st.DeviceEval <= 0 || st.Sens <= 0 || st.LU+st.DeviceEval+st.Sens > st.Wall {
+			t.Errorf("block %d: LU %v, device %v, sensitivities %v, wall %v: want each positive and their sum within wall",
+				block, st.LU, st.DeviceEval, st.Sens, st.Wall)
+		}
+	}
+}
+
 func TestObsProgressDeliversFinalReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient simulations in -short mode")
