@@ -206,10 +206,12 @@ mcsmoke:
 # factorization, refactorization and solve against the dense reference),
 # FuzzParse (the netlist parser; every deck that builds is also assembled at
 # two states, and its C must be symmetric and the same at both, bit for
-# bit) and FuzzResolve (the wire codec: bytes decoded as the HTTP handlers
+# bit), FuzzResolve (the wire codec: bytes decoded as the HTTP handlers
 # decode a characterize request, then resolved; no panic, and an accepted
 # request gets a real coalescing key that fast_path does not move, and a
-# cell that builds or fails with an error). A failing input is saved under
+# cell that builds or fails with an error) and FuzzHistory (the packed
+# event history a served job keeps for replay: arbitrary events come back
+# from it as appended, field for field). A failing input is saved under
 # the package's testdata/fuzz/ and replays as a regular test from then on.
 # FuzzResolve caps the minimization of each new input at 100 runs: the JSON
 # decoder finds new coverage so often that the default 60 s minimization
@@ -218,6 +220,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLU$$' -fuzztime 15s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime 15s -fuzzminimizetime 100x ./internal/serve/jobcore
+	$(GO) test -run '^$$' -fuzz '^FuzzHistory$$' -fuzztime 15s ./internal/obs
 
 ci: build lint perfbenchcheck vulncheck race tracesmoke delaysmoke surfsmoke batchsmoke servesmoke clustersmoke mcsmoke fuzzsmoke benchsmoke
 

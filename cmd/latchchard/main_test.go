@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -20,8 +21,9 @@ import (
 
 // TestServeSmoke is the end-to-end daemon exercise behind `make servesmoke`:
 // start latchchard on a random port, characterize the TSPC cell through the
-// HTTP API, poll the job to completion, check the metrics exposition, then
-// drain via SIGTERM and require a clean exit.
+// HTTP API while streaming its events, poll the job to completion, replay
+// the finished job's events, check the metrics exposition, then drain via
+// SIGTERM and require a clean exit.
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full characterization")
@@ -69,7 +71,8 @@ func TestServeSmoke(t *testing.T) {
 		State  string `json:"state"`
 		Error  string `json:"error"`
 		Result *struct {
-			Contour []json.RawMessage `json:"contour"`
+			Contour []json.RawMessage     `json:"contour"`
+			Stats   serveclient.StatsJSON `json:"stats"`
 		} `json:"result"`
 	}
 	if err := json.Unmarshal(body, &job); err != nil {
@@ -78,6 +81,11 @@ func TestServeSmoke(t *testing.T) {
 	if job.ID == "" {
 		t.Fatalf("no job id in %s", body)
 	}
+	// The stream replays the job's history so far, then relays each later
+	// event, and ends when the job does: it carries every event the job
+	// records.
+	sc := serveclient.New(base)
+	live := streamEvents(t, sc, job.ID)
 
 	for deadline := time.Now().Add(120 * time.Second); ; {
 		r, err := http.Get(base + "/v1/jobs/" + job.ID)
@@ -106,6 +114,33 @@ func TestServeSmoke(t *testing.T) {
 	if job.Result == nil || len(job.Result.Contour) == 0 {
 		t.Fatal("finished job has an empty contour")
 	}
+	if st := job.Result.Stats; st.LUMS <= 0 || st.DeviceMS <= 0 || st.SensMS <= 0 ||
+		st.LUMS+st.DeviceMS+st.SensMS > st.WallMS*(1+1e-9) {
+		t.Errorf("result stats split wall_ms %v into lu %v, device %v, sens %v ms; want each positive, within the wall",
+			st.WallMS, st.LUMS, st.DeviceMS, st.SensMS)
+	}
+
+	// Replayed from the finished record, the job's packed history must be
+	// the complete trace: as many events as the job recorded, each equal to
+	// the one the live stream relayed, passing the strict checker.
+	replay := streamEvents(t, sc, job.ID)
+	if len(replay) != len(live) {
+		t.Errorf("finished job replays %d events, the job recorded %d", len(replay), len(live))
+	} else {
+		for i := range replay {
+			if !reflect.DeepEqual(replay[i], live[i]) {
+				t.Errorf("replayed event %d = %+v, streamed live as %+v", i, replay[i], live[i])
+				break
+			}
+		}
+	}
+	if err := obs.Validate(replay); err != nil {
+		t.Errorf("finished job's replay: %v", err)
+	}
+	if n := len(replay); n == 0 || replay[n-1].Kind != obs.KindRunEnd {
+		t.Errorf("finished job's replay of %d events does not end in run_end", n)
+	}
+	t.Logf("finished job replays %d events", len(replay))
 
 	r, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -130,7 +165,6 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// /v1/statusz decodes into the public wire type via the Go client.
-	sc := serveclient.New(base)
 	st, err := sc.Statusz(context.Background())
 	if err != nil {
 		t.Fatalf("/v1/statusz: %v", err)
@@ -168,6 +202,34 @@ func TestServeSmoke(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("daemon still listening after drain")
 	}
+}
+
+// streamEvents reads job id's NDJSON event stream to its end.
+func streamEvents(t *testing.T, sc *serveclient.Client, id string) []obs.Event {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	stream, err := sc.Stream(ctx, id)
+	if err != nil {
+		t.Fatalf("streaming job %s: %v", id, err)
+	}
+	defer stream.Close()
+	var events []obs.Event
+	for {
+		raw, ok := stream.Next()
+		if !ok {
+			break
+		}
+		var e obs.Event
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatalf("event %d of job %s: %v", len(events), id, err)
+		}
+		events = append(events, e)
+	}
+	if err := stream.Err(); err != nil {
+		t.Fatalf("streaming job %s: %v", id, err)
+	}
+	return events
 }
 
 // TestServeSmokeFlightDump boots the daemon with a deliberately tiny job

@@ -273,6 +273,9 @@ func RenderResult(cell string, res *latchchar.Result) *serveclient.ResultJSON {
 			BlockSharedSteps: res.Stats.BlockSharedSteps,
 			BlockPeelOffs:    res.Stats.BlockPeelOffs,
 			WallMS:           DurMS(res.Stats.Wall),
+			LUMS:             DurMS(res.Stats.LU),
+			DeviceMS:         DurMS(res.Stats.DeviceEval),
+			SensMS:           DurMS(res.Stats.Sens),
 		},
 	}
 	if res.Contour != nil {

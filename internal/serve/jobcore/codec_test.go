@@ -1,8 +1,10 @@
 package jobcore
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"latchchar"
 	"latchchar/serveclient"
@@ -144,5 +146,36 @@ func TestResolveBatchKeys(t *testing.T) {
 	}
 	if keys[0] == keys[1] {
 		t.Error("distinct batch items share a key")
+	}
+}
+
+// The wire result carries the engine's layer split of the transient wall
+// time next to wall_ms, and a client decodes it back.
+func TestRenderResultCarriesTheLayerSplit(t *testing.T) {
+	res := &latchchar.Result{Contour: &latchchar.Contour{}}
+	res.Stats.Wall = 12 * time.Millisecond
+	res.Stats.LU = 4500 * time.Microsecond
+	res.Stats.DeviceEval = 3250 * time.Microsecond
+	res.Stats.Sens = 1125 * time.Microsecond
+	out := RenderResult("tspc", res)
+	want := serveclient.StatsJSON{WallMS: 12, LUMS: 4.5, DeviceMS: 3.25, SensMS: 1.125}
+	if out.Stats != want {
+		t.Fatalf("rendered stats %+v, want %+v", out.Stats, want)
+	}
+	raw, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"wall_ms":12`, `"lu_ms":4.5`, `"device_ms":3.25`, `"sens_ms":1.125`} {
+		if !strings.Contains(string(raw), field) {
+			t.Errorf("wire result lacks %s: %s", field, raw)
+		}
+	}
+	var back serveclient.ResultJSON
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Stats != want {
+		t.Errorf("decoded stats %+v, want %+v", back.Stats, want)
 	}
 }

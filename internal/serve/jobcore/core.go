@@ -406,10 +406,11 @@ func (c *Core) runJob(j *Job) {
 	case c.cfg.MockJobTime > 0:
 		c.runMock(ctx, j)
 	case j.batch != nil:
-		for i := range j.batch {
-			j.batch[i].Opts.Obs = j.run
+		batch := slices.Clone(j.batch) // the record keeps the batch, not the run
+		for i := range batch {
+			batch[i].Opts.Obs = j.run
 		}
-		j.completeBatch(c.eng.CharacterizeBatch(ctx, j.batch))
+		j.completeBatch(c.eng.CharacterizeBatch(ctx, batch))
 	case j.mcMk != nil:
 		mcOpts := j.mcOpts
 		mcOpts.Characterize.Obs = j.run
@@ -460,13 +461,15 @@ func (c *Core) runJob(j *Job) {
 			c.cfg.Logger.Info("flight dump written", "corr", j.corr, "job", j.id, "path", path)
 		}
 	}
-	// The dump was the ring's only reader; a kept record must not hold it,
-	// nor the spare capacity append-doubling left in its replay buffer.
+	// The dump was the ring's only reader and the run's summary is folded:
+	// a kept record holds neither, nor the spare capacity append doubling
+	// left in its replay history.
 	if j.rec != nil {
 		j.rec.Release()
 	}
 	j.mu.Lock()
-	j.events = slices.Clone(j.events)
+	j.hist.Clip()
+	j.run = nil
 	j.mu.Unlock()
 	close(j.done)
 }

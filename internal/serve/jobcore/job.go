@@ -20,14 +20,14 @@ const (
 	stateCanceled = serveclient.StateCanceled
 )
 
-// maxJobEvents bounds the per-job event replay buffer; live subscribers
-// keep receiving past the cap, only the replay history stops growing.
+// maxJobEvents bounds the per-job replay history; live subscribers keep
+// receiving past the cap, only the replay history stops growing.
 const maxJobEvents = 16384
 
 // Job is one queued/running/finished characterization (or batch) with its
-// observability run and event log. The done channel closes after the final
-// state and the run's run_end event are in place, so waiters and event
-// streamers never observe a half-finished record.
+// observability run and replay history. The done channel closes after the
+// final state and the run's run_end event are in place, so waiters and
+// event streamers never observe a half-finished record.
 type Job struct {
 	id   string
 	key  string // coalescing key; "" for batch jobs (never coalesced)
@@ -43,7 +43,7 @@ type Job struct {
 	mcNominal latchchar.Process
 	mcOpts    latchchar.MCOptions
 
-	run     *obs.Run
+	run     *obs.Run      // nil once the job is finished
 	rec     *obs.Recorder // flight recorder; nil when disabled, released at job end
 	created time.Time
 	done    chan struct{}
@@ -57,14 +57,14 @@ type Job struct {
 	mcRes     *latchchar.MCResult
 	batchRes  []latchchar.JobResult
 	err       error
-	events    []obs.Event
+	hist      obs.History // the replay history, packed
 	subs      map[int]chan obs.Event
 	nextSub   int
 }
 
 // newJob creates a queued job with a live observability run capturing every
 // event (including progress at progressInterval cadence) into the job's
-// replay buffer and fanning it out to subscribers. Every event is stamped
+// replay history and fanning it out to subscribers. Every event is stamped
 // with the request's correlation ID, and a flight recorder rides along as a
 // sink (recorderSize < 0 disables it) for post-mortem dumps.
 func newJob(id, key, corr string, progressInterval time.Duration, recorderSize int) *Job {
@@ -101,13 +101,13 @@ func (j *Job) Corr() string { return j.corr }
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // capture receives one obs event under the collector lock: append to the
-// bounded replay buffer and fan out non-blocking (slow readers drop events
+// bounded replay history and fan out non-blocking (slow readers drop events
 // rather than stalling the solvers).
 func (j *Job) capture(e obs.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(j.events) < maxJobEvents {
-		j.events = append(j.events, e)
+	if j.hist.Len() < maxJobEvents {
+		j.hist.Append(&e)
 	}
 	for _, ch := range j.subs {
 		select {
@@ -123,7 +123,7 @@ func (j *Job) capture(e obs.Event) {
 func (j *Job) Subscribe(buf int) (history []obs.Event, ch chan obs.Event, cancel func()) {
 	ch = make(chan obs.Event, buf)
 	j.mu.Lock()
-	history = append([]obs.Event(nil), j.events...)
+	history = j.hist.Events()
 	id := j.nextSub
 	j.nextSub++
 	j.subs[id] = ch

@@ -223,6 +223,15 @@ type StatsJSON struct {
 	BlockSharedSteps int     `json:"block_shared_steps,omitempty"`
 	BlockPeelOffs    int     `json:"block_peel_offs,omitempty"`
 	WallMS           float64 `json:"wall_ms"`
+	// LUMS, DeviceMS and SensMS split WallMS by layer: LU factorization and
+	// solve, device evaluation and assembly, and sensitivity solves. The
+	// engine clocks a sample of the steps and splits the exact wall time in
+	// their proportions, so the three never sum past WallMS; the remainder
+	// is the step loop's own time. They are response-only: served jobs run
+	// under an obs run, which turns the sampling on.
+	LUMS     float64 `json:"lu_ms"`
+	DeviceMS float64 `json:"device_ms"`
+	SensMS   float64 `json:"sens_ms"`
 
 	// The v1 schema keeps the fast path's counters, but the chord/bypass
 	// fast path is gone (DESIGN §10) and no server sets them.
