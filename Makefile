@@ -102,23 +102,23 @@ delaysmoke:
 	cat $(SMOKE_OUTDIR)/delay-summary.txt
 	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/delay-trace.jsonl
 
-# surfsmoke runs a 12×12 output-level surface (BruteForce) in 4-lane blocks
+# surfsmoke runs a 12×12 output-level surface (BruteForce) on four workers
 # with event tracing on, writes the surface and its extracted contour,
 # prints the -v summary (its "checkpoint" line counts the steps the rows
 # resumed from the evaluators' rest trails) and validates the JSONL stream
-# with tracecheck; the same surface at -block 0 must be byte-identical.
+# with tracecheck; the same surface on one worker must be byte-identical.
 surfsmoke:
 	mkdir -p $(SMOKE_OUTDIR)
-	$(GO) run ./cmd/surfgen -cell tspc -n 12 -block 4 -v \
+	$(GO) run ./cmd/surfgen -cell tspc -n 12 -workers 4 -v \
 		-trace $(SMOKE_OUTDIR)/surf-trace.jsonl -surface $(SMOKE_OUTDIR)/surf-surface.csv \
 		-contour $(SMOKE_OUTDIR)/surf-contour.csv 2> $(SMOKE_OUTDIR)/surf-summary.txt
-	$(GO) run ./cmd/surfgen -cell tspc -n 12 -block 0 -v \
-		-trace $(SMOKE_OUTDIR)/surf0-trace.jsonl -surface $(SMOKE_OUTDIR)/surf0-surface.csv \
-		-contour $(SMOKE_OUTDIR)/surf0-contour.csv 2> $(SMOKE_OUTDIR)/surf0-summary.txt
-	cmp $(SMOKE_OUTDIR)/surf-surface.csv $(SMOKE_OUTDIR)/surf0-surface.csv
+	$(GO) run ./cmd/surfgen -cell tspc -n 12 -workers 1 -v \
+		-trace $(SMOKE_OUTDIR)/surf1-trace.jsonl -surface $(SMOKE_OUTDIR)/surf1-surface.csv \
+		-contour $(SMOKE_OUTDIR)/surf1-contour.csv 2> $(SMOKE_OUTDIR)/surf1-summary.txt
+	cmp $(SMOKE_OUTDIR)/surf-surface.csv $(SMOKE_OUTDIR)/surf1-surface.csv
 	cat $(SMOKE_OUTDIR)/surf-summary.txt
 	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/surf-trace.jsonl
-	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/surf0-trace.jsonl
+	$(GO) run ./cmd/tracecheck $(SMOKE_OUTDIR)/surf1-trace.jsonl
 
 # batchsmoke exercises the batch engine end to end on a reduced grid: a
 # 4-corner warm-started sweep that must spend fewer seed transients than
@@ -209,9 +209,12 @@ mcsmoke:
 # bit), FuzzResolve (the wire codec: bytes decoded as the HTTP handlers
 # decode a characterize request, then resolved; no panic, and an accepted
 # request gets a real coalescing key that fast_path does not move, and a
-# cell that builds or fails with an error) and FuzzHistory (the packed
+# cell that builds or fails with an error), FuzzHistory (the packed
 # event history a served job keeps for replay: arbitrary events come back
-# from it as appended, field for field). A failing input is saved under
+# from it as appended, field for field) and FuzzOptionsValidate (Options,
+# SurfaceOptions and MCOptions filled field by field from arbitrary bytes:
+# Validate never panics, and every rejection is an *OptionError wrapping
+# ErrInvalidOptions). A failing input is saved under
 # the package's testdata/fuzz/ and replays as a regular test from then on.
 # FuzzResolve caps the minimization of each new input at 100 runs: the JSON
 # decoder finds new coverage so often that the default 60 s minimization
@@ -221,6 +224,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime 15s -fuzzminimizetime 100x ./internal/serve/jobcore
 	$(GO) test -run '^$$' -fuzz '^FuzzHistory$$' -fuzztime 15s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzOptionsValidate$$' -fuzztime 15s .
 
 ci: build lint perfbenchcheck vulncheck race tracesmoke delaysmoke surfsmoke batchsmoke servesmoke clustersmoke mcsmoke fuzzsmoke benchsmoke
 

@@ -66,16 +66,14 @@ func BenchmarkEulerNewtonTSPC(b *testing.B) { benchContourModes(b, "tspc", 40) }
 func BenchmarkEulerNewtonC2MOS(b *testing.B) { benchContourModes(b, "c2mos", 40) }
 
 // benchSurface generates a brute-force surface and reports cost metrics.
-// The sims metric is mode-independent: block mode changes how the grid is
-// batched, not how many transients it represents.
-func benchSurface(b *testing.B, cellName string, n int, eval EvalConfig, block int) {
+func benchSurface(b *testing.B, cellName string, n int, eval EvalConfig) {
 	cell := mustCell(b, cellName)
 	domain := Rect{MinS: 100e-12, MaxS: 800e-12, MinH: 100e-12, MaxH: 800e-12}
 	b.ResetTimer()
 	var sims int
 	for i := 0; i < b.N; i++ {
 		res, err := BruteForce(cell, SurfaceOptions{
-			N: n, Domain: domain, Parallelism: 1, Block: block, Eval: eval,
+			N: n, Domain: domain, Parallelism: 1, Eval: eval,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -86,18 +84,16 @@ func benchSurface(b *testing.B, cellName string, n int, eval EvalConfig, block i
 }
 
 // E1 / Figs. 1(a), 9: brute-force output-surface generation (TSPC).
-// The n=40 case is the paper's 40×40 configuration; at that size the
-// row-blocked kernel is benchmarked too (DESIGN §13).
+// The n=40 case is the paper's 40×40 configuration.
 func BenchmarkSurfaceTSPC(b *testing.B) {
 	for _, n := range []int{10, 20, 40} {
-		b.Run(fmt.Sprintf("n=%d/mode=exact/p=1", n), func(b *testing.B) { benchSurface(b, "tspc", n, EvalConfig{}, 0) })
+		b.Run(fmt.Sprintf("n=%d/mode=exact/p=1", n), func(b *testing.B) { benchSurface(b, "tspc", n, EvalConfig{}) })
 	}
-	b.Run("n=40/mode=block8/p=1", func(b *testing.B) { benchSurface(b, "tspc", 40, EvalConfig{}, 8) })
 }
 
 // E9 / Fig. 12(b): brute-force surface for the C²MOS register.
 func BenchmarkSurfaceC2MOS(b *testing.B) {
-	b.Run("n=20/mode=exact/p=1", func(b *testing.B) { benchSurface(b, "c2mos", 20, EvalConfig{}, 0) })
+	b.Run("n=20/mode=exact/p=1", func(b *testing.B) { benchSurface(b, "c2mos", 20, EvalConfig{}) })
 }
 
 // E12: the Monte-Carlo batch path — per-sample contour characterization

@@ -12,14 +12,15 @@ import (
 )
 
 // TestBlockEvalMatchesScalarOnDecks is the block-transient exactness table:
-// for every example netlist deck, in BE and TRAP, EvalBlock at block sizes
-// 1, 2, 4 and 8 must reproduce the scalar path's state-transition values bit
-// for bit, and an 8-lane EvalGradBlock must reproduce EvalGrad's h and
-// gradient bit for bit on every lane, at the deck's points and around the
-// knee of each built-in cell. The probe points are the characterized
-// contour — the operating region the trace loop actually feeds the kernel.
-// One evaluator per method serves both paths and runs every block after
-// scalar evaluations, so a lane that depended on what ran before would show.
+// for every example netlist deck, in BE and TRAP, EvalBlock (Eval at each
+// pair in turn) at block sizes 1, 2, 4 and 8 must reproduce the scalar
+// path's state-transition values bit for bit, and an 8-lane EvalGradBlock
+// must reproduce EvalGrad's h and gradient bit for bit on every lane, at the
+// deck's points and around the knee of each built-in cell. The probe points
+// are the characterized contour — the operating region the trace loop
+// actually feeds the kernel. One evaluator per method serves both paths and
+// runs every block after scalar evaluations, so a lane that depended on what
+// ran before would show.
 func TestBlockEvalMatchesScalarOnDecks(t *testing.T) {
 	decks, err := filepath.Glob(filepath.Join("examples", "netlists", "*.cir"))
 	if err != nil {
@@ -223,13 +224,14 @@ func TestBlockTraceAccuracyGate(t *testing.T) {
 		len(res.Contour.Points), worst, res.Stats.BlockSharedSteps, res.Stats.BlockPeelOffs)
 }
 
-// TestBlockBruteForceIsReproducible runs a Block: 0 surface once and
-// parallel 8-lane block surfaces again and again, in BE and TRAP. Each row,
-// a scalar run per cell or an 8-lane and a 4-lane block, shares its leading
-// ramp on its evaluator's rest trail, and rows land on the four workers'
-// evaluators in a different order each run, so every cell equals a bare
-// engine's run from x0 on the evaluator's grid only if no run's result
-// depends on what its evaluator ran before.
+// TestBlockBruteForceIsReproducible runs a one-worker surface once and
+// four-worker surfaces again and again, in BE and TRAP, with the deprecated
+// Block at 0, 4 and 8, which BruteForce ignores. Every grid point is a plain
+// run that shares its row's leading ramp on its evaluator's rest trail and
+// branch, and rows land on the four workers' evaluators in a different
+// order each run, so every cell equals a bare engine's run from x0 on the
+// evaluator's grid only if no run's result depends on what its evaluator
+// ran before.
 func TestBlockBruteForceIsReproducible(t *testing.T) {
 	const (
 		n    = 12
@@ -281,17 +283,18 @@ func TestBlockBruteForceIsReproducible(t *testing.T) {
 							t.Errorf("%s: %d of %d cells differ from the runs from x0", what, differ, got.Sims)
 						}
 					}
-					ref, err := eng.BruteForce(ctx, cell, SurfaceOptions{N: n, Eval: cfg})
+					ref, err := eng.BruteForce(ctx, cell, SurfaceOptions{N: n, Parallelism: 1, Eval: cfg})
 					if err != nil {
 						t.Fatal(err)
 					}
-					same("Block: 0 surface", ref)
+					same("one-worker surface", ref)
 					for run := 0; run < runs; run++ {
-						got, err := eng.BruteForce(ctx, cell, SurfaceOptions{N: n, Block: 8, Parallelism: 4, Eval: cfg})
+						block := []int{0, 4, 8}[run%3]
+						got, err := eng.BruteForce(ctx, cell, SurfaceOptions{N: n, Block: block, Parallelism: 4, Eval: cfg})
 						if err != nil {
 							t.Fatal(err)
 						}
-						same(fmt.Sprintf("Block: 8 run %d", run), got)
+						same(fmt.Sprintf("four workers, Block: %d, run %d", block, run), got)
 					}
 				})
 			}

@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -84,9 +85,9 @@ func main() {
 	e7(tspc)
 	e4(tspc)
 	e8(c2mos)
-	surfT := e1e3(tspc, resT)
+	e1e3(tspc, resT)
 	e9b(c2mos, resC)
-	e10(tspc, surfT)
+	e10(tspc)
 	e11(tspc)
 	x4Energy(tspc)
 	x5Corners()
@@ -421,7 +422,7 @@ func overlay(cell *latchchar.Cell, res *latchchar.Result, domain latchchar.Rect,
 	return sr, max, mean
 }
 
-func e1e3(tspc *latchchar.Cell, resT *latchchar.Result) *latchchar.SurfaceResult {
+func e1e3(tspc *latchchar.Cell, resT *latchchar.Result) {
 	fmt.Println("## E1 + E3 — Figs. 1(a)/9/10: TSPC surface and overlay")
 	fmt.Println()
 	domain := latchchar.Rect{MinS: 100e-12, MaxS: 800e-12, MinH: 100e-12, MaxH: 800e-12}
@@ -470,7 +471,6 @@ func e1e3(tspc *latchchar.Cell, resT *latchchar.Result) *latchchar.SurfaceResult
 	fmt.Println("(\"the points obtained ... by Euler-Newton are 'exact' ... while the")
 	fmt.Println("brute-force technique uses interpolation\").")
 	fmt.Println()
-	return sr
 }
 
 func e9b(c2mos *latchchar.Cell, resC *latchchar.Result) {
@@ -485,7 +485,7 @@ func e9b(c2mos *latchchar.Cell, resC *latchchar.Result) {
 	fmt.Println()
 }
 
-func e10(tspc *latchchar.Cell, surfT *latchchar.SurfaceResult) {
+func e10(tspc *latchchar.Cell) {
 	fmt.Println("## E10 — Speedup: Euler-Newton vs brute-force surface generation")
 	fmt.Println()
 	fmt.Println("Paper: 45 min for 40 contour points vs 20 h for the 40×40 surface")
@@ -501,7 +501,6 @@ func e10(tspc *latchchar.Cell, surfT *latchchar.SurfaceResult) {
 	fmt.Println("|---|---|---|---|")
 	var lastSpeedup float64
 	var resEN *latchchar.Result
-	var enSum obs.Summary
 	for _, n := range []int{10, 20, 40} {
 		res, sum := characterizeObs(tspc, n)
 		enCount := int(sum.Counters[obs.CtrTransients]+sum.Counters[obs.CtrTransientsGrad]) - 1
@@ -510,30 +509,33 @@ func e10(tspc *latchchar.Cell, surfT *latchchar.SurfaceResult) {
 		speedup := float64(n*n) / enSims
 		lastSpeedup = speedup
 		fmt.Printf("| %d | %.0f (%.2f × %d) | %d | %.1f× |\n", n, enSims, perPoint, n, n*n, speedup)
-		resEN, enSum = res, sum
+		resEN = res
 	}
 	fmt.Println()
-	// Wall-clock comparison at n = 40, single-threaded for apples-to-apples;
-	// phase durations from the span telemetry rather than ad-hoc stopwatches.
-	enTime := enSum.Phase(obs.SpanCharacterize).Total
-	bfRun := obs.New()
-	bf, err := latchchar.BruteForce(tspc, latchchar.SurfaceOptions{
-		N:           40,
-		Domain:      latchchar.Rect{MinS: 100e-12, MaxS: 800e-12, MinH: 100e-12, MaxH: 800e-12},
-		Parallelism: 1,
-		Obs:         bfRun,
-	})
-	if err != nil {
-		log.Fatal(err)
+	// Wall-clock at n = 40, single-threaded for apples-to-apples, from the
+	// span telemetry, over alternating runs of the two methods.
+	var enMS, bfMS, ratio []float64
+	var bf *latchchar.SurfaceResult
+	for r := 0; r < timingRuns; r++ {
+		_, enSum := characterizeObs(tspc, 40)
+		bfRun := obs.New()
+		var err error
+		bf, err = latchchar.BruteForce(tspc, latchchar.SurfaceOptions{N: 40, Parallelism: 1, Obs: bfRun,
+			Domain: latchchar.Rect{MinS: 100e-12, MaxS: 800e-12, MinH: 100e-12, MaxH: 800e-12}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		en, sf := enSum.Phase(obs.SpanCharacterize).Total, bfRun.Summary().Phase(obs.SpanSurface).Total
+		bfRun.Close()
+		enMS, bfMS, ratio = append(enMS, msOf(en)), append(bfMS, msOf(sf)), append(ratio, float64(sf)/float64(en))
 	}
-	bfSum := bfRun.Summary()
-	bfRun.Close()
-	bfTime := bfSum.Phase(obs.SpanSurface).Total
+	fmt.Printf("Wall-clock rows: median (min–max) of %d alternating runs of each method.\n", timingRuns)
+	fmt.Println()
 	fmt.Println("| quantity | paper | measured |")
 	fmt.Println("|---|---|---|")
-	fmt.Printf("| EN wall-clock (40 points) | 45 min | %v (%d sims) |\n", enTime.Round(time.Millisecond), resEN.TotalSims())
-	fmt.Printf("| surface wall-clock (40×40, 1 thread) | 20 h | %v (%d sims) |\n", bfTime.Round(time.Millisecond), bf.Sims)
-	fmt.Printf("| wall-clock speedup | ≈26× | %.1f× |\n", float64(bfTime)/float64(enTime))
+	fmt.Printf("| EN wall-clock (40 points) | 45 min | %s ms (%d sims) |\n", spread(enMS, 1), resEN.TotalSims())
+	fmt.Printf("| surface wall-clock (40×40, 1 thread) | 20 h | %s ms (%d sims) |\n", spread(bfMS, 1), bf.Sims)
+	fmt.Printf("| wall-clock speedup | ≈26× | %s× |\n", spread(ratio, 2))
 	fmt.Printf("| simulation-count speedup at n=40 | — | %.1f× |\n", lastSpeedup)
 	fmt.Println()
 	fmt.Println("The speedup grows linearly with n, as claimed: per-point EN cost is")
@@ -549,7 +551,6 @@ func e10(tspc *latchchar.Cell, surfT *latchchar.SurfaceResult) {
 	fmt.Println("leading ramp. The wall-clock ratio therefore falls far below the sims")
 	fmt.Println("ratio; the paper's SPICE runs shared nothing.")
 	fmt.Println()
-	_ = surfT
 }
 
 func e11(tspc *latchchar.Cell) {
@@ -737,8 +738,8 @@ func ablations(tspc *latchchar.Cell) {
 }
 
 // x7BlockSweep measures the multi-point block-transient kernel (DESIGN §13)
-// against block size: the same brute-force row sweep with each grid row
-// evaluated in K-lane lockstep chunks sharing the stimulus prefix.
+// against block size on a traced contour, where the tracer corrects each
+// K-point lookahead bundle as one lockstep gradient block.
 func x7BlockSweep(tspc *latchchar.Cell) {
 	fmt.Println("## X7 — Block-transient kernel vs. block size (beyond the paper)")
 	fmt.Println()
@@ -749,57 +750,72 @@ func x7BlockSweep(tspc *latchchar.Cell) {
 	fmt.Println("same exact Newton step as the scalar path, over the scalar path's")
 	fmt.Println("pivot analysis, so every lane equals the scalar evaluation bit for")
 	fmt.Println("bit; a lane whose Newton iteration fails peels off with its own")
-	fmt.Println("error without poisoning the block.")
-	fmt.Println("`-block K` on surfgen/latchchar and `\"block\": K` on the HTTP API")
-	fmt.Println("select it.")
+	fmt.Println("error without poisoning the block. The tracer predicts K points")
+	fmt.Println("along the tangent each cycle and corrects them as one block;")
+	fmt.Println("`-block K` on latchchar and `\"block\": K` on the HTTP API select it.")
 	fmt.Println()
-	fmt.Println("| block size | wall-clock | speedup | LU factorizations | shared steps | resumed steps | peel-offs |")
-	fmt.Println("|---|---|---|---|---|---|---|")
-	// One worker: the rows then share one evaluator and its rest trail, so
-	// the counts do not depend on the host's CPU count.
+	fmt.Println("The sweep traces tspc's contour, 40 points both ways, on one worker.")
+	fmt.Printf("Wall-clock is the median (min–max) of %d interleaved runs per block\n", timingRuns)
+	fmt.Println("size; speedup is K = 1's wall over K's, run by run.")
+	fmt.Println()
+	fmt.Println("| block size | points | sims | wall-clock (ms) | speedup | LU factorizations | shared steps | resumed steps | peel-offs |")
+	fmt.Println("|---|---|---|---|---|---|---|---|---|")
+	// One worker: the characterization then runs on one evaluator and its
+	// rest trail, so the counts do not depend on the host's CPU count.
 	eng, err := latchchar.NewEngine(latchchar.EngineOptions{Parallelism: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer eng.Close()
-	var baseWall time.Duration
-	for _, k := range []int{1, 2, 4, 8} {
-		run := obs.New()
-		t0 := time.Now()
-		_, err := eng.BruteForce(ctx, tspc, latchchar.SurfaceOptions{
-			N: 16, Block: k, Obs: run,
-		})
-		if err != nil {
-			log.Fatal(err)
+	blocks := []int{1, 2, 4, 8}
+	wall := make([][]float64, len(blocks))
+	rows := make([]string, len(blocks))
+	for r := 0; r < timingRuns; r++ {
+		for i, k := range blocks {
+			run := obs.New()
+			res, err := eng.Characterize(ctx, tspc, latchchar.Options{Points: 40, BothDirections: true, Block: k, Obs: run})
+			if err != nil {
+				log.Fatal(err)
+			}
+			sum := run.Summary()
+			run.Close()
+			wall[i] = append(wall[i], msOf(sum.Phase(obs.SpanCharacterize).Total))
+			c := sum.Counters
+			rows[i] = fmt.Sprintf("| %d | %d | %d | %%s | %%s× | %d | %d | %d | %d |", k, len(res.Contour.Points), res.TotalSims(),
+				c[obs.CtrLUFactor]+c[obs.CtrLURefactor], c[obs.CtrBlockSharedSteps], c[obs.CtrResumedSteps], c[obs.CtrBlockPeelOffs])
 		}
-		wall := time.Since(t0)
-		if k == 1 {
-			baseWall = wall
+	}
+	for i := range blocks {
+		speedup := make([]float64, timingRuns)
+		for r := range speedup {
+			speedup[r] = wall[0][r] / wall[i][r]
 		}
-		sum := run.Summary()
-		run.Close()
-		fmt.Printf("| %d | %v | %.2f× | %d | %d | %d | %d |\n",
-			k, wall.Round(time.Millisecond), float64(baseWall)/float64(wall),
-			sum.Counters[obs.CtrLUFactor]+sum.Counters[obs.CtrLURefactor],
-			sum.Counters[obs.CtrBlockSharedSteps], sum.Counters[obs.CtrResumedSteps],
-			sum.Counters[obs.CtrBlockPeelOffs])
+		fmt.Printf(rows[i]+"\n", spread(wall[i], 1), spread(speedup, 2))
 	}
 	fmt.Println()
-	fmt.Println("Surface rows sweep τh at fixed τs, so every run in a row follows one")
-	fmt.Println("trajectory from its leading data edge to its own trailing one. The")
-	fmt.Println("evaluator's rest trail shares that stretch across the row (resumed")
-	fmt.Println("steps; DESIGN.md §5): every run resumes at the deepest stored state")
-	fmt.Println("before its lanes' earliest data ramp, and a plain run whose lanes")
-	fmt.Println("share one τs resumes on the trail's branch, at the deepest state the")
-	fmt.Println("row's earlier runs saved before its lanes' earliest trailing ramp. So")
-	fmt.Println("a row integrates its shared stretch about once at every block size.")
-	fmt.Println("What a block adds on top is the lockstep over its lanes' tails, and")
-	fmt.Println("it pays for it: all K lanes step from the block's earliest trailing")
-	fmt.Println("ramp on, while one-lane runs each start at the trailing ramp of the")
-	fmt.Println("run before them, so larger blocks integrate more lane-steps (LU")
-	fmt.Println("factorizations) than K = 1 on this sweep. Every lane equals the")
-	fmt.Println("scalar path bit for bit (blockpath_test.go).")
+	fmt.Println("Blocks pay off where their lanes share the stimulus: a bundle on the")
+	fmt.Println("contour's vertical hold ray has one τs, and once its trailing ramps")
+	fmt.Println("start after tf its lanes share the whole run (shared steps). Surfaces")
+	fmt.Println("run one lane per grid point: there each run resumes on the rest trail")
+	fmt.Println("just before its own trailing ramp (DESIGN.md §5), while a block forked")
+	fmt.Println("all its lanes at their earliest one, and 8-lane blocks made 31,902 LU")
+	fmt.Println("factorizations on a 16×16 tspc surface against 19,820 one lane at a time.")
 	fmt.Println()
+}
+
+// timingRuns is how many times the wall-clock rows repeat each run; it is
+// odd, so a median is one of the readings.
+const timingRuns = 5
+
+// msOf returns d in milliseconds.
+func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// spread renders repeated readings as their median and range, with prec
+// decimals: "12.3 (11.9–13.0)".
+func spread(v []float64, prec int) string {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	return fmt.Sprintf("%.*f (%.*f–%.*f)", prec, s[len(s)/2], prec, s[0], prec, s[len(s)-1])
 }
 
 func x8VarianceAwareMC() {

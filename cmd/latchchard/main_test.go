@@ -122,7 +122,8 @@ func TestServeSmoke(t *testing.T) {
 
 	// Replayed from the finished record, the job's packed history must be
 	// the complete trace: as many events as the job recorded, each equal to
-	// the one the live stream relayed, passing the strict checker.
+	// the one the live stream relayed, passing the strict checker, from its
+	// one run_begin to its run_end.
 	replay := streamEvents(t, sc, job.ID)
 	if len(replay) != len(live) {
 		t.Errorf("finished job replays %d events, the job recorded %d", len(replay), len(live))
@@ -137,8 +138,13 @@ func TestServeSmoke(t *testing.T) {
 	if err := obs.Validate(replay); err != nil {
 		t.Errorf("finished job's replay: %v", err)
 	}
-	if n := len(replay); n == 0 || replay[n-1].Kind != obs.KindRunEnd {
-		t.Errorf("finished job's replay of %d events does not end in run_end", n)
+	if n := len(replay); n == 0 || replay[0].Kind != obs.KindRunBegin || replay[n-1].Kind != obs.KindRunEnd {
+		t.Errorf("finished job's replay of %d events does not run from run_begin to run_end", n)
+	}
+	for i, e := range replay[1:] {
+		if e.Kind == obs.KindRunBegin {
+			t.Errorf("finished job's replay repeats run_begin at event %d", i+1)
+		}
 	}
 	t.Logf("finished job replays %d events", len(replay))
 

@@ -39,7 +39,6 @@ func run(args []string) error {
 		hMin      = fs.Float64("hmin", 10, "minimum hold skew (ps)")
 		hMax      = fs.Float64("hmax", 800, "maximum hold skew (ps)")
 		workers   = fs.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
-		block     = fs.Int("block", 0, "block-transient lane count: evaluate each grid row in N-lane lockstep chunks (0 or 1 = scalar; output-level surface only)")
 		delayMode = fs.Bool("delay", false, "generate the clock-to-Q delay surface (the paper's primary formulation) instead of the output-level surface")
 		surfOut   = fs.String("surface", "-", "surface CSV path (- for stdout)")
 		contOut   = fs.String("contour", "", "extracted-contour CSV path (empty = skip)")
@@ -89,7 +88,6 @@ func run(args []string) error {
 			MinH: *hMin * 1e-12, MaxH: *hMax * 1e-12,
 		},
 		Parallelism: *workers,
-		Block:       *block,
 		Obs:         obsRun,
 	}
 	// ^C cancels the grid sweep; pending rows are abandoned within one

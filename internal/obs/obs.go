@@ -211,18 +211,16 @@ func (r *Run) CorrID() string {
 	return r.c.corr
 }
 
-// AddSink attaches a sink. Sinks added after events have been emitted only
-// see subsequent events.
+// AddSink attaches a sink. Its first event is the run's run_begin marker;
+// sinks added after events have been emitted then only see subsequent
+// events.
 func (r *Run) AddSink(s Sink) {
 	if r == nil || s == nil {
 		return
 	}
 	r.c.mu.Lock()
 	defer r.c.mu.Unlock()
-	if len(r.c.sinks) == 0 {
-		// First sink sees the run_begin marker.
-		s.Event(&Event{V: SchemaVersion, Kind: KindRunBegin, Corr: r.c.corr})
-	}
+	s.Event(&Event{V: SchemaVersion, Kind: KindRunBegin, Corr: r.c.corr})
 	r.c.sinks = append(r.c.sinks, s)
 }
 
@@ -257,13 +255,13 @@ func (c *collector) send(now time.Duration, e *Event) {
 	}
 }
 
-// Subscribe registers fn to receive a copy of every subsequent event, and
-// returns a cancel function that unregisters it. Unlike AddSink, a
-// subscription can be dropped while the run is live — the hook the serving
-// layer's NDJSON event streaming attaches and detaches per HTTP client.
-// fn is invoked under the collector lock and must not block or call back
-// into the run; hand the event off to a buffered channel and drop on
-// overflow instead of stalling the solvers.
+// Subscribe registers fn to receive the run_begin marker and then a copy of
+// every subsequent event, and returns a cancel function that unregisters
+// it. Unlike AddSink, a subscription can be dropped while the run is live —
+// the hook the serving layer's NDJSON event streaming attaches and detaches
+// per HTTP client. fn is invoked under the collector lock and must not
+// block or call back into the run; hand the event off to a buffered channel
+// and drop on overflow instead of stalling the solvers.
 func (r *Run) Subscribe(fn func(Event)) (cancel func()) {
 	if r == nil || fn == nil {
 		return func() {}
@@ -271,6 +269,7 @@ func (r *Run) Subscribe(fn func(Event)) (cancel func()) {
 	c := r.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	fn(Event{V: SchemaVersion, Kind: KindRunBegin, Corr: c.corr})
 	c.nextSubID++
 	id := c.nextSubID
 	if c.subs == nil {

@@ -288,11 +288,11 @@ func TestSubscribeReceivesAndCancels(t *testing.T) {
 	mu.Lock()
 	n := len(got)
 	mu.Unlock()
-	if n != 2 {
-		t.Fatalf("subscriber saw %d events, want span begin+end", n)
+	if n != 3 {
+		t.Fatalf("subscriber saw %d events, want run begin, span begin+end", n)
 	}
-	if got[0].Kind != KindSpanBegin || got[1].Kind != KindSpanEnd {
-		t.Fatalf("kinds = %s, %s", got[0].Kind, got[1].Kind)
+	if got[0].Kind != KindRunBegin || got[1].Kind != KindSpanBegin || got[2].Kind != KindSpanEnd {
+		t.Fatalf("kinds = %s, %s, %s", got[0].Kind, got[1].Kind, got[2].Kind)
 	}
 
 	// After cancel, further events are not delivered.
@@ -315,6 +315,62 @@ func TestSubscribeReceivesAndCancels(t *testing.T) {
 	if last.Kind != KindRunEnd {
 		t.Errorf("final event kind = %q, want run_end", last.Kind)
 	}
+}
+
+// collectSink keeps every event it receives.
+type collectSink struct{ events []Event }
+
+func (s *collectSink) Event(e *Event)       { s.events = append(s.events, *e) }
+func (s *collectSink) Close(*Summary) error { return nil }
+
+// TestRunBeginReachesEveryConsumer attaches consumers to runs in every
+// order — a subscriber alone, a sink then a subscriber, and a sink and a
+// subscriber after the first span: each consumer's first event is the
+// run's run_begin, and the only one it sees.
+func TestRunBeginReachesEveryConsumer(t *testing.T) {
+	check := func(what string, got []Event, corr string) {
+		t.Helper()
+		begins := 0
+		for _, e := range got {
+			if e.Kind == KindRunBegin {
+				begins++
+			}
+		}
+		if len(got) == 0 || got[0].Kind != KindRunBegin || begins != 1 || got[0].Corr != corr || got[0].V != SchemaVersion {
+			t.Errorf("%s: %d events, %d run_begin, want exactly one, first, stamped v%d corr %q: %+v",
+				what, len(got), begins, SchemaVersion, corr, got)
+		}
+	}
+	subscribe := func(run *Run) *[]Event {
+		var got []Event
+		run.Subscribe(func(e Event) { got = append(got, e) })
+		return &got
+	}
+
+	only := New(WithCorr("c1"))
+	alone := subscribe(only)
+	only.StartSpan(SpanCharacterize).End()
+	only.Close()
+	check("lone subscriber", *alone, "c1")
+
+	run := New(WithCorr("c2"), WithClock(fakeClock(time.Millisecond)))
+	first := &collectSink{}
+	run.AddSink(first)
+	early := subscribe(run)
+	sp := run.StartSpan(SpanCharacterize)
+	late := &collectSink{}
+	run.AddSink(late)
+	lateSub := subscribe(run)
+	sp.End()
+	run.Close()
+	check("first sink", first.events, "c2")
+	check("subscriber after a sink", *early, "c2")
+	check("sink added mid-run", late.events, "c2")
+	check("subscriber added mid-run", *lateSub, "c2")
+	if err := Validate(first.events); err != nil {
+		t.Errorf("first sink's stream: %v", err)
+	}
+
 }
 
 func TestSubscribeNilRun(t *testing.T) {

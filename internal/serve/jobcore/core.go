@@ -270,7 +270,7 @@ func (c *Core) Submit(key, corr string, cell *latchchar.Cell, opts latchchar.Opt
 		return fl, false, nil
 	}
 	j = c.newJobLocked(key, corr)
-	j.cell, j.opts = cell, opts
+	j.name, j.cell, j.opts = cell.Name, cell, &opts
 	select {
 	case c.queue <- j:
 	default:
@@ -306,8 +306,8 @@ func (c *Core) SubmitMC(key, corr string, mk func(latchchar.Process) *latchchar.
 		return fl, false, nil
 	}
 	j = c.newJobLocked(key, corr)
-	j.mcMk, j.mcNominal, j.mcOpts = mk, nominal, mcOpts
-	j.cell = mk(nominal)
+	j.name = mk(nominal).Name
+	j.mc = &mcFlow{mk: mk, nominal: nominal, opts: mcOpts}
 	select {
 	case c.queue <- j:
 	default:
@@ -411,13 +411,13 @@ func (c *Core) runJob(j *Job) {
 			batch[i].Opts.Obs = j.run
 		}
 		j.completeBatch(c.eng.CharacterizeBatch(ctx, batch))
-	case j.mcMk != nil:
-		mcOpts := j.mcOpts
+	case j.mc != nil:
+		mcOpts := j.mc.opts
 		mcOpts.Characterize.Obs = j.run
-		mc, err := c.eng.MonteCarloContours(ctx, j.mcMk, j.mcNominal, mcOpts)
+		mc, err := c.eng.MonteCarloContours(ctx, j.mc.mk, j.mc.nominal, mcOpts)
 		j.completeMC(mc, err)
 	default:
-		opts := j.opts
+		opts := *j.opts
 		opts.Obs = j.run
 		res, err := c.eng.Characterize(ctx, j.cell, opts)
 		j.complete(res, err)
@@ -463,13 +463,14 @@ func (c *Core) runJob(j *Job) {
 	}
 	// The dump was the ring's only reader and the run's summary is folded:
 	// a kept record holds neither, nor the spare capacity append doubling
-	// left in its replay history.
+	// left in its replay history, nor the run's inputs.
 	if j.rec != nil {
 		j.rec.Release()
 	}
 	j.mu.Lock()
 	j.hist.Clip()
 	j.run = nil
+	j.cell, j.opts, j.mc = nil, nil, nil
 	j.mu.Unlock()
 	close(j.done)
 }

@@ -260,13 +260,13 @@ func TestWorkerHeapFlatPastTheRecordBound(t *testing.T) {
 }
 
 // TestColdRecordsStaySmall holds the live heap a finished serve-like record
-// keeps — the job, its result and its replay history — to 12 KB. It runs 50
+// keeps — the job, its result and its replay history — to 11 KB. It runs 50
 // cold jobs as the serve benchmark sends them (TSPC at fresh Monte-Carlo
 // corners, 20 points, 8-lane blocks, no result cache) on one worker, then
 // frees every record: the heap the records held is what the collection
 // after that returns.
 func TestColdRecordsStaySmall(t *testing.T) {
-	const jobs, limit = 50, 12000 // bytes
+	const jobs, limit = 50, 11000 // bytes
 	c := newTestCore(t, Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	corners, err := latchchar.MCDraws(latchchar.DefaultProcess(), latchchar.MCOptions{Samples: jobs, Seed: 1})
 	if err != nil {
@@ -314,8 +314,10 @@ func TestColdRecordsStaySmall(t *testing.T) {
 	}
 }
 
-// TestFinishedRecordsDropTheirRun checks that a finished record, single or
-// batch, keeps its replay history but no reference to its closed run.
+// TestFinishedRecordsDropTheirRun checks that a finished record — single,
+// Monte-Carlo or batch — keeps its replay history and renders its cell's
+// name, but holds no reference to its closed run nor to the inputs only
+// the run read: the resolved cell, the options and the Monte-Carlo flow.
 func TestFinishedRecordsDropTheirRun(t *testing.T) {
 	c := newTestCore(t, Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	cell := latchchar.TSPCCell(latchchar.DefaultProcess(), latchchar.DefaultTiming())
@@ -324,18 +326,30 @@ func TestFinishedRecordsDropTheirRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mk := func(p latchchar.Process) *latchchar.Cell { return latchchar.TSPCCell(p, latchchar.DefaultTiming()) }
+	mc, _, err := c.SubmitMC("mc", "", mk, latchchar.DefaultProcess(), latchchar.MCOptions{Samples: 2, Characterize: opts}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	batch, err := c.SubmitBatch([]latchchar.Job{{Cell: cell, Opts: opts}, {Cell: cell, Opts: opts}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range []*Job{single, batch} {
+	for _, j := range []*Job{single, mc, batch} {
 		<-j.Done()
-		if st := j.Status(); st.State != serveclient.StateDone {
+		st := j.Status()
+		if st.State != serveclient.StateDone {
 			t.Fatalf("job %s: %s (%s)", j.id, st.State, st.Error)
+		}
+		if j != batch && (st.Result == nil || st.Result.Cell != cell.Name) {
+			t.Errorf("finished job %s renders cell %+v, want %q", j.id, st.Result, cell.Name)
 		}
 		j.mu.Lock()
 		if j.run != nil {
 			t.Errorf("finished job %s keeps its run", j.id)
+		}
+		if j.cell != nil || j.opts != nil || j.mc != nil {
+			t.Errorf("finished job %s keeps its inputs: cell %v, options %v, Monte-Carlo flow %v", j.id, j.cell != nil, j.opts != nil, j.mc != nil)
 		}
 		for i := range j.batch {
 			if j.batch[i].Opts.Obs != nil {
@@ -411,6 +425,70 @@ func TestReplayEqualsTheRunsEvents(t *testing.T) {
 				t.Errorf("%s job's replay event %d = %+v, the run emitted %+v", name, i, got[i], emitted[i])
 				break
 			}
+		}
+	}
+}
+
+// TestEveryConsumerGetsOneRunBegin runs a tspc job with its flight recorder
+// (a sink, then the replay capture's subscription) and one with the
+// recorder disabled (the capture alone), each watched by a live subscriber
+// that attaches while the job is queued: the recorder, the replay history,
+// the live stream and the finished job's replay each start with the run's
+// run_begin, and hold no other.
+func TestEveryConsumerGetsOneRunBegin(t *testing.T) {
+	check := func(what string, got []obs.Event) {
+		t.Helper()
+		begins := 0
+		for _, e := range got {
+			if e.Kind == obs.KindRunBegin {
+				begins++
+			}
+		}
+		if len(got) == 0 || got[0].Kind != obs.KindRunBegin || begins != 1 || got[0].Corr != "corr-begin" {
+			t.Errorf("%s: %d events, %d run_begin; want exactly one, first, with the job's correlation ID", what, len(got), begins)
+		}
+	}
+	cell := latchchar.TSPCCell(latchchar.DefaultProcess(), latchchar.DefaultTiming())
+	for _, size := range []int{0, -1} {
+		name := fmt.Sprintf("FlightRecorderSize %d", size)
+		c := newTestCore(t, Config{Workers: 1, FlightRecorderSize: size, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		release := make(chan struct{})
+		blocker, _, err := c.Submit("blocker", "", blockingCell("blocker", release), latchchar.Options{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _, err := c.Submit("begin", "corr-begin", cell, latchchar.Options{Points: 3}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (j.rec == nil) != (size < 0) {
+			t.Fatalf("%s: recorder present = %v", name, j.rec != nil)
+		}
+		if j.rec != nil {
+			recorded, _ := j.rec.Snapshot()
+			check(name+": queued job's recorder", recorded)
+		}
+		live, ch, cancel := j.Subscribe(1024)
+		check(name+": queued job's history", live)
+		close(release)
+		<-blocker.Done()
+		<-j.Done()
+		cancel()
+		for len(ch) > 0 {
+			live = append(live, <-ch)
+		}
+		if st := j.Status(); st.State != serveclient.StateDone {
+			t.Fatalf("%s: job %s: %s", name, st.State, st.Error)
+		}
+		check(name+": live stream", live)
+		replay, _, cancel := j.Subscribe(0)
+		cancel()
+		check(name+": finished job's replay", replay)
+		if err := obs.Validate(replay); err != nil {
+			t.Errorf("%s: finished job's replay: %v", name, err)
+		}
+		if !reflect.DeepEqual(replay, live) {
+			t.Errorf("%s: the replay's %d events differ from the live stream's %d", name, len(replay), len(live))
 		}
 	}
 }

@@ -33,15 +33,14 @@ type Job struct {
 	key  string // coalescing key; "" for batch jobs (never coalesced)
 	corr string // correlation ID of the request that created the job
 
+	// name is the cell's name, which Status renders. What only the run
+	// reads — the resolved cell and options, or the Monte-Carlo flow — is
+	// dropped when the run ends, so a finished record keeps none of it.
+	name  string
 	cell  *latchchar.Cell
-	opts  latchchar.Options
+	opts  *latchchar.Options
+	mc    *mcFlow         // non-nil selects the Monte-Carlo flow
 	batch []latchchar.Job // non-nil selects the batch flow
-
-	// Monte-Carlo flow (non-nil mcMk selects it): the cell maker over the
-	// process axes, the nominal process and the MC options.
-	mcMk      func(latchchar.Process) *latchchar.Cell
-	mcNominal latchchar.Process
-	mcOpts    latchchar.MCOptions
 
 	run     *obs.Run      // nil once the job is finished
 	rec     *obs.Recorder // flight recorder; nil when disabled, released at job end
@@ -60,6 +59,14 @@ type Job struct {
 	hist      obs.History // the replay history, packed
 	subs      map[int]chan obs.Event
 	nextSub   int
+}
+
+// mcFlow is a Monte-Carlo job's input: the cell maker over the process
+// axes, the nominal process and the MC options.
+type mcFlow struct {
+	mk      func(latchchar.Process) *latchchar.Cell
+	nominal latchchar.Process
+	opts    latchchar.MCOptions
 }
 
 // newJob creates a queued job with a live observability run capturing every
@@ -251,14 +258,10 @@ func (j *Job) Status() serveclient.JobStatus {
 		return st
 	}
 	if j.result != nil && (j.err == nil || st.Partial) {
-		name := ""
-		if j.cell != nil {
-			name = j.cell.Name
-		}
 		if j.mcRes != nil {
-			st.Result = RenderMCResult(name, j.mcRes)
+			st.Result = RenderMCResult(j.name, j.mcRes)
 		} else {
-			st.Result = RenderResult(name, j.result)
+			st.Result = RenderResult(j.name, j.result)
 		}
 	}
 	return st

@@ -42,68 +42,46 @@ func minMax(v []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// blockEngine returns (building on first use) the block engine for plain or
-// gradient-carrying transients: one per kind, whose lanes serve every block
-// size and alias lane 0's symbolic analysis.
-func (e *Evaluator) blockEngine(skews bool) *transient.BlockEngine {
-	be := &e.blkPlain
-	if skews {
-		be = &e.blkGrad
-	}
-	if *be == nil {
-		*be = transient.NewBlockEngine(e.inst.Circuit, e.cfg.transientOptions(skews), func(lane int) {
+// gradBlock returns (building on first use) the block engine of
+// EvalGradBlock, whose lanes serve every block size and alias lane 0's
+// symbolic analysis.
+func (e *Evaluator) gradBlock() *transient.BlockEngine {
+	if e.blk == nil {
+		e.blk = transient.NewBlockEngine(e.inst.Circuit, e.cfg.transientOptions(true), func(lane int) {
 			e.inst.Data.SetSkews(e.blkS[lane], e.blkH[lane])
 		})
 	}
-	return *be
+	return e.blk
 }
 
-// EvalBlock computes h(τs, τh) for a block of skew pairs with one lockstep
-// multi-lane transient (transient.BlockEngine): nearby points share the
-// exact stimulus prefix. Every lane equals Eval at its skews bit for bit,
-// whatever the evaluator ran before; a one-lane block runs Eval. A lane that
-// peels off the block fails the call with its own error, naming the lane —
-// the error Eval would return at that point.
+// EvalBlock computes h(τs, τh) for a block of skew pairs: Eval at each pair
+// in turn, so every value equals Eval's bit for bit and the pairs of one τs
+// share their common stretch on the rest trail's branch as a surface row's
+// runs do (DESIGN §5). A pair whose transient fails ends the call with
+// Eval's error, naming the pair's lane.
 func (e *Evaluator) EvalBlock(tauS, tauH []float64) ([]float64, error) {
-	k := len(tauS)
-	if len(tauH) != k {
-		return nil, fmt.Errorf("stf: EvalBlock skew slices disagree: %d vs %d", k, len(tauH))
+	if len(tauH) != len(tauS) {
+		return nil, fmt.Errorf("stf: EvalBlock skew slices disagree: %d vs %d", len(tauS), len(tauH))
 	}
-	if k == 0 {
-		return nil, nil
-	}
-	if k == 1 {
-		h, err := e.Eval(tauS[0], tauH[0])
+	out := make([]float64, len(tauS))
+	for i := range tauS {
+		h, err := e.Eval(tauS[i], tauH[i])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("stf: lane %d: %w", i, err)
 		}
-		return []float64{h}, nil
-	}
-	e.blkS = append(e.blkS[:0], tauS...)
-	e.blkH = append(e.blkH[:0], tauH...)
-	res, err := e.blockEngine(false).RunCtx(e.ctx, e.run, k, e.x0, e.grid, e.blockSplit(tauS, tauH), e.trail, e.share(tauS, tauH, true))
-	if err != nil {
-		return nil, err
-	}
-	e.PlainEvals += k
-	e.run.Count(obs.CtrTransients, int64(k))
-	e.Work.Add(res.Stats)
-	out := make([]float64, k)
-	for i := 0; i < k; i++ {
-		if res.Errs[i] != nil {
-			return nil, fmt.Errorf("stf: lane %d: %w", i, res.Errs[i])
-		}
-		out[i] = res.X[i][e.inst.Out] - e.cal.R
+		out[i] = h
 	}
 	return out, nil
 }
 
-// EvalGradBlock is EvalBlock carrying forward sensitivities: h and its
-// gradient for every lane, each equal to EvalGrad's bit for bit. A lane that
-// peels off reports its own error, naming the lane, in errs without
-// invalidating the other lanes; the final error is reserved for whole-block
-// failures (cancellation, invalid input) and for a one-lane block's EvalGrad
-// error.
+// EvalGradBlock computes h and its gradient for a block of skew pairs with
+// one lockstep multi-lane transient carrying forward sensitivities
+// (transient.BlockEngine): nearby points share the exact stimulus prefix.
+// Every lane equals EvalGrad at its skews bit for bit, whatever the
+// evaluator ran before; a one-lane block runs EvalGrad. A lane that peels
+// off reports its own error, naming the lane, in errs without invalidating
+// the other lanes; the final error is reserved for whole-block failures
+// (cancellation, invalid input) and for a one-lane block's EvalGrad error.
 func (e *Evaluator) EvalGradBlock(tauS, tauH []float64) (h, dhdS, dhdH []float64, errs []error, err error) {
 	k := len(tauS)
 	if len(tauH) != k {
@@ -122,7 +100,7 @@ func (e *Evaluator) EvalGradBlock(tauS, tauH []float64) (h, dhdS, dhdH []float64
 	}
 	e.blkS = append(e.blkS[:0], tauS...)
 	e.blkH = append(e.blkH[:0], tauH...)
-	res, rerr := e.blockEngine(true).RunCtx(e.ctx, e.run, k, e.x0, e.grid, e.blockSplit(tauS, tauH), e.trail, e.share(tauS, tauH, false))
+	res, rerr := e.gradBlock().RunCtx(e.ctx, e.run, k, e.x0, e.grid, e.blockSplit(tauS, tauH), e.trail, transient.Share{Rest: e.restUntil(tauS, tauH)})
 	if rerr != nil {
 		return nil, nil, nil, nil, rerr
 	}

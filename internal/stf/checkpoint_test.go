@@ -157,7 +157,7 @@ func TestCheckpointEligibility(t *testing.T) {
 			end := 0
 			resumes := func(what string, r trailRun) {
 				t.Helper()
-				d := restDepth(e, k0, e.share(r.tauS, r.tauH, false).Rest)
+				d := restDepth(e, k0, e.restUntil(r.tauS, r.tauH))
 				before := e.Work.ResumedSteps
 				r.fn()
 				if got, want := e.Work.ResumedSteps-before, len(r.tauS)*min(d, end); got != want {
@@ -238,8 +238,8 @@ func TestCheckpointEligibility(t *testing.T) {
 
 // TestRestTrailIsSharedBitForBit builds a rest trail with one kind of run
 // and resumes the other kind from it, on every built-in cell and
-// examples/netlists deck, in BE and TRAP, through scalar runs and 4-lane
-// blocks:
+// examples/netlists deck, in BE and TRAP, through scalar runs, and through
+// 4-lane gradient blocks and EvalBlock's plain runs of 4 pairs:
 //
 //   - plain runs extend the trail and gradient runs resume from it;
 //   - gradient runs extend the trail and plain runs resume from it;
@@ -254,33 +254,7 @@ func TestRestTrailIsSharedBitForBit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient simulations in -short mode")
 	}
-	type subject struct {
-		name  string
-		build func() (*registers.Instance, error)
-	}
-	var subjects []subject
-	for _, name := range []string{"tspc", "c2mos", "tgate"} {
-		cell, err := registers.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		subjects = append(subjects, subject{name, cell.Build})
-	}
-	decks, err := filepath.Glob(filepath.Join("..", "..", "examples", "netlists", "*.cir"))
-	if err != nil || len(decks) == 0 {
-		t.Fatalf("no example decks found: %v", err)
-	}
-	for _, path := range decks {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deck, err := netlist.ParseString(string(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		subjects = append(subjects, subject{filepath.Base(path), deck.Build})
-	}
+	subjects := cellsAndDecks(t)
 	// The deep runs' data ramps start latest, so they take the trail
 	// furthest; the back runs' ramps all start before the deep ones'.
 	deepS, deepH := []float64{60e-12, 90e-12, 120e-12, 150e-12}, []float64{700e-12, 650e-12, 600e-12, 550e-12}
@@ -359,7 +333,7 @@ func TestRestTrailIsSharedBitForBit(t *testing.T) {
 						}
 						if lanes == 1 {
 							for i := range tauS {
-								resumed(1, e.share(tauS[i:i+1], tauH[i:i+1], false).Rest, func() {
+								resumed(1, inst.Data.RestUntil(tauS[i], tauH[i]), func() {
 									if grad {
 										h, ds, dh, err := e.EvalGrad(tauS[i], tauH[i])
 										if err != nil {
@@ -377,26 +351,37 @@ func TestRestTrailIsSharedBitForBit(t *testing.T) {
 							}
 							return
 						}
-						resumed(len(tauS), e.share(tauS, tauH, false).Rest, func() {
-							if grad {
-								h, ds, dh, errs, err := e.EvalGradBlock(tauS, tauH)
-								if err != nil {
-									t.Fatal(err)
-								}
-								for i := range tauS {
-									if errs[i] != nil {
-										t.Fatalf("%s lane %d: %v", what, i, errs[i])
-									}
-									check(i, h[i], ds[i], dh[i])
-								}
-								return
+						if !grad {
+							// EvalBlock runs the pairs one after another,
+							// as Eval does.
+							want, before := 0, e.Work.ResumedSteps
+							for i := range tauS {
+								d := restDepth(e, k0, inst.Data.RestUntil(tauS[i], tauH[i]))
+								want += min(d, *end)
+								*end = max(*end, d)
 							}
 							h, err := e.EvalBlock(tauS, tauH)
 							if err != nil {
 								t.Fatal(err)
 							}
+							if got := e.Work.ResumedSteps - before; got != want {
+								t.Errorf("%s resumed %d lane-steps, want %d", what, got, want)
+							}
 							for i := range tauS {
 								check(i, h[i], 0, 0)
+							}
+							return
+						}
+						resumed(len(tauS), e.restUntil(tauS, tauH), func() {
+							h, ds, dh, errs, err := e.EvalGradBlock(tauS, tauH)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for i := range tauS {
+								if errs[i] != nil {
+									t.Fatalf("%s lane %d: %v", what, i, errs[i])
+								}
+								check(i, h[i], ds[i], dh[i])
 							}
 						})
 					}
@@ -410,14 +395,14 @@ func TestRestTrailIsSharedBitForBit(t *testing.T) {
 						}
 					}
 
-					// Cut a deep run off at step kc, a trail point halfway
-					// along the trail it would build: fail it by poisoning
-					// the skews before step kc, so that step's Newton
-					// iteration fails and the trail ends at the point before
-					// it, or cancel it once step kc is done, so the trail
-					// ends at kc.
+					// Cut a deep run, plain and scalar or a gradient block,
+					// off at step kc, a trail point halfway along the trail
+					// it would build: fail it by poisoning the skews before
+					// step kc, so that step's Newton iteration fails and the
+					// trail ends at the point before it, or cancel it once
+					// step kc is done, so the trail ends at kc.
 					pts := first.grid.Points()
-					kc := k0 + trailStep*max(2, (restDepth(first, k0, first.share(deepS[:lanes], deepH[:lanes], false).Rest)-k0)/trailStep/2)
+					kc := k0 + trailStep*max(2, (restDepth(first, k0, first.restUntil(deepS[:lanes], deepH[:lanes]))-k0)/trailStep/2)
 					for _, cancels := range []bool{false, true} {
 						e := fresh()
 						ctx, cancel := context.WithCancel(context.Background())
@@ -453,19 +438,22 @@ func TestRestTrailIsSharedBitForBit(t *testing.T) {
 							// context is checked before a step, so a cancel
 							// there still lets step kc finish.
 							calls := 0
-							e.blkPlain = transient.NewBlockEngine(inst.Circuit, e.cfg.transientOptions(false), func(lane int) {
+							e.blk = transient.NewBlockEngine(inst.Circuit, e.cfg.transientOptions(true), func(lane int) {
 								inst.Data.SetSkews(e.blkS[lane], e.blkH[lane])
 								if calls++; calls == kc+1 {
 									cut()
 								}
 							})
 							e.SetContext(ctx)
-							_, err = e.EvalBlock(deepS, deepH)
+							var errs []error
+							if _, _, _, errs, err = e.EvalGradBlock(deepS, deepH); err == nil {
+								err = errs[0] // a failed prefix fails every lane
+							}
 						}
 						cancel()
 						e.SetContext(nil)
 						e.engPlain = transient.NewEngine(inst.Circuit, e.cfg.transientOptions(false))
-						e.blkPlain = nil
+						e.blk = nil
 						switch {
 						case cancels && !errors.Is(err, transient.ErrCanceled):
 							t.Fatalf("%d-lane run canceled at grid index %d: err = %v, want ErrCanceled", lanes, kc, err)
@@ -498,34 +486,45 @@ type trailModel struct {
 	first, end  int
 }
 
-// expect returns the grid index a run at the skew pairs resumes at, plain
-// or with gradients, on a trail the model describes, and updates the model
-// with what the run saves when it completes.
+// expect returns the lane-steps the runs at the skew pairs resume on a
+// trail the model describes — plain pairs one after another, as Eval and
+// EvalBlock run them, or gradient pairs as one block — and updates the
+// model with what the runs save when they complete.
 func (m *trailModel) expect(e *Evaluator, tauS, tauH []float64, plain bool) int {
-	sh := e.share(tauS, tauH, plain)
-	rd := restDepth(e, m.k0, sh.Rest)
-	resume := min(rd, m.restEnd)
-	bd := 0
-	if sh.Branch > 0 && rd > 0 {
-		bd = restDepth(e, m.k0, sh.Branch)
+	if !plain {
+		rd := restDepth(e, m.k0, e.restUntil(tauS, tauH))
+		resume := min(rd, m.restEnd)
+		m.restEnd = max(m.restEnd, rd)
+		return len(tauS) * resume
 	}
-	if bd > rd && m.key == tauS[0] && m.end >= m.first {
-		resume = max(resume, min(bd, m.end))
-	}
-	m.restEnd = max(m.restEnd, rd)
-	if bd > rd {
-		if m.key != tauS[0] || m.end < m.first {
-			m.key, m.first, m.end = tauS[0], rd+trailStep, rd
+	total := 0
+	for i := range tauS {
+		sh := e.share(tauS[i], tauH[i])
+		rd := restDepth(e, m.k0, sh.Rest)
+		resume := min(rd, m.restEnd)
+		bd := 0
+		if rd > 0 {
+			bd = restDepth(e, m.k0, sh.Branch)
 		}
-		m.end = max(m.end, bd)
+		if bd > rd && m.key == tauS[i] && m.end >= m.first {
+			resume = max(resume, min(bd, m.end))
+		}
+		m.restEnd = max(m.restEnd, rd)
+		if bd > rd {
+			if m.key != tauS[i] || m.end < m.first {
+				m.key, m.first, m.end = tauS[i], rd+trailStep, rd
+			}
+			m.end = max(m.end, bd)
+		}
+		total += resume
 	}
-	return resume
+	return total
 }
 
 // TestRestTrailBranchIsSharedBitForBit runs rows of plain runs that share
 // one τs, as a brute-force surface's rows do, on every built-in cell and
-// examples/netlists deck, in BE and TRAP, through scalar runs and 4-lane
-// blocks:
+// examples/netlists deck, in BE and TRAP, through Eval and through
+// EvalBlock's runs of 4 pairs, next to scalar and 4-lane gradient runs:
 //
 //   - τh ascending, then past tf, then descending: every run resumes at the
 //     deepest state the rows before it saved strictly before its own
@@ -543,33 +542,7 @@ func TestRestTrailBranchIsSharedBitForBit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient simulations in -short mode")
 	}
-	type subject struct {
-		name  string
-		build func() (*registers.Instance, error)
-	}
-	var subjects []subject
-	for _, name := range []string{"tspc", "c2mos", "tgate"} {
-		cell, err := registers.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		subjects = append(subjects, subject{name, cell.Build})
-	}
-	decks, err := filepath.Glob(filepath.Join("..", "..", "examples", "netlists", "*.cir"))
-	if err != nil || len(decks) == 0 {
-		t.Fatalf("no example decks found: %v", err)
-	}
-	for _, path := range decks {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deck, err := netlist.ParseString(string(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		subjects = append(subjects, subject{filepath.Base(path), deck.Build})
-	}
+	subjects := cellsAndDecks(t)
 	const rowS, newS = 300e-12, 250e-12
 	ascH := []float64{10e-12, 60e-12, 120e-12, 200e-12, 300e-12, 450e-12, 600e-12, 800e-12}
 
@@ -629,7 +602,7 @@ func TestRestTrailBranchIsSharedBitForBit(t *testing.T) {
 						for lo := 0; lo < len(tauS); lo += lanes {
 							ss, hs := tauS[lo:lo+lanes], tauH[lo:lo+lanes]
 							what := fmt.Sprintf("%d-lane %s at τs = %g, τh = %g", lanes, what, ss[0], hs)
-							depth := tm.expect(e, ss, hs, plain)
+							resumed := tm.expect(e, ss, hs, plain)
 							before := e.Work.ResumedSteps
 							var h, ds, dh []float64
 							if plain {
@@ -649,8 +622,8 @@ func TestRestTrailBranchIsSharedBitForBit(t *testing.T) {
 									}
 								}
 							}
-							if got := e.Work.ResumedSteps - before; got != lanes*depth {
-								t.Errorf("%s resumed %d lane-steps, want %d × %d", what, got, lanes, depth)
+							if got := e.Work.ResumedSteps - before; got != resumed {
+								t.Errorf("%s resumed %d lane-steps, want %d", what, got, resumed)
 							}
 							for i := range ss {
 								w := want(ss[i], hs[i])
@@ -700,13 +673,15 @@ func TestRestTrailBranchIsSharedBitForBit(t *testing.T) {
 						t.Errorf("%d-lane runs resumed nothing", lanes)
 					}
 
+					if lanes > 1 {
+						continue // EvalBlock cuts as Eval does, at its first pair
+					}
 					// Cut a row's first run off at step kc, a trail point
 					// halfway along the branch it would build: fail it by
 					// poisoning the skews before step kc, so the branch ends
 					// at the point before it, or cancel it once step kc is
 					// done, so the branch ends at kc.
-					cutH := []float64{800e-12, 750e-12, 700e-12, 650e-12}[:lanes]
-					cs, ch := row(cutH...)
+					cs, ch := row(800e-12)
 					probe := &trailModel{k0: k0}
 					probe.expect(first, cs, ch, true)
 					if probe.end < probe.first+2*trailStep {
@@ -724,40 +699,23 @@ func TestRestTrailBranchIsSharedBitForBit(t *testing.T) {
 								inst.Data.SetSkews(math.NaN(), math.NaN())
 							}
 						}
-						var err error
-						if lanes == 1 {
-							at := pts[kc-1]
-							if cancels {
-								at = pts[kc]
-							}
-							opts := e.cfg.transientOptions(false)
-							opts.Stop = func(_, tb float64, _, _ []float64) bool {
-								if tb == at {
-									cut()
-								}
-								return false
-							}
-							e.engPlain = transient.NewEngine(inst.Circuit, opts)
-							e.SetContext(ctx)
-							_, err = e.Eval(cs[0], ch[0])
-						} else {
-							// The run starts from x0 and its lanes share
-							// every step up to their earliest trailing ramp,
-							// past kc: setLane call kc+1 comes before step kc.
-							calls := 0
-							e.blkPlain = transient.NewBlockEngine(inst.Circuit, e.cfg.transientOptions(false), func(lane int) {
-								inst.Data.SetSkews(e.blkS[lane], e.blkH[lane])
-								if calls++; calls == kc+1 {
-									cut()
-								}
-							})
-							e.SetContext(ctx)
-							_, err = e.EvalBlock(cs, ch)
+						at := pts[kc-1]
+						if cancels {
+							at = pts[kc]
 						}
+						opts := e.cfg.transientOptions(false)
+						opts.Stop = func(_, tb float64, _, _ []float64) bool {
+							if tb == at {
+								cut()
+							}
+							return false
+						}
+						e.engPlain = transient.NewEngine(inst.Circuit, opts)
+						e.SetContext(ctx)
+						_, err := e.Eval(cs[0], ch[0])
 						cancel()
 						e.SetContext(nil)
 						e.engPlain = transient.NewEngine(inst.Circuit, e.cfg.transientOptions(false))
-						e.blkPlain = nil
 						what := "failed"
 						if cancels {
 							what = "canceled"

@@ -12,6 +12,7 @@ package stf
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -139,16 +140,16 @@ type Evaluator struct {
 	// (DESIGN §5).
 	trail *transient.Checkpoint
 
-	// Block-transient engines (EvalBlock/EvalGradBlock), one per kind, plus
-	// the current block's skews for the setLane hook.
-	blkPlain   *transient.BlockEngine
-	blkGrad    *transient.BlockEngine
+	// blk is EvalGradBlock's block-transient engine, built on first use,
+	// and blkS, blkH the current block's skews for its setLane hook.
+	blk        *transient.BlockEngine
 	blkS, blkH []float64
 
-	// PlainEvals and GradEvals count transient simulations by kind; the
-	// paper's cost comparisons are expressed in these.
+	// PlainEvals and GradEvals count transient simulations by kind, failed
+	// ones included and canceled ones not; the paper's cost comparisons are
+	// expressed in these.
 	PlainEvals, GradEvals int
-	// Work accumulates integrator-level statistics.
+	// Work accumulates integrator-level statistics of the same transients.
 	Work transient.Stats
 }
 
@@ -207,28 +208,26 @@ func (e *Evaluator) fineStart(maxTauS float64) float64 {
 	return e.inst.Data.SupportStart(maxTauS) - e.cfg.FineMargin
 }
 
-// share is what a run at the skew pairs shares on the rest trail. Its rest
-// part holds strictly before the earliest start of any pair's data ramps:
-// there every pair's stimulus rests, with zero skew derivatives, as every
-// other run's does. A plain run whose pairs all have one τs also takes that
-// τs's branch strictly before the earliest trailing ramp: there every
-// pair's stimulus is the leading ramp alone, as every other plain run's at
-// that τs is. A gradient run takes no branch, since its ∂x/∂τs moves with
-// the leading ramp (DESIGN §5).
-func (e *Evaluator) share(tauS, tauH []float64, plain bool) transient.Share {
+// share is what a plain run at (τs, τh) shares on the rest trail. Its rest
+// part holds strictly before the earliest start of the pair's data ramps:
+// there its stimulus rests, with zero skew derivatives, as every other
+// run's does. It also takes τs's branch strictly before the trailing ramp:
+// there its stimulus is the leading ramp alone, as every other plain run's
+// at that τs is (DESIGN §5).
+func (e *Evaluator) share(tauS, tauH float64) transient.Share {
 	d := e.inst.Data
-	sh := transient.Share{Rest: math.Inf(1), Key: math.Float64bits(tauS[0]), Branch: math.Inf(1)}
+	return transient.Share{Rest: d.RestUntil(tauS, tauH), Key: math.Float64bits(tauS), Branch: d.LeadOnlyUntil(tauH)}
+}
+
+// restUntil is the earliest start of any of the pairs' data ramps. A
+// gradient run shares the rest trail strictly before it and takes no
+// branch, since its ∂x/∂τs moves with the leading ramp.
+func (e *Evaluator) restUntil(tauS, tauH []float64) float64 {
+	rest := math.Inf(1)
 	for i := range tauS {
-		sh.Rest = math.Min(sh.Rest, d.RestUntil(tauS[i], tauH[i]))
-		sh.Branch = math.Min(sh.Branch, d.LeadOnlyUntil(tauH[i]))
-		if math.Float64bits(tauS[i]) != sh.Key {
-			plain = false
-		}
+		rest = math.Min(rest, e.inst.Data.RestUntil(tauS[i], tauH[i]))
 	}
-	if !plain {
-		sh.Branch = 0
-	}
-	return sh
+	return rest
 }
 
 // SetObs re-points the evaluator's observability handle; solvers use this
@@ -321,20 +320,35 @@ func (e *Evaluator) firstCrossing(run *obs.Run, grid transient.Grid, level float
 	c := &crossing{out: e.inst.Out, level: level, dir: dir, tMin: tMin}
 	opts := e.cfg.transientOptions(false)
 	opts.Stop = c.stop
-	return e.runCrossing(transient.NewEngine(e.inst.Circuit, opts), c, run, grid, nil, transient.Share{})
+	return e.runCrossing(transient.NewEngine(e.inst.Circuit, opts), c, run, grid, nil, transient.Share{}, nil)
 }
 
 // runCrossing runs eng, whose stop condition is c.stop, over grid under run,
-// from x0 or from cp's states the run shares, and returns what c found.
-func (e *Evaluator) runCrossing(eng *transient.Engine, c *crossing, run *obs.Run, grid transient.Grid, cp *transient.Checkpoint, sh transient.Share) (tc float64, ok bool, err error) {
+// from x0 or from cp's states the run shares, counts it in *n (n may be nil)
+// and returns what c found.
+func (e *Evaluator) runCrossing(eng *transient.Engine, c *crossing, run *obs.Run, grid transient.Grid, cp *transient.Checkpoint, sh transient.Share, n *int) (tc float64, ok bool, err error) {
 	c.tc, c.ok = 0, false
-	res, err := eng.RunCtx(e.ctx, run, e.x0, grid, cp, sh)
+	_, err = eng.RunCtx(e.ctx, run, e.x0, grid, cp, sh)
+	e.spend(run, eng, obs.CtrTransients, n, err)
 	if err != nil {
 		return 0, false, err
 	}
-	run.Count(obs.CtrTransients, 1)
-	e.Work.Add(res.Stats)
 	return c.tc, c.ok, nil
+}
+
+// spend accounts for a transient that ran on eng under run: one on the
+// counter ctr and in *n (n may be nil), and its work in e.Work. A run that
+// failed counts too, with the work it did, as a block's failed lane does; a
+// canceled run counts nothing, as a canceled block does.
+func (e *Evaluator) spend(run *obs.Run, eng *transient.Engine, ctr string, n *int, err error) {
+	if errors.Is(err, transient.ErrCanceled) {
+		return
+	}
+	if n != nil {
+		*n++
+	}
+	run.Count(ctr, 1)
+	e.Work.Add(eng.LastStats())
 }
 
 // Calibration returns the measured characteristic timing.
@@ -349,14 +363,11 @@ func (e *Evaluator) Instance() *registers.Instance { return e.inst }
 // Eval computes h(τs, τh) = cᵀx(tf) − r with one transient simulation.
 func (e *Evaluator) Eval(tauS, tauH float64) (float64, error) {
 	e.inst.Data.SetSkews(tauS, tauH)
-	s, h := [1]float64{tauS}, [1]float64{tauH}
-	res, err := e.engPlain.RunCtx(e.ctx, e.run, e.x0, e.grid, e.trail, e.share(s[:], h[:], true))
+	res, err := e.engPlain.RunCtx(e.ctx, e.run, e.x0, e.grid, e.trail, e.share(tauS, tauH))
+	e.spend(e.run, e.engPlain, obs.CtrTransients, &e.PlainEvals, err)
 	if err != nil {
 		return 0, err
 	}
-	e.PlainEvals++
-	e.run.Count(obs.CtrTransients, 1)
-	e.Work.Add(res.Stats)
 	return res.X[e.inst.Out] - e.cal.R, nil
 }
 
@@ -365,12 +376,10 @@ func (e *Evaluator) Eval(tauS, tauH float64) (float64, error) {
 func (e *Evaluator) EvalGrad(tauS, tauH float64) (h, dhdS, dhdH float64, err error) {
 	e.inst.Data.SetSkews(tauS, tauH)
 	res, err := e.engGrad.RunCtx(e.ctx, e.run, e.x0, e.grid, e.trail, transient.Share{Rest: e.inst.Data.RestUntil(tauS, tauH)})
+	e.spend(e.run, e.engGrad, obs.CtrTransientsGrad, &e.GradEvals, err)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	e.GradEvals++
-	e.run.Count(obs.CtrTransientsGrad, 1)
-	e.Work.Add(res.Stats)
 	out := e.inst.Out
 	return res.X[out] - e.cal.R, res.Ms[out], res.Mh[out], nil
 }
@@ -391,12 +400,10 @@ func (e *Evaluator) Waveforms(tauS, tauH, tEnd float64, probes ...circuit.Unknow
 	e.inst.Data.SetSkews(tauS, tauH)
 	eng := transient.NewEngine(e.inst.Circuit, e.cfg.transientOptions(false, probes...))
 	res, err := eng.RunCtx(e.ctx, e.run, e.x0, grid, nil, transient.Share{})
+	e.spend(e.run, eng, obs.CtrTransients, &e.PlainEvals, err)
 	if err != nil {
 		return nil, err
 	}
-	e.PlainEvals++
-	e.run.Count(obs.CtrTransients, 1)
-	e.Work.Add(res.Stats)
 	return res, nil
 }
 
@@ -444,11 +451,10 @@ func (e *Evaluator) ClockToQ(tauS, tauH float64) (delay float64, ok bool, err er
 		e.engCross = transient.NewEngine(e.inst.Circuit, opts)
 	}
 	e.cross = crossing{out: e.inst.Out, level: e.cal.R, dir: dir, tMin: edge}
-	tc, ok, err := e.runCrossing(e.engCross, &e.cross, e.run, grid, e.trail, transient.Share{Rest: e.inst.Data.RestUntil(tauS, tauH)})
+	tc, ok, err := e.runCrossing(e.engCross, &e.cross, e.run, grid, e.trail, transient.Share{Rest: e.inst.Data.RestUntil(tauS, tauH)}, &e.PlainEvals)
 	if err != nil {
 		return 0, false, err
 	}
-	e.PlainEvals++
 	if !ok {
 		return 0, false, nil
 	}

@@ -438,12 +438,13 @@ func TestEvaluatorDeterministic(t *testing.T) {
 
 // TestBlockPeelOffIsTheLaneResult starves every tspc lane of Newton
 // iterations (two per step fail at the clock edge near 1.1 ns): each lane
-// of EvalBlock and EvalGradBlock must report its own Newton failure, naming
-// the lane, as Eval does at its skews, and the failed lanes must cost no
-// transient beyond the block's: every step and Newton iteration the
-// evaluator published belongs to the two block runs. The failures come
-// before the rest trail's first state, so no run saves one: Eval then fails
-// the same way twice, and no run ever resumes.
+// of EvalGradBlock must report its own Newton failure, naming the lane, as
+// EvalGrad does at its skews, and EvalBlock, Eval at each pair in turn, must
+// stop at lane 0 with Eval's error, naming the lane. A failed transient
+// counts as one, with the work it did, whether it ran alone or as a block's
+// lane: every step and Newton iteration the evaluator published is in its
+// Work. The failures come before the rest trail's first state, so no run
+// saves one: Eval fails the same way every time, and no run ever resumes.
 func TestBlockPeelOffIsTheLaneResult(t *testing.T) {
 	cell, err := registers.ByName("tspc")
 	if err != nil {
@@ -462,9 +463,7 @@ func TestBlockPeelOffIsTheLaneResult(t *testing.T) {
 	tauS := []float64{300e-12, 350e-12, 400e-12, 450e-12}
 	tauH := []float64{200e-12, 220e-12, 240e-12, 260e-12}
 	k := len(tauS)
-	if _, err := e.EvalBlock(tauS, tauH); !errors.Is(err, transient.ErrNewtonFailure) || !strings.Contains(err.Error(), "lane 0") {
-		t.Errorf("EvalBlock: err = %v, want lane 0's Newton failure", err)
-	}
+	_, errBlock := e.EvalBlock(tauS, tauH)
 	_, _, _, errs, err := e.EvalGradBlock(tauS, tauH)
 	if err != nil {
 		t.Fatal(err)
@@ -474,13 +473,20 @@ func TestBlockPeelOffIsTheLaneResult(t *testing.T) {
 			t.Errorf("EvalGradBlock lane %d: err = %v, want its Newton failure", i, lerr)
 		}
 	}
-	if e.PlainEvals != k || e.GradEvals != k {
-		t.Errorf("%d-lane blocks counted %d plain and %d gradient transients, want %d each", k, e.PlainEvals, e.GradEvals, k)
+	published := func(what string, plain, grad int) {
+		t.Helper()
+		if e.PlainEvals != plain || e.GradEvals != grad {
+			t.Errorf("%s: counted %d plain and %d gradient transients, want %d and %d", what, e.PlainEvals, e.GradEvals, plain, grad)
+		}
+		if steps, iters := run.Counter(obs.CtrSteps), run.Counter(obs.CtrNewtonIters); steps != int64(e.Work.Steps) || iters != int64(e.Work.NewtonIters) {
+			t.Errorf("%s: published %d steps and %d Newton iterations, the evaluator's work holds %d and %d",
+				what, steps, iters, e.Work.Steps, e.Work.NewtonIters)
+		}
+		if e.Work.Steps == 0 {
+			t.Errorf("%s: the failed transients did no work", what)
+		}
 	}
-	if steps, iters := run.Counter(obs.CtrSteps), run.Counter(obs.CtrNewtonIters); steps != int64(e.Work.Steps) || iters != int64(e.Work.NewtonIters) {
-		t.Errorf("published %d steps and %d Newton iterations, the blocks ran %d and %d",
-			steps, iters, e.Work.Steps, e.Work.NewtonIters)
-	}
+	published(fmt.Sprintf("EvalBlock and a %d-lane gradient block", k), 1, k)
 	_, err1 := e.Eval(tauS[0], tauH[0])
 	if !errors.Is(err1, transient.ErrNewtonFailure) {
 		t.Fatalf("Eval: err = %v, want a Newton failure", err1)
@@ -488,6 +494,13 @@ func TestBlockPeelOffIsTheLaneResult(t *testing.T) {
 	if _, err2 := e.Eval(tauS[0], tauH[0]); err2 == nil || err2.Error() != err1.Error() {
 		t.Errorf("repeated Eval: err = %v, the first failed with %v", err2, err1)
 	}
+	if !errors.Is(errBlock, transient.ErrNewtonFailure) || errBlock.Error() != "stf: lane 0: "+err1.Error() {
+		t.Errorf("EvalBlock: err = %v, want lane 0's Eval error %v", errBlock, err1)
+	}
+	if _, _, _, err := e.EvalGrad(tauS[0], tauH[0]); !errors.Is(err, transient.ErrNewtonFailure) {
+		t.Errorf("EvalGrad: err = %v, want a Newton failure", err)
+	}
+	published("two failed Evals and a failed EvalGrad after them", 3, k+1)
 	if e.Work.ResumedSteps != 0 || run.Counter(obs.CtrResumedSteps) != 0 {
 		t.Errorf("resumed %d lane-steps (%d published) after failures before the rest trail, want 0",
 			e.Work.ResumedSteps, run.Counter(obs.CtrResumedSteps))

@@ -65,10 +65,9 @@ func newSurface(sAxis, hAxis []float64) (*Surface, error) {
 }
 
 // BlockEvalFunc evaluates one full grid row — fixed s, the whole h axis — in
-// a single call, writing f(s, h[j]) into out[j]. It may run the row point by
-// point or, as the circuit output surface does with Block > 1, in lockstep
-// block-transient chunks (stf.Evaluator.EvalBlock) that share the row's
-// stimulus prefix.
+// a single call, writing f(s, h[j]) into out[j], so the row's points can
+// share work: the circuit surfaces run them one after another on one
+// evaluator, whose rest trail shares the row's common stretch (stf).
 type BlockEvalFunc func(s float64, h, out []float64) error
 
 // BlockFactory builds one independent BlockEvalFunc per worker; the function

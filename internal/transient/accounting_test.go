@@ -147,7 +147,8 @@ func (w keyWave) V(t float64) float64 {
 // x0, along an empty rest trail and from a built one, in BE and TRAP with
 // Skews off and on, with shared prefixes ending before, at and after the
 // trail's first state, and runs at one amplitude whose second ramps start at
-// different times, which share the trail's branch when plain. Every
+// different times, which share the trail's branch when plain and scalar
+// (blocks carry sensitivities, so they take no branch). Every
 // completed run must account for each lane's grid steps exactly once, Steps
 // + BlockSharedSteps + ResumedSteps == lanes × grid steps, and every lane
 // must equal a scalar run from x0 bit for bit.
@@ -201,9 +202,12 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 					}
 				}
 			}
+			// Blocks carry sensitivities; their lanes follow the plain
+			// runs' trajectory bit for bit.
+			bopts := Options{Method: m, Skews: true}
 			block := func(tSplit float64, cp *Checkpoint) *BlockResult {
 				t.Helper()
-				b := NewBlockEngine(ckt, opts, func(lane int) { *amp = amps[lane] })
+				b := NewBlockEngine(ckt, bopts, func(lane int) { *amp = amps[lane] })
 				res, err := b.RunCtx(context.Background(), nil, len(amps), x0, g, tSplit, cp, Share{Rest: t0})
 				if err != nil || !res.Ok() {
 					t.Fatalf("%s: block run: %v %v", name, err, res.Errs)
@@ -246,9 +250,9 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 			same("scalar run from a block's trail", res.X, amps[1])
 
 			// Runs at one amplitude follow one trajectory until their second
-			// ramps, which start at t1s: plain ones take the trail's branch,
-			// on the lattice 23, 27, … past kr, up to the last grid point
-			// before their earliest t1; gradient ones resume at kr.
+			// ramps, which start at t1s: plain scalar ones take the trail's
+			// branch, on the lattice 23, 27, … past kr, up to the last grid
+			// point before their t1; gradient ones and blocks resume at kr.
 			t1 := new(float64)
 			kckt, _ := buildRC(t, keyWave{laneWave{v: amp, t0: t0, rise: rise}, t1}, device.RoleSupply, 1e3, 1e-12)
 			keyed := func(t1s ...float64) Share {
@@ -292,12 +296,12 @@ func TestCompletedRunsAccountForTheirGrid(t *testing.T) {
 				fromX0(what, res.X, *t1)
 			}
 			t1s := []float64{3.65e-9, 3.45e-9, 3.85e-9}
-			kb := NewBlockEngine(kckt, opts, func(lane int) { *t1 = t1s[lane] })
+			kb := NewBlockEngine(kckt, bopts, func(lane int) { *t1 = t1s[lane] })
 			bres, err := kb.RunCtx(context.Background(), nil, len(t1s), x0, g, slices.Min(t1s), kcp, keyed(t1s...))
 			if err != nil || !bres.Ok() {
 				t.Fatalf("%s: keyed block run: %v %v", name, err, bres.Errs)
 			}
-			check("keyed block run", len(t1s), bres.Stats, branchAt(31))
+			check("keyed block run", len(t1s), bres.Stats, kr)
 			for lane, t1v := range t1s {
 				fromX0(fmt.Sprintf("keyed block lane %d", lane), bres.X[lane], t1v)
 			}
@@ -541,7 +545,7 @@ func TestStoppedRunEndsAtItsStep(t *testing.T) {
 			t.Error("NewBlockEngine accepted a stop condition")
 		}
 	}()
-	NewBlockEngine(ckt, Options{Stop: stop}, nil)
+	NewBlockEngine(ckt, Options{Skews: true, Stop: stop}, nil)
 }
 
 // checkSplit requires a run's sampled layer times to lie within its wall
@@ -567,11 +571,11 @@ func checkSplit(t *testing.T, what string, st Stats, timed, sens bool) {
 	}
 }
 
-// TestSampledLayerTimesStayWithinWall runs scalar and block transients in BE
-// and TRAP, with Skews off and on, over a grid shorter than the sampling
-// stride and one many strides long, with and without an obs run, and a
-// failed and a canceled run of each kind: every run's LU + DeviceEval + Sens
-// stays within its Wall, and without an obs run all three read zero.
+// TestSampledLayerTimesStayWithinWall runs scalar transients, with Skews off
+// and on, and block transients in BE and TRAP over a grid shorter than the
+// sampling stride and one many strides long, with and without an obs run,
+// and a failed and a canceled run of each kind: every run's LU + DeviceEval
+// + Sens stays within its Wall, and without an obs run all three read zero.
 func TestSampledLayerTimesStayWithinWall(t *testing.T) {
 	ckt, x0 := buildClockedInverter(t)
 	short, err := UniformGrid(0, 0.8e-9, LayerSampleStride/2)
@@ -598,11 +602,14 @@ func TestSampledLayerTimesStayWithinWall(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkSplit(t, "scalar run, "+what, res.Stats, timed, skews)
+					if !skews {
+						continue // blocks carry sensitivities
+					}
 					bres, err := NewBlockEngine(ckt, opts, nil).RunCtx(ctx, run, 3, x0, g, 0.5e-9, nil, Share{})
 					if err != nil || !bres.Ok() {
 						t.Fatalf("block run, %s: %v %v", what, err, bres.Errs)
 					}
-					checkSplit(t, "block run, "+what, bres.Stats, timed, skews)
+					checkSplit(t, "block run, "+what, bres.Stats, timed, true)
 				}
 			}
 		}

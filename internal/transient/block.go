@@ -10,13 +10,15 @@ import (
 	"latchchar/internal/obs"
 )
 
-// BlockEngine advances K transients of one circuit in lockstep — the
-// vectorized multi-point kernel of DESIGN §13. Each lane is a full scalar
-// Engine (structure-of-arrays state: lane-major vectors, shared symbolic
-// analysis via newEngine's prototype path), and every lane steps through the
-// one Engine.step. Lanes 1…K−1 refactorize over lane 0's pivot analysis, so
-// every lane's result equals a scalar Engine's at its stimulus bit for bit,
-// whatever the block ran before. The lanes cooperate in two ways:
+// BlockEngine advances K gradient-carrying transients of one circuit in
+// lockstep — the multi-point kernel of DESIGN §13 that the tracer's
+// lookahead bundles, Monte-Carlo probes and resample run on. Each lane is a
+// full scalar Engine (structure-of-arrays state: lane-major vectors, shared
+// symbolic analysis via newEngine's prototype path), and every lane steps
+// through the one Engine.step. Lanes 1…K−1 refactorize over lane 0's pivot
+// analysis, so every lane's result equals a scalar Engine's at its stimulus
+// bit for bit, whatever the block ran before. The lanes cooperate in two
+// ways:
 //
 //   - Shared exact prefix: the caller passes tSplit, the earliest time any
 //     lane's stimulus can differ. Until then every lane is bit-identical, so
@@ -27,9 +29,9 @@ import (
 //     drops out; the remaining lanes continue unharmed. The error is the
 //     lane's result: the scalar engine would fail the same way.
 //
-// A block run resumes from a Checkpoint and appends to it as a scalar run
-// does, through lane 0: every lane's stimulus agrees with the trail's before
-// the times of the run's Share.
+// A block run resumes from a Checkpoint's rest part and appends to it as a
+// scalar gradient run does, through lane 0: every lane's stimulus agrees
+// with the trail's before the run's Share.Rest. It takes no branch.
 //
 // The lanes are built on first use: a K-lane run steps the first K, and
 // keeps them for the next run. A BlockEngine is not safe for concurrent use.
@@ -48,10 +50,14 @@ type BlockEngine struct {
 // index before that lane evaluates any device; it must reconfigure the
 // shared circuit's stimulus for that lane (and may be nil when all lanes
 // share one stimulus). Lane 0's engine performs the symbolic analysis; the
-// others alias its sparsity structure. Options.Probes and Options.Stop are
-// not supported on the block path (both are scalar-run concerns) and must be
-// unset.
+// others alias its sparsity structure. Options.Skews must be set: plain
+// transients run one lane at a time on Engine. Options.Probes and
+// Options.Stop are not supported on the block path (both are scalar-run
+// concerns) and must be unset.
 func NewBlockEngine(c *circuit.Circuit, opts Options, setLane func(lane int)) *BlockEngine {
+	if !opts.Skews {
+		panic("transient: BlockEngine needs Options.Skews")
+	}
 	if len(opts.Probes) != 0 {
 		panic("transient: BlockEngine does not support Probes")
 	}
@@ -79,8 +85,7 @@ func (b *BlockEngine) lanesFor(k int) []*Engine {
 type BlockResult struct {
 	// X[k] is lane k's final state x(t_end).
 	X [][]float64
-	// Ms and Mh are the final sensitivities per lane when Options.Skews is
-	// set, nil otherwise.
+	// Ms and Mh are lane k's final sensitivities ∂x/∂τs and ∂x/∂τh.
 	Ms, Mh [][]float64
 	// Errs[k] is lane k's Newton failure, nil for lanes that converged. A
 	// failure before the fork (in the shared prefix, where all lanes are
@@ -117,8 +122,8 @@ func (b *BlockEngine) Run(k int, x0 []float64, grid Grid, tSplit float64) (*Bloc
 // block runs inside a "transient" span of run with block counters and the
 // per-lane iteration histograms merged in, and a canceled ctx stops the
 // lockstep loop between steps. A canceled run still publishes the work it
-// did to run. A non-nil cp is shared before the times sh gives, which hold
-// for every lane, as Engine.RunCtx shares it.
+// did to run. A non-nil cp is shared before sh.Rest, which holds for every
+// lane, as a gradient Engine.RunCtx shares it.
 func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, k int, x0 []float64, grid Grid, tSplit float64, cp *Checkpoint, sh Share) (*BlockResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("transient: a block run needs at least one lane, got %d", k)
@@ -132,7 +137,7 @@ func (b *BlockEngine) RunCtx(ctx context.Context, run *obs.Run, k int, x0 []floa
 	}
 	luF0, luR0 := luCounts(lanes...)
 	sp := run.StartSpan(obs.SpanTransient)
-	res, st, err := b.run(ctx, lanes, x0, grid, tSplit, cp.open(grid.Points(), sh, !b.opts.Skews))
+	res, st, err := b.run(ctx, lanes, x0, grid, tSplit, cp.open(grid.Points(), sh, false))
 	publish(sp, luF0, luR0, st, lanes...)
 	sp.Count(obs.CtrBlockRuns, 1)
 	sp.Observe(obs.HistBlockSize, k)
@@ -154,11 +159,9 @@ func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, gr
 	pts := grid.Points()
 	res := &BlockResult{
 		X:    make([][]float64, K),
+		Ms:   make([][]float64, K),
+		Mh:   make([][]float64, K),
 		Errs: make([]error, K),
-	}
-	if b.opts.Skews {
-		res.Ms = make([][]float64, K)
-		res.Mh = make([][]float64, K)
 	}
 	wall0 := time.Now()
 	luF0 := make([]int, K)
@@ -274,10 +277,8 @@ func (b *BlockEngine) run(ctx context.Context, lanes []*Engine, x0 []float64, gr
 	for j, e := range lanes {
 		if !dead[j] {
 			res.X[j] = append([]float64(nil), e.x...)
-			if b.opts.Skews {
-				res.Ms[j] = append([]float64(nil), e.ms...)
-				res.Mh[j] = append([]float64(nil), e.mh...)
-			}
+			res.Ms[j] = append([]float64(nil), e.ms...)
+			res.Mh[j] = append([]float64(nil), e.mh...)
 		}
 	}
 	res.Stats = st

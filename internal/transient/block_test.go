@@ -65,7 +65,7 @@ func TestBlockSharedPrefixMatchesScalar(t *testing.T) {
 		rise = 0.5e-9
 	)
 	amps := []float64{1.0, 1.5, 2.0, 2.5}
-	opts := Options{}
+	opts := Options{Skews: true}
 
 	ckt, _, amp := buildLaneRC(t, t0, rise)
 	x0, _, err := solver.DCOperatingPoint(ckt, 0, nil, solver.DCOptions{})
@@ -158,6 +158,19 @@ func TestBlockEngineServesEveryLaneCount(t *testing.T) {
 	}
 }
 
+// TestBlockEngineNeedsSkews: blocks carry sensitivities, and plain
+// transients run one lane at a time on Engine, so NewBlockEngine refuses
+// options without Skews.
+func TestBlockEngineNeedsSkews(t *testing.T) {
+	ckt, _, _ := buildLaneRC(t, 1e-9, 0.5e-9)
+	defer func() {
+		if recover() == nil {
+			t.Error("NewBlockEngine accepted plain options")
+		}
+	}()
+	NewBlockEngine(ckt, Options{Method: TRAP}, nil)
+}
+
 // TestBlockPeelOff poisons one lane's stimulus with NaN: that lane must fail
 // with a per-lane error (counted as a peel-off) while the remaining lanes
 // converge to their scalar references' states bit for bit. Poisoning lane 0
@@ -171,7 +184,7 @@ func TestBlockPeelOff(t *testing.T) {
 	for _, poisoned := range []int{2, 0} {
 		amps := []float64{1.0, 1.5, 2.0, 2.5}
 		amps[poisoned] = math.NaN()
-		opts := Options{}
+		opts := Options{Skews: true}
 
 		ckt, _, amp := buildLaneRC(t, t0, rise)
 		x0, _, err := solver.DCOperatingPoint(ckt, 0, nil, solver.DCOptions{})
@@ -227,7 +240,7 @@ func TestBlockDegenerateFullyShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBlockEngine(ckt, Options{}, func(int) { *amp = 1.0 })
+	b := NewBlockEngine(ckt, Options{Skews: true}, func(int) { *amp = 1.0 })
 	res, err := b.Run(3, x0, g, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)

@@ -365,6 +365,7 @@ func (e *Engine) RunObs(run *obs.Run, x0 []float64, grid Grid) (*Result, error) 
 // there and appends the ones it lacks (see Checkpoint). A nil cp integrates
 // from x0 and ignores sh.
 func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Grid, cp *Checkpoint, sh Share) (*Result, error) {
+	e.stats, e.sample = Stats{}, layerSample{}
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -378,6 +379,11 @@ func (e *Engine) RunCtx(ctx context.Context, run *obs.Run, x0 []float64, grid Gr
 	sp.End()
 	return res, err
 }
+
+// LastStats returns the work of the engine's last RunCtx, which a failed or
+// canceled run did too and published; it is Result.Stats for a run that
+// finished, and zero for one refused before it started.
+func (e *Engine) LastStats() Stats { return e.stats }
 
 // attach prepares lanes for a run under run: wall-clock attribution and the
 // per-step iteration histograms follow run.Enabled(), pprof phase labels
@@ -447,10 +453,9 @@ func canceled(ctx context.Context, done <-chan struct{}, t float64, k, steps int
 }
 
 // run integrates over grid, from x0 or from a state of the run's trail tr.
-// e.stats holds the run's work on every return, a failed or canceled run
-// included, for RunCtx to publish.
+// e.stats, zeroed by RunCtx, holds the run's work on every return, a failed
+// or canceled run included, for RunCtx to publish.
 func (e *Engine) run(ctx context.Context, x0 []float64, grid Grid, tr trailRun) (*Result, error) {
-	e.stats, e.sample = Stats{}, layerSample{}
 	n := e.c.N()
 	if len(x0) != n {
 		return nil, fmt.Errorf("transient: x0 length %d, want %d", len(x0), n)

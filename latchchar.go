@@ -361,12 +361,12 @@ type SurfaceOptions struct {
 	// pool's worker count). The paper's cost comparison counts simulations,
 	// which is independent of Parallelism.
 	Parallelism int
-	// Block is the block-transient lane count: a value > 1 evaluates each
-	// grid row in chunks of Block lockstep lanes sharing the stimulus prefix
-	// (the per-row cost accounting is unchanged — still one transient per
-	// grid point). 0 or 1 evaluates point by point. The surface is the same
-	// bit for bit for every Block and Parallelism. BruteForceDelay measures
-	// every grid point on its own and ignores Block.
+	// Block is accepted and ignored: every grid point runs its own plain
+	// transient, and a row's runs share their common stretch on the
+	// evaluator's rest trail (DESIGN §5), which lockstep lanes only
+	// lengthened. Validate still rejects a negative value.
+	//
+	// Deprecated: surfaces run one lane per grid point; leave Block unset.
 	Block int
 	// Eval tunes the per-worker evaluators.
 	Eval EvalConfig
@@ -410,27 +410,16 @@ func BruteForceCtx(ctx context.Context, cell *Cell, opts SurfaceOptions) (*Surfa
 // with any concurrently running batch.
 func (e *Engine) BruteForce(ctx context.Context, cell *Cell, opts SurfaceOptions) (*SurfaceResult, error) {
 	start := time.Now()
-	// Each row is evaluated in chunks of Block lockstep block-transient
-	// lanes sharing the stimulus prefix; a chunk of one runs the scalar
-	// transient.
-	lanes := max(opts.Block, 1)
+	// Every grid point is its own plain transient: the row's runs share its
+	// τs on the evaluator's rest trail and branch (DESIGN §5).
 	sf, cal, err := e.sweep(ctx, cell, opts, func(ev *stf.Evaluator) surface.BlockEvalFunc {
-		tauS := make([]float64, 0, lanes)
 		return func(s float64, h, out []float64) error {
-			for lo := 0; lo < len(h); lo += lanes {
-				hi := lo + lanes
-				if hi > len(h) {
-					hi = len(h)
-				}
-				tauS = tauS[:0]
-				for range h[lo:hi] {
-					tauS = append(tauS, s)
-				}
-				vals, err := ev.EvalBlock(tauS, h[lo:hi])
+			for j := range h {
+				v, err := ev.Eval(s, h[j])
 				if err != nil {
 					return err
 				}
-				copy(out[lo:hi], vals)
+				out[j] = v
 			}
 			return nil
 		}

@@ -1,8 +1,11 @@
 package latchchar
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -203,4 +206,75 @@ func TestCornerResultsErrOrdering(t *testing.T) {
 	if !errors.Is(err, rs[0].Err) || !errors.Is(err, rs[3].Err) {
 		t.Error("joined error hides the per-corner causes")
 	}
+}
+
+// fuzzFill sets struct fields from a fuzzer's bytes, in declaration order,
+// nested structs included: a number takes 8 bytes as its bit pattern (a
+// float's IEEE bits, so NaN, ±Inf, negatives and denormals all occur), a
+// bool one bit of them, and a string one of fuzzStrings. Bytes past the end
+// read as zero, the value every field defaults from.
+type fuzzFill struct{ b []byte }
+
+var fuzzStrings = []string{"", string(SamplerIID), string(SamplerLHS), string(SamplerSobol), "x"}
+
+func (f *fuzzFill) next() uint64 {
+	var w [8]byte
+	f.b = f.b[copy(w[:], f.b):]
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+func (f *fuzzFill) fill(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				f.fill(v.Field(i))
+			}
+		}
+	case reflect.Float64:
+		v.SetFloat(math.Float64frombits(f.next()))
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(f.next()))
+	case reflect.Uint64:
+		v.SetUint(f.next())
+	case reflect.Bool:
+		v.SetBool(f.next()&1 == 1)
+	case reflect.String:
+		v.SetString(fuzzStrings[f.next()%uint64(len(fuzzStrings))])
+	}
+}
+
+// FuzzOptionsValidate fills an Options, a SurfaceOptions and an MCOptions
+// from the fuzzer's bytes (fuzzFill) and validates each. Validate must never
+// panic, and every rejection must be an *OptionError, naming its field and
+// wrapping ErrInvalidOptions.
+func FuzzOptionsValidate(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 512))
+	num := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(num(math.NaN(), math.Inf(1), -1, 5e-12, 1e-9, 0.1, 2))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &fuzzFill{data}
+		var o Options
+		var s SurfaceOptions
+		var m MCOptions
+		for _, p := range []any{&o, &s, &m} {
+			in.fill(reflect.ValueOf(p).Elem())
+		}
+		for name, err := range map[string]error{"Options": o.Validate(), "SurfaceOptions": s.Validate(), "MCOptions": m.Validate()} {
+			if err == nil {
+				continue
+			}
+			var oe *OptionError
+			if !errors.As(err, &oe) || !errors.Is(err, ErrInvalidOptions) || oe.Field == "" {
+				t.Errorf("%s.Validate: %T %v, want an *OptionError naming its field, wrapping ErrInvalidOptions", name, err, err)
+			}
+		}
+	})
 }

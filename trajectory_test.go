@@ -22,7 +22,8 @@ import (
 // of integrating the prefix, which must change nothing either. One
 // evaluator runs the points scalar, Eval before EvalGrad, so a plain run
 // saves the checkpoint; a second runs them in 4-point blocks, EvalGradBlock
-// first, so a gradient block saves it. Both must actually resume, and every
+// first, so a gradient block saves it, then EvalBlock, which runs Eval at
+// each point in turn. Both must actually resume, and every
 // run must account for its whole grid.
 func TestEvalAndEvalGradShareOneTrajectory(t *testing.T) {
 	decks, err := filepath.Glob(filepath.Join("examples", "netlists", "*.cir"))
